@@ -49,7 +49,7 @@ def main(argv=None) -> int:
                 if r.counterexample:
                     print(f"         {r.counterexample}")
         if out_dir:
-            (out_dir / f"{name}.json").write_text(report_json(name, params, args.seed))
+            (out_dir / f"{name}.json").write_text(report_json(name, params, args.seed, results))
 
     if out_dir:
         (out_dir / "identities.md").write_text(emit_ledger())

@@ -4,7 +4,7 @@
                             [--a p/q] [--b p/q] [--model NAME]
                             [--trials T] [--seed S] [--json OUT]
     gcrystal rmap apply --n N --l JSON --m JSON
-    gcrystal ud trop --expr EXPR [--min-plus]
+    gcrystal ud trop --expr EXPR
     gcrystal ud rmap --n N --l JSON --m JSON
     gcrystal model show <name> [--n N] [--L p/q] [--json]
     gcrystal ledger
@@ -26,7 +26,7 @@ from .crystal import model_manifest
 from .expr import parse, pretty
 from .models import build_named_model
 from .rmap import apply_r, build_r_map
-from .ud import negate_convention, trop_pretty, trop_to_json_obj, tropicalize
+from .ud import trop_pretty, trop_to_json_obj, tropicalize
 
 
 def _fraction(text: str) -> Fraction:
@@ -34,6 +34,17 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from err
+
+
+def _size(text: str) -> int:
+    """An affine type-A size n; the R map needs n >= 1."""
+    try:
+        n = int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from err
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"affine type A needs n >= 1, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rmap_cmd = sub.add_parser("rmap", help="apply the birational R map")
     rmap_sub = rmap_cmd.add_subparsers(dest="rmap_command", required=True)
     rmap_apply = rmap_sub.add_parser("apply")
-    rmap_apply.add_argument("--n", type=int, required=True)
+    rmap_apply.add_argument("--n", type=_size, required=True)
     rmap_apply.add_argument("--l", required=True, help="JSON array of n+1 rationals")
     rmap_apply.add_argument("--m", required=True, help="JSON array of n+1 rationals")
 
@@ -64,11 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ud_sub = ud_cmd.add_subparsers(dest="ud_command", required=True)
     ud_trop = ud_sub.add_parser("trop")
     ud_trop.add_argument("--expr", required=True, help="expression in the DSL")
-    ud_trop.add_argument(
-        "--min-plus", action="store_true", help="emit the (min,+) mirror of the program"
-    )
     ud_rmap = ud_sub.add_parser("rmap", help="apply the combinatorial R to integer tuples")
-    ud_rmap.add_argument("--n", type=int, required=True)
+    ud_rmap.add_argument("--n", type=_size, required=True)
     ud_rmap.add_argument("--l", required=True, help="JSON array of n+1 integers")
     ud_rmap.add_argument("--m", required=True, help="JSON array of n+1 integers")
 
@@ -105,9 +113,8 @@ def _cmd_verify(args) -> int:
     fails = sum(r.verdict == "fail" for r in results)
     print(f"{args.suite}: {len(results)} checks, {fails} failed")
     if args.json_out:
-        payload = harness.report_dict(args.suite, params, args.seed, results)
         with open(args.json_out, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(harness.report_json(args.suite, params, args.seed, results))
         print(f"report written to {args.json_out}")
     return 0 if fails == 0 else 1
 
@@ -161,8 +168,6 @@ def _cmd_ud_trop(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.min_plus:
-        program = negate_convention(program)
     print(
         json.dumps(
             {"input": pretty(expr), "tropical": trop_pretty(program), "tree": trop_to_json_obj(program)},

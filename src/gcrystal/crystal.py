@@ -18,20 +18,21 @@ the action, and demand equality of ``Fraction`` values on the nose.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .arith import Assignment, DomainTooThinError, SampleSpec, product as fraction_product, sample_point
+from .arith import Assignment, SampleSpec, product as fraction_product, sample_point
 from .expr import (
-    EvalDomainError,
     RatExpr,
     add,
     div,
     evaluate,
     mul,
+    pole_free_points,
+    program_for,
     rename_variables,
+    run,
     substitute,
     var,
 )
@@ -156,12 +157,16 @@ class CrystalModel:
 
 
 def apply_e(model: CrystalModel, i: int, c: Fraction, x: Assignment) -> Assignment:
-    """One-parameter action: evaluate the action family at ``c`` and ``x``."""
+    """One-parameter action: evaluate the action family at ``c`` and ``x``.
+
+    All coordinates come from one program per model and index.
+    """
     if c == 0:
         raise ValueError("the action parameter must be nonzero")
     env = dict(x)
     env[SCALAR] = c
-    return {v: evaluate(e, env) for v, e in zip(model.variables, model.actions[i])}
+    program = program_for(model, ("action", i), model.actions[i])
+    return dict(zip(model.variables, run(program, env)))
 
 
 def apply_word(model: CrystalModel, word, x: Assignment) -> Assignment:
@@ -186,9 +191,6 @@ class CheckOutcome:
         return self.ok
 
 
-MAX_POLE_RETRIES = 100
-
-
 def pointwise_check(
     fn: Callable[[Assignment], dict | None],
     spec: SampleSpec,
@@ -201,25 +203,11 @@ def pointwise_check(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = random.Random(spec.seed)
-    done = 0
-    failures = 0
-    while done < trials:
-        point = sample_point(spec, rng)
-        try:
-            witness = fn(point)
-        except EvalDomainError:
-            failures += 1
-            if failures > MAX_POLE_RETRIES:
-                raise DomainTooThinError(
-                    f"no pole-free point found after {MAX_POLE_RETRIES} resamples"
-                ) from None
-            continue
-        failures = 0
+    for done, (_point, witness) in enumerate(pole_free_points(spec, fn), start=1):
         if witness is not None:
-            return CheckOutcome(False, done + 1, witness)
-        done += 1
-    return CheckOutcome(True, trials)
+            return CheckOutcome(False, done, witness)
+        if done == trials:
+            return CheckOutcome(True, trials)
 
 
 def _split_scalars(point: Assignment, names: tuple[str, ...]) -> tuple[Assignment, list[Fraction]]:

@@ -84,10 +84,6 @@ def enumerate_partitions(interval: Interval) -> list[Partition]:
     return out
 
 
-def partition_length(p: Partition) -> int:
-    return len(p)
-
-
 @dataclass(frozen=True)
 class EpsilonSystem:
     """Expression tables ``eps`` and ``eps_star`` over the intervals of a chain."""

@@ -27,10 +27,16 @@ Identity testing is exact evaluation at random rational points: two
 expressions are declared equal on a domain when they agree exactly at
 every sampled point, and a single exact mismatch is a counterexample.
 There is no simplifier; exactness does all the work.
+
+Evaluation does not walk trees: :func:`compile_program` value-numbers
+trees into a straight-line :class:`Program`, which :func:`run` evaluates
+exactly and :func:`run_maxplus` reads in (max, +).  The tree walker
+:func:`reference_evaluate` is kept as the oracle of the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -65,6 +71,11 @@ class UnboundVariableError(KeyError):
 
 
 # --- node types --------------------------------------------------------------
+
+# Node kinds as the compiler sees them.  Every node class names its kind in
+# ``_op``; the max-plus trees of :mod:`gcrystal.ud` reuse the same kinds
+# (their max is ADD, their + is MUL, their - is DIV) plus TROP_CONST.
+VAR, CONST, TROP_CONST, ADD, SUB, MUL, DIV, POW = range(8)
 
 
 @dataclass(frozen=True)
@@ -104,11 +115,15 @@ class RatExpr:
 
 @dataclass(frozen=True)
 class Var(RatExpr):
+    _op = VAR
+
     name: str
 
 
 @dataclass(frozen=True)
 class Const(RatExpr):
+    _op = CONST
+
     value: Fraction
 
     def __post_init__(self):
@@ -118,30 +133,40 @@ class Const(RatExpr):
 
 @dataclass(frozen=True)
 class Add(RatExpr):
+    _op = ADD
+
     left: RatExpr
     right: RatExpr
 
 
 @dataclass(frozen=True)
 class Sub(RatExpr):
+    _op = SUB
+
     left: RatExpr
     right: RatExpr
 
 
 @dataclass(frozen=True)
 class Mul(RatExpr):
+    _op = MUL
+
     left: RatExpr
     right: RatExpr
 
 
 @dataclass(frozen=True)
 class Div(RatExpr):
+    _op = DIV
+
     left: RatExpr
     right: RatExpr
 
 
 @dataclass(frozen=True)
 class Pow(RatExpr):
+    _op = POW
+
     base: RatExpr
     exponent: int
 
@@ -201,16 +226,6 @@ def pow_(base: RatExpr, exponent: int) -> RatExpr:
     return Pow(base, exponent)
 
 
-def summation(terms: list[RatExpr]) -> RatExpr:
-    """Left-associated sum of one or more terms."""
-    if not terms:
-        raise ExprError("empty sum has no nonzero representation")
-    out = terms[0]
-    for t in terms[1:]:
-        out = add(out, t)
-    return out
-
-
 def prod(factors: list[RatExpr]) -> RatExpr:
     """Left-associated product; the empty product is the constant 1."""
     if not factors:
@@ -264,11 +279,11 @@ def rename_variables(e: RatExpr, mapping: dict[str, str]) -> RatExpr:
     return substitute(e, {old: Var(new) for old, new in mapping.items()})
 
 
-# --- evaluation ---------------------------------------------------------------
+# --- reference evaluation -------------------------------------------------------
 
 
-def evaluate(e: RatExpr, point: Assignment) -> Fraction:
-    """Exact value of ``e`` at ``point``; raises on poles and unbound names."""
+def reference_evaluate(e: RatExpr, point: Assignment) -> Fraction:
+    """Tree-walking evaluation; the test oracle for the compiled path."""
     if isinstance(e, Var):
         try:
             return point[e.name]
@@ -277,22 +292,242 @@ def evaluate(e: RatExpr, point: Assignment) -> Fraction:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
+        return reference_evaluate(e.left, point) + reference_evaluate(e.right, point)
     if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
+        return reference_evaluate(e.left, point) - reference_evaluate(e.right, point)
     if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
+        return reference_evaluate(e.left, point) * reference_evaluate(e.right, point)
     if isinstance(e, Div):
-        denom = evaluate(e.right, point)
+        denom = reference_evaluate(e.right, point)
         if denom == 0:
             raise EvalDomainError("division by zero")
-        return evaluate(e.left, point) / denom
+        return reference_evaluate(e.left, point) / denom
     if isinstance(e, Pow):
-        base = evaluate(e.base, point)
+        base = reference_evaluate(e.base, point)
         if base == 0 and e.exponent < 0:
             raise EvalDomainError("zero raised to a negative power")
         return base**e.exponent
     raise TypeError(f"unknown node {e!r}")
+
+
+# --- compiled programs ----------------------------------------------------------
+
+
+class Program:
+    """Straight-line code for a tuple of expressions; equal subterms run once.
+
+    Registers hold, in order, the input variables ``names``, the constants,
+    and the result of each instruction of ``code``.  An instruction
+    ``(op, a, b)`` combines registers ``a`` and ``b``; for ``POW``, ``b`` is
+    the integer exponent.  ``outputs`` holds the register of each root.
+    """
+
+    __slots__ = ("names", "code", "outputs", "roots", "const_nums", "const_dens", "maxplus_consts")
+
+    def __init__(self, names, code, outputs, roots, const_nums, const_dens, maxplus_consts):
+        self.names = names
+        self.code = code
+        self.outputs = outputs
+        self.roots = roots
+        # exact constants as numerators and denominators; None once a
+        # max-plus constant (which has no rational value) is present
+        self.const_nums = const_nums
+        self.const_dens = const_dens
+        # constants under the max-plus reading; None unless certified
+        # subtraction-free (no SUB instruction, no negative constant)
+        self.maxplus_consts = maxplus_consts
+
+
+def compile_program(roots) -> Program:
+    """Value-number the trees ``roots`` bottom-up into one :class:`Program`.
+
+    A node's key is its kind plus its child registers, its variable name or
+    its exact constant, so equal subterms share a register whether or not
+    they are the same object; sums and products sort their operands.  Each
+    distinct node object is visited once.
+    """
+    roots = tuple(roots)
+    keys: list[tuple] = []  # value number -> key
+    numbers: dict[tuple, int] = {}  # key -> value number
+    seen: dict[int, int] = {}  # id(node) -> value number
+    root_numbers = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in seen:
+                stack.pop()
+                continue
+            op = node._op
+            if op == VAR:
+                key = (VAR, node.name)
+            elif op == CONST or op == TROP_CONST:
+                key = (op, node.value)
+            elif op == POW:
+                base = seen.get(id(node.base))
+                if base is None:
+                    stack.append(node.base)
+                    continue
+                key = (POW, base, node.exponent)
+            else:
+                a = seen.get(id(node.left))
+                b = seen.get(id(node.right))
+                if a is None:
+                    stack.append(node.left)
+                if b is None:
+                    stack.append(node.right)
+                if a is None or b is None:
+                    continue
+                if (op == ADD or op == MUL) and a > b:
+                    a, b = b, a
+                key = (op, a, b)
+            stack.pop()
+            number = numbers.get(key)
+            if number is None:
+                number = numbers[key] = len(keys)
+                keys.append(key)
+            seen[id(node)] = number
+        root_numbers.append(seen[id(root)])
+
+    # registers: inputs, then constants, then instructions in value-number
+    # order (children are numbered before their parents)
+    inputs = [k for k, key in enumerate(keys) if key[0] == VAR]
+    leaves = [k for k, key in enumerate(keys) if key[0] == CONST or key[0] == TROP_CONST]
+    steps = [k for k, key in enumerate(keys) if key[0] > TROP_CONST]
+    register = [0] * len(keys)
+    for r, k in enumerate(inputs + leaves + steps):
+        register[k] = r
+    code = []
+    for k in steps:
+        op, a, b = keys[k]
+        code.append((op, register[a], b if op == POW else register[b]))
+
+    constants = [keys[k] for k in leaves]
+    exact = all(op == CONST for op, _ in constants)
+    certified = all(op != SUB for op, _, _ in code) and all(
+        op == TROP_CONST or value > 0 for op, value in constants
+    )
+    return Program(
+        names=tuple(keys[k][1] for k in inputs),
+        code=code,
+        outputs=tuple(register[k] for k in root_numbers),
+        roots=roots,
+        const_nums=[value.numerator for _, value in constants] if exact else None,
+        const_dens=[value.denominator for _, value in constants] if exact else None,
+        maxplus_consts=[value if op == TROP_CONST else 0 for op, value in constants] if certified else None,
+    )
+
+
+def _inputs(program: Program, point) -> list:
+    try:
+        return [point[name] for name in program.names]
+    except KeyError as err:
+        raise UnboundVariableError(err.args[0]) from None
+
+
+def run(program: Program, point: Assignment) -> list[Fraction]:
+    """Exact values of every output of ``program`` at ``point``.
+
+    Values travel as unreduced (numerator, denominator) pairs of ints, and
+    one ``Fraction`` is built per output.  A denominator is never zero, so a
+    divisor or a base is zero exactly when its numerator is.  Raises
+    :class:`UnboundVariableError` before any arithmetic when an input is
+    missing, and :class:`EvalDomainError` at a pole.
+    """
+    if program.const_nums is None:
+        raise TypeError("a program with max-plus constants has no rational value")
+    values = _inputs(program, point)
+    nums = [v.numerator for v in values] + program.const_nums
+    dens = [v.denominator for v in values] + program.const_dens
+    push_num = nums.append
+    push_den = dens.append
+    for op, a, b in program.code:
+        if op == MUL:
+            push_num(nums[a] * nums[b])
+            push_den(dens[a] * dens[b])
+        elif op == ADD or op == SUB:
+            da = dens[a]
+            db = dens[b]
+            if da == db:
+                push_num(nums[a] + nums[b] if op == ADD else nums[a] - nums[b])
+                push_den(da)
+            else:
+                push_num(nums[a] * db + nums[b] * da if op == ADD else nums[a] * db - nums[b] * da)
+                push_den(da * db)
+        elif op == DIV:
+            nb = nums[b]
+            if not nb:
+                raise EvalDomainError("division by zero")
+            push_num(nums[a] * dens[b])
+            push_den(dens[a] * nb)
+        elif b >= 0:  # POW
+            push_num(nums[a] ** b)
+            push_den(dens[a] ** b)
+        else:
+            na = nums[a]
+            if not na:
+                raise EvalDomainError("zero raised to a negative power")
+            push_num(dens[a] ** -b)
+            push_den(na**-b)
+    return [Fraction(nums[r], dens[r]) for r in program.outputs]
+
+
+def run_maxplus(program: Program, point: dict[str, int]) -> list[int]:
+    """Every output of ``program`` at an integer point, read in (max, +).
+
+    Sums become max, products +, quotients -, an integer power k becomes
+    k times its base, and a positive rational constant becomes 0 (the
+    tropicalization rules).  Refuses a program that is not certified
+    subtraction-free with :class:`TropicalizationError`, whose path starts
+    with the index of the offending output.
+    """
+    consts = program.maxplus_consts
+    if consts is None:
+        for k, root in enumerate(program.roots):
+            verdict = certify_subtraction_free(root)
+            if not verdict:
+                raise TropicalizationError((k,) + verdict.blocked_path)
+        raise AssertionError("uncertified program without an offending node")
+    regs = _inputs(program, point) + consts
+    push = regs.append
+    for op, a, b in program.code:
+        if op == MUL:
+            push(regs[a] + regs[b])
+        elif op == ADD:
+            x = regs[a]
+            y = regs[b]
+            push(x if x >= y else y)
+        elif op == DIV:
+            push(regs[a] - regs[b])
+        else:  # POW
+            push(b * regs[a])
+    return [regs[r] for r in program.outputs]
+
+
+def program_for(owner, key, roots) -> Program:
+    """The program of ``roots``, compiled once and kept on ``owner`` under ``key``.
+
+    ``owner`` is the object holding the expressions (a model, a map, ...),
+    so a program lives exactly as long as what it computes; frozen
+    dataclasses included, since the cache sits in the instance dict.
+    """
+    cache = owner.__dict__.get("_programs")
+    if cache is None:
+        cache = owner.__dict__["_programs"] = {}
+    program = cache.get(key)
+    if program is None:
+        program = cache[key] = compile_program(roots)
+    return program
+
+
+def tree_program(e) -> Program:
+    """The program of the single tree ``e``, compiled once and kept on ``e``."""
+    return program_for(e, "tree", (e,))
+
+
+def evaluate(e: RatExpr, point: Assignment) -> Fraction:
+    """Exact value of ``e`` at ``point``; raises on poles and unbound names."""
+    return run(tree_program(e), point)[0]
 
 
 # --- identity testing ---------------------------------------------------------
@@ -326,20 +561,20 @@ class Verdict:
 MAX_POLE_RETRIES = 100
 
 
-def sampled_values(exprs, spec: SampleSpec, trials: int):
-    """Yield ``trials`` tuples ``(point, values)`` avoiding poles.
+def pole_free_points(spec: SampleSpec, attempt):
+    """Yield ``(point, attempt(point))`` at the points sampled from ``spec``.
 
-    Points where any expression is undefined are discarded and resampled,
-    up to :data:`MAX_POLE_RETRIES` consecutive failures, after which the
-    domain is declared too thin.
+    A point where ``attempt`` raises :class:`EvalDomainError` is discarded
+    and resampled; after :data:`MAX_POLE_RETRIES` consecutive discards the
+    domain is declared too thin.  The stream never ends by itself, and it
+    draws a point only when the next one is asked for.
     """
     rng = random.Random(spec.seed)
-    produced = 0
     failures = 0
-    while produced < trials:
+    while True:
         point = sample_point(spec, rng)
         try:
-            values = [evaluate(e, point) for e in exprs]
+            result = attempt(point)
         except EvalDomainError:
             failures += 1
             if failures > MAX_POLE_RETRIES:
@@ -348,8 +583,17 @@ def sampled_values(exprs, spec: SampleSpec, trials: int):
                 ) from None
             continue
         failures = 0
-        produced += 1
-        yield point, values
+        yield point, result
+
+
+def sampled_values(exprs, spec: SampleSpec, trials: int):
+    """Yield ``trials`` tuples ``(point, values)`` at pole-free sampled points."""
+    programs = [tree_program(e) for e in exprs]
+
+    def values(point):
+        return [run(program, point)[0] for program in programs]
+
+    return itertools.islice(pole_free_points(spec, values), trials)
 
 
 def identical_on_domain(e1: RatExpr, e2: RatExpr, spec: SampleSpec, trials: int = 100) -> Verdict:
@@ -371,6 +615,14 @@ def vanishes_on_domain(e: RatExpr, spec: SampleSpec, trials: int = 100) -> Verdi
 
 
 # --- subtraction-freeness ------------------------------------------------------
+
+
+class TropicalizationError(ValueError):
+    """The expression is not subtraction-free; carries the blocking path."""
+
+    def __init__(self, path: tuple[int, ...]):
+        super().__init__(f"expression blocked for tropicalization at node path {path}")
+        self.path = path
 
 
 @dataclass(frozen=True)

@@ -1272,14 +1272,9 @@ def report_dict(
     }
 
 
-def report(name: str, params: dict | None = None, seed: int | None = None) -> dict:
-    params = dict(params or {})
-    return report_dict(name, params, seed, run_suite(name, params, seed))
-
-
-def report_json(name: str, params: dict | None = None, seed: int | None = None) -> str:
-    """Canonical (bit-for-bit reproducible) JSON; timings intentionally omitted."""
-    return json.dumps(report(name, params, seed), sort_keys=True, indent=2) + "\n"
+def report_json(name: str, params: dict, seed: int | None, results: list[CheckResult]) -> str:
+    """Canonical (bit-for-bit reproducible) JSON of results in hand; timings omitted."""
+    return json.dumps(report_dict(name, params, seed, results), sort_keys=True, indent=2) + "\n"
 
 
 def all_pass(results: list[CheckResult]) -> bool:

@@ -21,6 +21,7 @@ forced.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .crystal import (
     _split_scalars,
 )
 from .epsilon import EpsilonSystem, product_epsilon
-from .expr import RatExpr, div, evaluate, mul, prod, var
+from .expr import Program, RatExpr, div, evaluate, mul, prod, program_for, run, var
 from .models import affine_a_local_system, affine_a_model
 
 
@@ -69,7 +70,12 @@ class RMapInstance:
     m_out: tuple[RatExpr, ...]
 
 
-def build_r_map(n: int, level_left: Fraction, level_right: Fraction) -> RMapInstance:
+@functools.lru_cache(maxsize=None)
+def unit_r_map(n: int) -> RMapInstance:
+    """The map at levels (1, 1); every instance of size ``n`` shares its trees.
+
+    The components do not involve the levels, so they are built once per n.
+    """
     p = tuple(p_expr(n, i) for i in range(n + 1))
     l_out = []
     m_out = []
@@ -78,19 +84,37 @@ def build_r_map(n: int, level_left: Fraction, level_right: Fraction) -> RMapInst
         pim1 = p[(i - 1) % (n + 1)]
         l_out.append(div(mul(var(f"m{i}"), pi), pim1))
         m_out.append(div(mul(var(f"l{i}"), pim1), pi))
-    return RMapInstance(
-        n, Fraction(level_left), Fraction(level_right), p, tuple(l_out), tuple(m_out)
-    )
+    return RMapInstance(n, Fraction(1), Fraction(1), p, tuple(l_out), tuple(m_out))
+
+
+def build_r_map(n: int, level_left: Fraction, level_right: Fraction) -> RMapInstance:
+    unit = unit_r_map(n)
+    inst = RMapInstance(n, Fraction(level_left), Fraction(level_right), unit.p, unit.l_out, unit.m_out)
+    # same tree objects, so the same compiled programs
+    inst.__dict__["_programs"] = unit.__dict__.setdefault("_programs", {})
+    return inst
+
+
+def r_program(inst: RMapInstance) -> Program:
+    """One program for all 2(n+1) outputs (l' then m'), so each P_i runs once."""
+    return program_for(inst, "r", inst.l_out + inst.m_out)
+
+
+def r_images(inst: RMapInstance, l: dict, m: dict, interpret) -> tuple[dict, dict]:
+    """Images (l', m') of the pair under ``interpret`` (``run`` or ``run_maxplus``).
+
+    Both inputs and both outputs use coordinate names l1..l{n+1}.
+    """
+    names = [f"l{k}" for k in range(1, inst.n + 2)]
+    env = {name: l[name] for name in names}
+    env.update({f"m{k}": m[name] for k, name in enumerate(names, start=1)})
+    values = interpret(r_program(inst), env)
+    return dict(zip(names, values[: inst.n + 1])), dict(zip(names, values[inst.n + 1 :]))
 
 
 def apply_r(inst: RMapInstance, l: Assignment, m: Assignment) -> tuple[Assignment, Assignment]:
     """Exact images (l', m'); both inputs use coordinate names l1..l{n+1}."""
-    n = inst.n
-    env = {f"l{k}": l[f"l{k}"] for k in range(1, n + 2)}
-    env.update({f"m{k}": m[f"l{k}"] for k in range(1, n + 2)})
-    l_new = {f"l{k}": evaluate(inst.l_out[k - 1], env) for k in range(1, n + 2)}
-    m_new = {f"l{k}": evaluate(inst.m_out[k - 1], env) for k in range(1, n + 2)}
-    return l_new, m_new
+    return r_images(inst, l, m, run)
 
 
 def _pair_spec(n: int, ll: Fraction, lr: Fraction, seed: int, extra: tuple[str, ...] = ()) -> SampleSpec:

@@ -3,10 +3,9 @@
 The compilation rules are the (max, +) convention: products map to sums,
 quotients to differences, sums to maxima, positive constants to 0, and an
 integer power to a repeated sum or difference.  Named parameters stay
-variables.  (The (min, +) mirror is this composed with negation; see
-:func:`negate_convention`.)  Only subtraction-free expressions compile;
-anything containing a difference or a negative constant is refused with
-the path of the offending node.
+variables.  Only subtraction-free expressions compile; anything
+containing a difference or a negative constant is refused with the path
+of the offending node.
 
 Compiled programs are total piecewise-linear maps on integer points and
 all identity checking down here is exact integer sampling over a box.
@@ -26,27 +25,28 @@ from fractions import Fraction
 
 from .crystal import LEFT_SUFFIX, RIGHT_SUFFIX, SCALAR, product_split_exprs
 from .expr import (
+    ADD,
+    DIV,
+    MUL,
+    TROP_CONST,
+    VAR,
     Add,
     Const,
     Div,
     Mul,
     Pow,
     RatExpr,
+    TropicalizationError,
     Var,
     certify_subtraction_free,
+    program_for,
+    run_maxplus,
+    tree_program,
 )
 from .models import affine_a_model
-from .rmap import build_r_map
+from .rmap import r_images, unit_r_map
 
 TropPoint = dict[str, int]
-
-
-class TropicalizationError(ValueError):
-    """The expression is not subtraction-free; carries the blocking path."""
-
-    def __init__(self, path: tuple[int, ...]):
-        super().__init__(f"expression blocked for tropicalization at node path {path}")
-        self.path = path
 
 
 class NonUnitConstantWarning(UserWarning):
@@ -61,43 +61,59 @@ class TropExpr:
 
 @dataclass(frozen=True)
 class TVar(TropExpr):
+    _op = VAR
+
     name: str
 
 
 @dataclass(frozen=True)
 class TConst(TropExpr):
+    _op = TROP_CONST
+
     value: int
 
 
 @dataclass(frozen=True)
 class TMax(TropExpr):
+    _op = ADD  # the tropical sum
+
     left: TropExpr
     right: TropExpr
 
 
 @dataclass(frozen=True)
 class TAdd(TropExpr):
+    _op = MUL  # the tropical product
+
     left: TropExpr
     right: TropExpr
 
 
 @dataclass(frozen=True)
 class TSub(TropExpr):
+    _op = DIV  # the tropical quotient
+
     left: TropExpr
     right: TropExpr
 
 
 def trop_eval(t: TropExpr, point: TropPoint) -> int:
+    """Value of ``t`` at an integer point, by the max-plus interpreter."""
+    return run_maxplus(tree_program(t), point)[0]
+
+
+def reference_trop_eval(t: TropExpr, point: TropPoint) -> int:
+    """Tree-walking evaluation; the test oracle for the compiled path."""
     if isinstance(t, TVar):
         return point[t.name]
     if isinstance(t, TConst):
         return t.value
     if isinstance(t, TMax):
-        return max(trop_eval(t.left, point), trop_eval(t.right, point))
+        return max(reference_trop_eval(t.left, point), reference_trop_eval(t.right, point))
     if isinstance(t, TAdd):
-        return trop_eval(t.left, point) + trop_eval(t.right, point)
+        return reference_trop_eval(t.left, point) + reference_trop_eval(t.right, point)
     if isinstance(t, TSub):
-        return trop_eval(t.left, point) - trop_eval(t.right, point)
+        return reference_trop_eval(t.left, point) - reference_trop_eval(t.right, point)
     raise TypeError(f"unknown tropical node {t!r}")
 
 
@@ -133,20 +149,6 @@ def trop_to_json_obj(t: TropExpr):
         return {"op": "int", "value": t.value}
     kind = {TMax: "max", TAdd: "add", TSub: "sub"}[type(t)]
     return {"op": kind, "args": [trop_to_json_obj(t.left), trop_to_json_obj(t.right)]}
-
-
-def negate_convention(t: TropExpr) -> TropExpr:
-    """Mirror into the (min, +) reading: min(a, b) = -max(-a, -b).
-
-    Applying this to a compiled program and negating inputs/outputs gives
-    the opposite convention; exposed as a flag rather than a second
-    compiler.
-    """
-    if isinstance(t, TVar) or isinstance(t, TConst):
-        return t
-    if isinstance(t, TMax):
-        return TMax(negate_convention(t.left), negate_convention(t.right))
-    return type(t)(negate_convention(t.left), negate_convention(t.right))
 
 
 def trop_substitute(t: TropExpr, mapping: dict[str, TropExpr]) -> TropExpr:
@@ -244,7 +246,8 @@ class TropMap:
     def apply(self, point: TropPoint, **params: int) -> TropPoint:
         env = dict(point)
         env.update(params)
-        return {name: trop_eval(t, env) for name, t in self.exprs.items()}
+        program = program_for(self, "map", tuple(self.exprs.values()))
+        return dict(zip(self.exprs, run_maxplus(program, env)))
 
 
 def _silent_tropicalize(e: RatExpr) -> TropExpr:
@@ -322,7 +325,7 @@ def combinatorial_r(n: int) -> tuple[TropMap, TropMap]:
     Components are l'_i = m_i + UDP_i - UDP_{i-1} and m'_i = l_i + UDP_{i-1}
     - UDP_i where UDP_i is the max over the window sums of the rational P_i.
     """
-    inst = build_r_map(n, Fraction(1), Fraction(1))
+    inst = unit_r_map(n)
     l_out = {
         f"l{k}": _silent_tropicalize(inst.l_out[k - 1]) for k in range(1, n + 2)
     }
@@ -333,9 +336,9 @@ def combinatorial_r(n: int) -> tuple[TropMap, TropMap]:
 
 
 def apply_combinatorial_r(n: int, l: TropPoint, m: TropPoint) -> tuple[TropPoint, TropPoint]:
-    left, right = combinatorial_r(n)
-    env = {f"l{k}": l[f"l{k}"] for k in range(1, n + 2)}
-    env.update({f"m{k}": m[f"l{k}"] for k in range(1, n + 2)})
-    l_new = {name: trop_eval(t, env) for name, t in left.exprs.items()}
-    m_new = {name: trop_eval(t, env) for name, t in right.exprs.items()}
-    return l_new, m_new
+    """The combinatorial R at integer points.
+
+    Runs the rational R map's own program (see :func:`rmap.r_program`) in
+    (max, +), so each UDP_i is computed once for all 2(n+1) outputs.
+    """
+    return r_images(unit_r_map(n), l, m, run_maxplus)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gcrystal.arith import SampleSpec, rat
 from gcrystal.expr import (
+    ADD,
     Add,
     Const,
     Div,
@@ -18,7 +19,9 @@ from gcrystal.expr import (
     UnboundVariableError,
     Var,
     add,
+    TropicalizationError,
     certify_subtraction_free,
+    compile_program,
     const,
     div,
     evaluate,
@@ -29,10 +32,14 @@ from gcrystal.expr import (
     parse,
     pow_,
     pretty,
+    reference_evaluate,
     rename_variables,
+    run,
+    run_maxplus,
     sub,
     substitute,
     to_json,
+    tree_program,
     vanishes_on_domain,
     var,
 )
@@ -292,3 +299,146 @@ def test_substitute_and_rename():
     assert evaluate(swapped, point) == c_val * 4 + 6 / c_val
     renamed = rename_variables(e, {"l1": "l1.x", "l2": "l2.x"})
     assert free_variables(renamed) == {"c", "l1.x", "l2.x"}
+
+
+# --- compiled programs against the reference walkers -----------------------------------
+
+# exact values, ints as well as Fractions; zeros make poles likely
+_values = st.one_of(st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+def _outcome(compute):
+    try:
+        return ("value", compute())
+    except EvalDomainError:
+        return ("pole",)
+    except UnboundVariableError:
+        return ("unbound",)
+
+
+def _point_for(data, exprs, complete=True):
+    names = sorted(set().union(*(free_variables(e) for e in exprs)))
+    if not complete and names:
+        names.remove(data.draw(st.sampled_from(names)))
+    return {name: data.draw(_values) for name in names}
+
+
+def _as_fractions(point):
+    # the reference walker would turn int / int into a float, so it sees the
+    # same values as Fractions; the compiled path takes the ints as they are
+    return {name: Fraction(value) for name, value in point.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, st.data())
+def test_compiled_evaluation_matches_reference(e, data):
+    point = _point_for(data, [e])
+    compiled = _outcome(lambda: evaluate(e, point))
+    assert compiled == _outcome(lambda: reference_evaluate(e, _as_fractions(point)))
+    if compiled[0] == "value":
+        assert type(compiled[1]) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions, st.data())
+def test_compiled_evaluation_raises_on_unbound_names(e, data):
+    if not free_variables(e):
+        return
+    point = _point_for(data, [e], complete=False)
+    with pytest.raises(UnboundVariableError):
+        evaluate(e, point)
+    # the reference walker may meet a pole before it meets the missing name
+    with pytest.raises((UnboundVariableError, EvalDomainError)):
+        reference_evaluate(e, _as_fractions(point))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(expressions, min_size=1, max_size=4), st.data())
+def test_multi_output_program_matches_each_expression(exprs, data):
+    point = _point_for(data, exprs)
+    each = [_outcome(lambda e=e: reference_evaluate(e, _as_fractions(point))) for e in exprs]
+    joint = _outcome(lambda: run(compile_program(exprs), point))
+    if joint == ("pole",):
+        assert ("pole",) in each
+    else:
+        assert joint == ("value", [v for _, v in each])
+
+
+def test_value_numbering_shares_equal_subterms():
+    # (x + y) appears three times, in two spellings and as distinct objects
+    program = compile_program([parse("(x+y)*(y+x)"), parse("(x+y)^2")])
+    assert [op for op, _, _ in program.code].count(ADD) == 1
+    assert program.names == ("x", "y")
+    assert run(program, {"x": rat(1, 2), "y": 2}) == [rat(25, 4), rat(25, 4)]
+
+
+def test_tree_program_is_cached_on_the_tree():
+    e = parse("x/y + 1")
+    assert tree_program(e) is tree_program(e)
+    assert tree_program(parse("x/y + 1")) is not tree_program(e)
+
+
+def test_compiled_poles():
+    with pytest.raises(EvalDomainError):
+        evaluate(parse("1/(x - x)"), {"x": 2})
+    with pytest.raises(EvalDomainError):
+        evaluate(parse("(x - 1)^-2"), {"x": rat(1)})
+    with pytest.raises(UnboundVariableError):
+        evaluate(parse("1/(x - x) + y"), {"x": rat(2)})  # names are bound before any arithmetic
+
+
+_positive_names = st.sampled_from(("x", "y", "z", "l1"))
+_positive_consts = st.fractions(min_value=1, max_value=9, max_denominator=4).filter(lambda q: q > 0)
+
+
+def _subtraction_free(depth):
+    if depth == 0:
+        return st.one_of(_positive_names.map(var), _positive_consts.map(const))
+    smaller = _subtraction_free(depth - 1)
+    binary = st.tuples(st.sampled_from((add, mul, div)), smaller, smaller).map(
+        lambda t: t[0](t[1], t[2])
+    )
+    power = st.tuples(smaller, st.integers(-3, 3)).map(lambda t: pow_(t[0], t[1]))
+    return st.one_of(smaller, binary, power)
+
+
+subtraction_free_expressions = _subtraction_free(4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subtraction_free_expressions, st.data())
+def test_maxplus_program_matches_reference_tropicalization(e, data):
+    import warnings
+
+    from gcrystal.ud import NonUnitConstantWarning, reference_trop_eval, trop_eval, tropicalize
+
+    point = {name: data.draw(st.integers(-50, 50)) for name in sorted(free_variables(e))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitConstantWarning)
+        t = tropicalize(e)
+    expected = reference_trop_eval(t, point)
+    assert run_maxplus(compile_program([e]), point) == [expected]
+    assert trop_eval(t, point) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions)
+def test_maxplus_refuses_what_is_not_subtraction_free(e):
+    verdict = certify_subtraction_free(e)
+    program = compile_program([const(1), e])
+    point = {name: 1 for name in free_variables(e)}
+    if verdict:
+        run_maxplus(program, point)
+    else:
+        with pytest.raises(TropicalizationError) as info:
+            run_maxplus(program, point)
+        assert info.value.path == (1,) + verdict.blocked_path
+
+
+def test_maxplus_refuses_subtraction_and_negative_constants():
+    with pytest.raises(TropicalizationError) as info:
+        run_maxplus(compile_program([parse("y*(x - 1)")]), {"x": 1, "y": 2})
+    assert info.value.path == (0, 1)
+    with pytest.raises(TropicalizationError) as info:
+        run_maxplus(compile_program([parse("x + -2*y")]), {"x": 1, "y": 2})
+    assert info.value.path == (0, 1, 0)

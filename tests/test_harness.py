@@ -39,8 +39,9 @@ def test_results_sorted_and_tagged():
 
 
 def test_reports_reproducible_bit_for_bit():
-    a = report_json("rmap", {"n": 1, **FAST})
-    b = report_json("rmap", {"n": 1, **FAST})
+    params = {"n": 1, **FAST}
+    a = report_json("rmap", params, None, run_suite("rmap", params))
+    b = report_json("rmap", params, None, run_suite("rmap", params))
     assert a == b
     parsed = json.loads(a)
     assert parsed["suite"] == "rmap" and parsed["results"]
@@ -181,6 +182,48 @@ def test_cli_rmap_apply_accepts_fraction_strings(capsys):
 def test_cli_rmap_apply_bad_point():
     with pytest.raises(SystemExit):
         cli.main(["rmap", "apply", "--n", "1", "--l", "[1]", "--m", "[2, 3]"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rmap", "apply", "--n", "-1", "--l", "[]", "--m", "[]"],
+        ["rmap", "apply", "--n", "0", "--l", "[2]", "--m", "[3]"],
+        ["ud", "rmap", "--n", "-1", "--l", "[]", "--m", "[]"],
+        ["ud", "rmap", "--n", "0", "--l", "[2]", "--m", "[3]"],
+    ],
+    ids=["rmap-apply-n-1", "rmap-apply-n0", "ud-rmap-n-1", "ud-rmap-n0"],
+)
+def test_cli_rejects_sizes_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "n >= 1" in captured.err and captured.out == ""
+
+
+def test_run_all_suites_runs_each_suite_once(tmp_path, monkeypatch, capsys):
+    import importlib.util
+    import pathlib
+
+    from gcrystal.harness import CheckResult
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_all_suites.py"
+    spec = importlib.util.spec_from_file_location("run_all_suites", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+
+    def fake_run_suite(name, params, seed):
+        calls.append(name)
+        return [CheckResult(name, "c", "s", "identity", "pass", 1, 0.0, None, "")]
+
+    monkeypatch.setattr(script, "run_suite", fake_run_suite)
+    assert script.main(["--out", str(tmp_path)]) == 0
+    assert calls == list(SUITES)
+    for name in SUITES:
+        report = json.loads((tmp_path / f"{name}.json").read_text())
+        assert [r["suite"] for r in report["results"]] == [name]
 
 
 def test_cli_ud_trop(capsys):

@@ -195,3 +195,21 @@ def test_uniqueness_probe_validation():
 
 def test_homogeneous_point_helper():
     assert homogeneous_point(2, rat(5)) == {"l1": rat(5), "l2": rat(5), "l3": rat(5)}
+
+
+def test_apply_r_runs_the_instance_as_written():
+    import dataclasses
+
+    from gcrystal.expr import reference_evaluate
+
+    inst = build_r_map(2, rat(6), rat(5))
+    assert build_r_map(2, rat(1), rat(1)).l_out is inst.l_out  # trees built once per n
+    l = {"l1": rat(1, 2), "l2": rat(3), "l3": rat(4)}
+    m = {"l1": rat(5, 7), "l2": rat(1), "l3": rat(7)}
+    env = {f"l{k}": l[f"l{k}"] for k in (1, 2, 3)} | {f"m{k}": m[f"l{k}"] for k in (1, 2, 3)}
+    l2, m2 = apply_r(inst, l, m)
+    assert list(l2.values()) == [reference_evaluate(e, env) for e in inst.l_out]
+    assert list(m2.values()) == [reference_evaluate(e, env) for e in inst.m_out]
+    # a perturbed instance is compiled from its own expressions
+    swapped = dataclasses.replace(inst, l_out=inst.m_out, m_out=inst.l_out)
+    assert apply_r(swapped, l, m) == (m2, l2)

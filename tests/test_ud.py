@@ -15,7 +15,6 @@ from gcrystal.ud import (
     apply_combinatorial_r,
     check_tropical_identity,
     combinatorial_r,
-    negate_convention,
     trop_eval,
     trop_free_variables,
     trop_pretty,
@@ -78,13 +77,6 @@ def test_unit_constant_silent_other_constants_warn():
         tropicalize(parse("x + 1"))  # no warning
     with pytest.warns(NonUnitConstantWarning):
         assert tropicalize(parse("2*x")) == TAdd(TConst(0), TVar("x"))
-
-
-def test_min_plus_mirror():
-    t = tropicalize(parse("x + y"))
-    assert negate_convention(t) == t  # max of two variables is self-mirror in shape
-    point = {"x": 3, "y": 5}
-    assert -max(-point["x"], -point["y"]) == min(point["x"], point["y"])
 
 
 def test_trop_json_and_pretty():
@@ -281,3 +273,23 @@ def test_combinatorial_r_commutes_with_shadows():
         ax, ay = ops[i].apply(x, y, c)
         rx, ry = apply_combinatorial_r(n, x, y)
         assert apply_combinatorial_r(n, ax, ay) == ops[i].apply(rx, ry, c)
+
+
+def test_compiled_maps_match_the_reference_walker():
+    from gcrystal.ud import reference_trop_eval
+
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        left, right = combinatorial_r(n)
+        op = ud_crystal_operator(n, 1)
+        for _ in range(50):
+            l = {f"l{k}": rng.randint(-50, 50) for k in range(1, n + 2)}
+            m = {f"l{k}": rng.randint(-50, 50) for k in range(1, n + 2)}
+            env = l | {f"m{k}": m[f"l{k}"] for k in range(1, n + 2)}
+            expected = (
+                {name: reference_trop_eval(t, env) for name, t in left.exprs.items()},
+                {name: reference_trop_eval(t, env) for name, t in right.exprs.items()},
+            )
+            assert apply_combinatorial_r(n, l, m) == expected
+            moved = {name: reference_trop_eval(t, l | {"c": 3}) for name, t in op.exprs.items()}
+            assert op.apply(l, c=3) == moved
