@@ -6,7 +6,8 @@ Usage:
 
 With --out, one canonical JSON report per suite is written into DIR along
 with the generated identity ledger (identities.md).  Exit code 0 iff no
-check failed.
+check failed, 2 if the parameters are invalid (checked before any suite
+runs).
 """
 
 import argparse
@@ -15,7 +16,7 @@ import pathlib
 import sys
 import time
 
-from gcrystal.harness import SUITES, report_json, run_suite
+from gcrystal.harness import SUITES, SuiteError, parse_params, report_json, run_suite
 from gcrystal.ledger import emit_ledger
 
 
@@ -27,6 +28,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     params = {} if args.trials is None else {"trials": args.trials}
+    try:
+        for name in SUITES:
+            parse_params(name, params)
+    except SuiteError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     out_dir = pathlib.Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,7 @@
     gcrystal ledger
 
 `verify` exits 0 iff no check failed (skipped/assumed checks do not fail
-a run).  Points for `rmap apply` are JSON arrays of rationals, either
+a run), and 2 without running any check when a parameter is invalid.  Points for `rmap apply` are JSON arrays of rationals, either
 numbers or "p/q" strings; the output is JSON on stdout.
 """
 

@@ -321,6 +321,23 @@ def check_pair_identity(
     return identical_on_domain(lhs, rhs, model.domain_spec(seed), trials)
 
 
+def check_epsilon_system(
+    system: EpsilonSystem, model: CrystalModel, trials: int = 100, seed: int = 0
+) -> CheckOutcome | Verdict:
+    """The action table, then the partition sum and both alternating identities on every interval."""
+    out = check_epsilon_axiom(system, model, None, trials, seed)
+    if not out.ok:
+        return out
+    for interval in system.intervals():
+        for verdict in (
+            check_partition_sum(system, model, interval, trials, seed),
+            check_alternating_identities(system, model, interval, trials, seed),
+        ):
+            if not verdict:
+                return verdict
+    return out
+
+
 # --- products and restrictions -----------------------------------------------------
 
 

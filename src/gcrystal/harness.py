@@ -1,13 +1,19 @@
-"""Named verification suites over the whole library.
+"""The verification suites: check registry, parameter parser and suite tables.
 
 Every check has a stable id registered in :data:`REGISTRY` together with a
 one-line statement of the identity it verifies; the generated ledger in
 :mod:`gcrystal.ledger` is produced from the same table, so documentation
-cannot drift from what actually runs.  A suite expands its parameters into
-jobs (one per model / index-pair / size), runs each with a seed derived
+cannot drift from what actually runs.  The check bodies live beside the
+objects they check (:mod:`gcrystal.crystal`, :mod:`gcrystal.epsilon`,
+:mod:`gcrystal.models`, :mod:`gcrystal.rmap`, :mod:`gcrystal.ud`); this
+module only decides which jobs run.
+
+:func:`parse_params` validates every parameter before any job runs and
+raises :class:`SuiteError` on a bad one.  A suite then expands into jobs
+(one per model / index / size), each run with a seed derived
 deterministically from the suite seed and the job's name, and collects
 :class:`CheckResult` rows.  A failing or crashing job never aborts the
-suite; results are sorted by (check id, subject) so aggregation order is
+suite; results are sorted by (check id, subject) so run order is
 irrelevant.
 
 Reports serialize to canonical JSON.  Timings are kept on the result
@@ -22,44 +28,48 @@ import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import rmap, ud
 from .arith import DomainTooThinError
 from .crystal import (
     CheckOutcome,
     applicable_pairs,
-    apply_e,
     check_action_identity,
     check_composition_relation,
     check_domain_preserved,
     check_eps_scaling,
     check_gamma_scaling,
     check_group_law,
-    pack_pair,
-    pointwise_check,
+    check_product_associativity,
+    check_product_formula,
+    check_product_split,
     product,
-    product_split_exprs,
-    split_pair,
 )
 from .epsilon import (
     check_alternating_identities,
     check_epsilon_axiom,
+    check_epsilon_system,
     check_pair_identity,
     check_partition_sum,
     check_well_defined,
+    local_epsilon,
     product_epsilon,
     restrict_model,
 )
-from .expr import Verdict, evaluate, identical_on_domain, mul, var
+from .expr import Verdict
 from .models import (
     D5_CHAINS,
     affine_a_local_system,
     affine_a_model,
     affine_d5_model,
     borel_epsilon_system,
-    borel_from_point,
     borel_model,
-    borel_multiply,
+    check_borel_display,
+    check_borel_matrix_action,
+    check_borel_mult_eps,
+    check_borel_residual,
+    check_borel_table,
     d5_local_tables,
 )
 
@@ -241,17 +251,7 @@ REGISTRY: dict[str, CheckInfo] = {
     "ud-levels": CheckInfo("UD: the combinatorial R swaps coordinate sums", "ud"),
 }
 
-SUITES = (
-    "verma",
-    "axioms",
-    "epsilon",
-    "product",
-    "borel-oracle",
-    "rmap",
-    "invariance",
-    "uniqueness",
-    "ud",
-)
+SUITES = tuple(dict.fromkeys(info.suite for info in REGISTRY.values()))
 
 DEFAULT_SEEDS = {name: 1000 + 17 * k for k, name in enumerate(SUITES)}
 
@@ -270,7 +270,7 @@ class CheckResult:
 
 
 class SuiteError(ValueError):
-    """Unknown suite name or out-of-range parameters."""
+    """Unknown suite name or invalid parameters."""
 
 
 def _job_seed(suite_seed: int, check: str, subject: str) -> int:
@@ -284,11 +284,7 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     return str(value)
 
@@ -355,36 +351,146 @@ class _Collector:
         return sorted(self.results, key=lambda r: (r.check, r.subject))
 
 
-def _as_fraction(value, default: Fraction) -> Fraction:
-    if value is None:
-        return default
-    return Fraction(value)
+# --- parameters --------------------------------------------------------------------
+
+# The models the axioms and epsilon suites run, by name; ``--model`` picks one.
+# The builders are lambdas so that each call looks its constructor up by name.
+_AXIOM_MODELS = {
+    **{f"torus-a{n}": (lambda L, n=n: affine_a_model(n, L)) for n in (1, 2, 3)},
+    "d5": lambda L: affine_d5_model(L),
+    **{f"borel-sl{n + 1}": (lambda L, n=n: borel_model(n)) for n in (1, 2, 3, 4)},
+}
 
 
-def _n_values(params: dict, default: tuple[int, ...], cap: int) -> tuple[int, ...]:
-    n = params.get("n")
-    if n is None:
-        return default
-    n = int(n)
-    if not 1 <= n <= cap:
-        raise SuiteError(f"n must be between 1 and {cap}")
-    return (n,)
+def _d5_local(chain, level):
+    eps, star = d5_local_tables(chain)
+    return local_epsilon(affine_d5_model(level), chain, eps, star)
 
 
-# --- suite bodies ------------------------------------------------------------------
+def _torus_local(n, level):
+    chain = tuple(range(1, n + 1))
+    return restrict_model(affine_a_model(n, level), chain), affine_a_local_system(n)
 
 
-def _suite_verma(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("verma", seed)
-    trials = int(params.get("trials", 100))
-    level = _as_fraction(params.get("L"), Fraction(4))
-    targets = [
-        (f"torus-a{n}", affine_a_model(n, level))
-        for n in _n_values(params, (1, 2, 3), 4)
-    ]
-    if params.get("n") is None:
+_EPSILON_TARGETS = {
+    **{f"borel-sl{n + 1}": (lambda L, n=n: (borel_model(n), borel_epsilon_system(n))) for n in (1, 2, 3, 4)},
+    **{f"d5-{''.join(map(str, ch))}": (lambda L, ch=ch: _d5_local(ch, L)) for ch in D5_CHAINS},
+    **{f"torus-a{n}-local": (lambda L, n=n: _torus_local(n, L)) for n in (2, 3)},
+}
+
+_MODELS = {"axioms": _AXIOM_MODELS, "epsilon": _EPSILON_TARGETS}
+
+# (default sizes, allowed sizes) of the suites that take ``n``
+_SIZES = {
+    "verma": ((1, 2, 3), range(1, 5)),
+    "product": ((1, 2), range(1, 5)),
+    "borel-oracle": ((1, 2, 3, 4), range(1, 7)),
+    "rmap": ((1, 2, 3), range(1, 5)),
+    "invariance": ((2, 3), range(1, 5)),
+    "uniqueness": ((2,), range(2, 5)),
+    "ud": ((1, 2), range(1, 5)),
+}
+
+_DEFAULTS = {"trials": 100, "box": 50, "L": 4, "M": 9, "N": 25, "a": 2, "b": 3}
+
+
+@dataclass(frozen=True)
+class Params:
+    """Validated parameters of one suite run; ``n`` is None unless given."""
+
+    trials: int
+    box: int
+    n: int | None
+    sizes: tuple[int, ...]  # (n,), or the suite's default sizes
+    L: Fraction
+    M: Fraction
+    N: Fraction
+    a: Fraction
+    b: Fraction
+    model: str | None
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SuiteError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise SuiteError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _positive_int(key: str, value) -> int:
+    number = _integer(key, value)
+    if number < 1:
+        raise SuiteError(f"{key} must be at least 1, got {number}")
+    return number
+
+
+def _positive_rational(key: str, value) -> Fraction:
+    if isinstance(value, (bool, float)) or not isinstance(value, (int, str, Fraction)):
+        raise SuiteError(f"{key} must be an exact rational, got {value!r}")
+    try:
+        number = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise SuiteError(f"{key} must be an exact rational, got {value!r}") from None
+    if number <= 0:
+        raise SuiteError(f"{key} must be positive, got {number}")
+    return number
+
+
+def parse_params(suite: str, params: dict) -> Params:
+    """Validate ``params`` for ``suite``; raises :class:`SuiteError` before any job runs.
+
+    ``None`` values count as absent.  ``trials`` and ``box`` are integers
+    of at least 1, ``L``, ``M``, ``N``, ``a`` and ``b`` positive exact
+    rationals; ``n`` must lie in the suite's size range and ``model`` must
+    name one of the suite's models.
+    """
+    given = {k: v for k, v in params.items() if v is not None}
+    unknown = sorted(set(given) - set(_DEFAULTS) - {"n", "model"})
+    if unknown:
+        raise SuiteError(f"unknown parameter {unknown[0]!r}; choose from n, model, {', '.join(_DEFAULTS)}")
+    values = {**_DEFAULTS, "trials": 1000 if suite == "ud" else 100, **given}
+    n = given.get("n")
+    sizes = ()
+    if suite in _SIZES:
+        default, allowed = _SIZES[suite]
+        sizes = default
+        if n is not None:
+            n = _integer("n", n)
+            if n not in allowed:
+                raise SuiteError(
+                    f"n must be between {allowed.start} and {allowed.stop - 1} for the {suite} suite"
+                )
+            sizes = (n,)
+    elif n is not None:
+        raise SuiteError(f"the {suite} suite takes no n")
+    model = given.get("model")
+    if model is not None:
+        if suite not in _MODELS:
+            raise SuiteError(f"the {suite} suite takes no model")
+        if model not in _MODELS[suite]:
+            raise SuiteError(
+                f"unknown model {model!r} for the {suite} suite; choose from {', '.join(_MODELS[suite])}"
+            )
+    return Params(
+        trials=_positive_int("trials", values["trials"]),
+        box=_positive_int("box", values["box"]),
+        n=n,
+        sizes=sizes,
+        model=model,
+        **{key: _positive_rational(key, values[key]) for key in ("L", "M", "N", "a", "b")},
+    )
+
+
+# --- suites written as loops ---------------------------------------------------------
+
+
+def _suite_verma(col: _Collector, p: Params) -> None:
+    targets = [(f"torus-a{n}", affine_a_model(n, p.L)) for n in p.sizes]
+    if p.n is None:
         # the full run exercises every built-in model, not just the torus family
-        targets.append(("d5", affine_d5_model(level)))
+        targets.append(("d5", affine_d5_model(p.L)))
         targets.append(("borel-sl4", borel_model(3)))
     for name, model in targets:
         pairs = applicable_pairs(model.cartan)
@@ -392,861 +498,291 @@ def _suite_verma(params: dict, seed: int) -> list[CheckResult]:
             chosen = [(i, j) for i, j in pairs if model.cartan.a(i, j) == value]
             if not chosen:
                 col.record(kind, name, "skip", "no index pairs with this Cartan pattern")
-                continue
             for i, j in chosen:
                 col.run(
                     kind,
                     f"{name} pair=({i},{j})",
-                    lambda s, m=model, i=i, j=j: check_composition_relation(m, i, j, trials, s),
+                    lambda s: check_composition_relation(model, i, j, p.trials, s),
                 )
-    return col.sorted_results()
 
 
-def _axiom_models(params: dict):
-    level = _as_fraction(params.get("L"), Fraction(4))
-    wanted = params.get("model")
-    out = []
-    for n in (1, 2, 3):
-        out.append((f"torus-a{n}", affine_a_model(n, level)))
-    out.append(("d5", affine_d5_model(level)))
-    for n in (1, 2, 3, 4):
-        out.append((f"borel-sl{n + 1}", borel_model(n)))
-    if wanted is not None:
-        names = [name for name, _ in out]
-        out = [(name, m) for name, m in out if name == wanted]
-        if not out:
-            raise SuiteError(
-                f"unknown model {wanted!r} for the axioms suite; choose from {', '.join(names)}"
-            )
-    return out
-
-
-def _suite_axioms(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("axioms", seed)
-    trials = int(params.get("trials", 100))
-    for name, model in _axiom_models(params):
+def _suite_axioms(col: _Collector, p: Params) -> None:
+    t = p.trials
+    for name, build in _AXIOM_MODELS.items():
+        if p.model not in (None, name):
+            continue
+        model = build(p.L)
         labels = model.cartan.labels
         for i in labels:
-            col.run(
-                "axiom-identity",
-                f"{name} i={i}",
-                lambda s, m=model, i=i: check_action_identity(m, i, trials, s),
-            )
-            col.run(
-                "axiom-group-law",
-                f"{name} i={i}",
-                lambda s, m=model, i=i: check_group_law(m, i, trials, s),
-            )
-            col.run(
-                "axiom-domain",
-                f"{name} i={i}",
-                lambda s, m=model, i=i: check_domain_preserved(m, i, trials, s),
-            )
+            col.run("axiom-identity", f"{name} i={i}", lambda s: check_action_identity(model, i, t, s))
+            col.run("axiom-group-law", f"{name} i={i}", lambda s: check_group_law(model, i, t, s))
+            col.run("axiom-domain", f"{name} i={i}", lambda s: check_domain_preserved(model, i, t, s))
             for j in labels:
                 col.run(
                     "axiom-gamma",
                     f"{name} pair=({i},{j})",
-                    lambda s, m=model, i=i, j=j: check_gamma_scaling(m, i, j, trials, s),
+                    lambda s: check_gamma_scaling(model, i, j, t, s),
                 )
-                if i == j or (model.cartan.a(i, j) == 0 and model.cartan.a(j, i) == 0):
-                    check = "axiom-eps-scale" if i == j else "axiom-eps-commute"
+                if i == j:
                     col.run(
-                        check,
-                        f"{name} pair=({j},{i})" if i != j else f"{name} i={i}",
-                        lambda s, m=model, i=i, j=j: check_eps_scaling(m, i, j, trials, s),
+                        "axiom-eps-scale",
+                        f"{name} i={i}",
+                        lambda s: check_eps_scaling(model, i, i, t, s),
                     )
-    return col.sorted_results()
+                elif model.cartan.a(i, j) == 0 and model.cartan.a(j, i) == 0:
+                    col.run(
+                        "axiom-eps-commute",
+                        f"{name} pair=({j},{i})",
+                        lambda s: check_eps_scaling(model, i, j, t, s),
+                    )
 
 
-def _epsilon_targets(params: dict):
-    wanted = params.get("model")
-    targets = []
-    for n in (1, 2, 3, 4):
-        model = borel_model(n)
-        targets.append((f"borel-sl{n + 1}", model, borel_epsilon_system(n)))
-    level = _as_fraction(params.get("L"), Fraction(4))
-    d5 = affine_d5_model(level)
-    for chain in D5_CHAINS:
-        eps, star = d5_local_tables(chain)
-        from .epsilon import local_epsilon
-
-        restricted, system = local_epsilon(d5, chain, eps, star)
-        targets.append((f"d5-{''.join(map(str, chain))}", restricted, system))
-    for n in (2, 3):
-        model = restrict_model(affine_a_model(n, level), tuple(range(1, n + 1)))
-        targets.append((f"torus-a{n}-local", model, affine_a_local_system(n)))
-    if wanted is not None:
-        names = [t[0] for t in targets]
-        targets = [t for t in targets if t[0] == wanted]
-        if not targets:
-            raise SuiteError(
-                f"unknown model {wanted!r} for the epsilon suite; choose from {', '.join(names)}"
-            )
-    return targets
-
-
-def _suite_epsilon(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("epsilon", seed)
-    trials = int(params.get("trials", 100))
-    for name, model, system in _epsilon_targets(params):
-        col.run(
-            "eps-action-table",
-            name,
-            lambda s, m=model, sy=system: check_epsilon_axiom(sy, m, None, trials, s),
-        )
-        for interval in system.intervals():
-            col.run(
-                "eps-partition-sum",
-                f"{name} J={interval}",
-                lambda s, m=model, sy=system, J=interval: check_partition_sum(sy, m, J, trials, s),
-            )
+def _suite_epsilon(col: _Collector, p: Params) -> None:
+    t = p.trials
+    for name, build in _EPSILON_TARGETS.items():
+        if p.model not in (None, name):
+            continue
+        model, sy = build(p.L)
+        col.run("eps-action-table", name, lambda s: check_epsilon_axiom(sy, model, None, t, s))
+        for J in sy.intervals():
+            col.run("eps-partition-sum", f"{name} J={J}", lambda s: check_partition_sum(sy, model, J, t, s))
             col.run(
                 "eps-alternating",
-                f"{name} J={interval}",
-                lambda s, m=model, sy=system, J=interval: check_alternating_identities(
-                    sy, m, J, trials, s
-                ),
+                f"{name} J={J}",
+                lambda s: check_alternating_identities(sy, model, J, t, s),
             )
-        for a in range(len(system.chain) - 1):
-            col.run(
-                "eps-pair-identity",
-                f"{name} a={a}",
-                lambda s, m=model, sy=system, a=a: check_pair_identity(sy, m, a, trials, s),
-            )
+        for a in range(len(sy.chain) - 1):
+            col.run("eps-pair-identity", f"{name} a={a}", lambda s: check_pair_identity(sy, model, a, t, s))
         for i in model.cartan.labels:
             for j in model.cartan.labels:
-                if i >= j:
-                    continue
-                if (model.cartan.a(i, j), model.cartan.a(j, i)) not in ((0, 0), (-1, -1)):
-                    continue
-                col.run(
-                    "eps-well-defined",
-                    f"{name} pair=({i},{j})",
-                    lambda s, m=model, sy=system, i=i, j=j: check_well_defined(
-                        sy, m, i, j, None, trials, s
-                    ),
-                )
-    return col.sorted_results()
+                if i < j and (model.cartan.a(i, j), model.cartan.a(j, i)) in ((0, 0), (-1, -1)):
+                    col.run(
+                        "eps-well-defined",
+                        f"{name} pair=({i},{j})",
+                        lambda s: check_well_defined(sy, model, i, j, None, t, s),
+                    )
 
 
-def _suite_product(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("product", seed)
-    trials = int(params.get("trials", 100))
-    ll = _as_fraction(params.get("L"), Fraction(4))
-    lr = _as_fraction(params.get("M"), Fraction(9))
-    third = _as_fraction(params.get("N"), Fraction(25))
-    for n in _n_values(params, (1, 2), 4):
-        x_model = affine_a_model(n, ll)
-        y_model = affine_a_model(n, lr)
+def _suite_product(col: _Collector, p: Params) -> None:
+    t = p.trials
+    for n in p.sizes:
+        x_model, y_model = affine_a_model(n, p.L), affine_a_model(n, p.M)
         z = product(x_model, y_model)
         subject = f"torus-a{n}"
-
-        # The product model builds its gamma/eps from these formulas, so the
-        # meaningful check is pointwise against separately evaluated factors.
-        def prod_gamma(s, z=z, x_model=x_model, y_model=y_model):
-            def fn(point):
-                x, y = split_pair(point, x_model.variables, y_model.variables)
-                for i in z.cartan.labels:
-                    lhs = evaluate(z.gamma[i], point)
-                    rhs = evaluate(x_model.gamma[i], x) * evaluate(y_model.gamma[i], y)
-                    if lhs != rhs:
-                        return {"i": i, "x": x, "y": y, "lhs": lhs, "rhs": rhs}
-                return None
-
-            return pointwise_check(fn, z.domain_spec(s), trials)
-
-        col.run("prod-gamma", subject, prod_gamma)
-
-        def prod_eps(s, z=z, x_model=x_model, y_model=y_model):
-            def fn(point):
-                x, y = split_pair(point, x_model.variables, y_model.variables)
-                for i in z.cartan.labels:
-                    lhs = evaluate(z.eps[i], point)
-                    rhs = evaluate(x_model.eps[i], x) + evaluate(y_model.eps[i], y) / evaluate(
-                        x_model.gamma[i], x
-                    )
-                    if lhs != rhs:
-                        return {"i": i, "x": x, "y": y, "lhs": lhs, "rhs": rhs}
-                return None
-
-            return pointwise_check(fn, z.domain_spec(s), trials)
-
-        col.run("prod-eps", subject, prod_eps)
-
-        def c_split(s, x_model=x_model, y_model=y_model, z=z):
-            for i in z.cartan.labels:
-                c1, c2 = product_split_exprs(x_model, y_model, i)
-                v = identical_on_domain(mul(c1, c2), var("c"), z.domain_spec(s, extra=("c",)), trials)
-                if not v:
-                    return v
-            return v
-
-        col.run("prod-c-split", subject, c_split)
-
+        col.run("prod-gamma", subject, lambda s: check_product_formula(z, x_model, y_model, "gamma", t, s))
+        col.run("prod-eps", subject, lambda s: check_product_formula(z, x_model, y_model, "eps", t, s))
+        col.run("prod-c-split", subject, lambda s: check_product_split(z, x_model, y_model, t, s))
         for i in z.cartan.labels:
-            col.run(
-                "prod-identity",
-                f"{subject} i={i}",
-                lambda s, z=z, i=i: check_action_identity(z, i, trials, s),
-            )
+            col.run("prod-identity", f"{subject} i={i}", lambda s: check_action_identity(z, i, t, s))
             for j in z.cartan.labels:
                 col.run(
                     "prod-axiom-gamma",
                     f"{subject} pair=({i},{j})",
-                    lambda s, z=z, i=i, j=j: check_gamma_scaling(z, i, j, trials, s),
+                    lambda s: check_gamma_scaling(z, i, j, t, s),
                 )
-            col.run(
-                "prod-axiom-eps",
-                f"{subject} i={i}",
-                lambda s, z=z, i=i: check_eps_scaling(z, i, i, trials, s),
-            )
-
+            col.run("prod-axiom-eps", f"{subject} i={i}", lambda s: check_eps_scaling(z, i, i, t, s))
         col.run(
             "prod-assoc",
             subject,
-            lambda s, n=n: _check_product_associativity(n, ll, lr, third, trials, s),
+            lambda s: check_product_associativity(x_model, y_model, affine_a_model(n, p.N), t, s),
         )
 
     # product epsilon tables on the local chains
-    for n in _n_values(params, (2, 3), 4):
+    for n in p.sizes if p.n is not None else (2, 3):
         chain = tuple(range(1, n + 1))
-        left = restrict_model(affine_a_model(n, ll), chain)
-        right = restrict_model(affine_a_model(n, lr), chain)
+        left = restrict_model(affine_a_model(n, p.L), chain)
+        right = restrict_model(affine_a_model(n, p.M), chain)
         base = affine_a_local_system(n)
         table = product_epsilon(base, base, left)
         zloc = product(left, right)
-        col.run(
-            "prod-eps-system",
-            f"torus-a{n}-local",
-            lambda s, t=table, z=zloc: _check_product_system(t, z, trials, s),
+        col.run("prod-eps-system", f"torus-a{n}-local", lambda s: check_epsilon_system(table, zloc, t, s))
+
+
+def _suite_uniqueness(col: _Collector, p: Params) -> None:
+    for n in p.sizes:
+        subject = f"n={n} a={p.a} b={p.b}"
+        seed = _job_seed(col.seed, "uniq", subject)
+        report = rmap.uniqueness_probe(n, p.a, p.b, perturbations=50, seed=seed)
+        col.record("uniq-fixed-point", subject, "pass" if report.fixed_point_verified else "fail")
+        forced = (
+            report.solution_matches_swap
+            and report.equations_hold_at_solution
+            and (report.linear_coefficient is None or report.linear_coefficient != 0)
         )
-    return col.sorted_results()
-
-
-def _check_product_system(table, model, trials, seed):
-    out = check_epsilon_axiom(table, model, None, trials, seed)
-    if not out.ok:
-        return out
-    for interval in table.intervals():
-        for verdict in (
-            check_partition_sum(table, model, interval, trials, seed),
-            check_alternating_identities(table, model, interval, trials, seed),
-        ):
-            if not verdict:
-                return verdict
-    return out
-
-
-def _check_product_associativity(n, la, lb, lc, trials, seed) -> CheckOutcome:
-    """Compare ((X x Y) x Z) with (X x (Y x Z)) on matched sample points."""
-    x_model = affine_a_model(n, la)
-    y_model = affine_a_model(n, lb)
-    z_model = affine_a_model(n, lc)
-    left = product(product(x_model, y_model), z_model)
-    right = product(x_model, product(y_model, z_model))
-    names = x_model.variables
-
-    def to_left(x, y, z):
-        return pack_pair(pack_pair(x, y), z)
-
-    def to_right(x, y, z):
-        return pack_pair(x, pack_pair(y, z))
-
-    spec = right.domain_spec(seed, extra=("s1",))
-
-    def fn(point):
-        # sampled over the right association: X is "v.x", Y "v.x.y", Z "v.y.y"
-        c = point["s1"]
-        x = {v: point[f"{v}.x"] for v in names}
-        y = {v: point[f"{v}.x.y"] for v in names}
-        z = {v: point[f"{v}.y.y"] for v in names}
-        lp, rp = to_left(x, y, z), to_right(x, y, z)
-        for i in left.cartan.labels:
-            lg = evaluate(left.gamma[i], lp)
-            rg = evaluate(right.gamma[i], rp)
-            le = evaluate(left.eps[i], lp)
-            re = evaluate(right.eps[i], rp)
-            if (lg, le) != (rg, re):
-                return {"i": i, "gamma": (lg, rg), "eps": (le, re)}
-            la_pt = apply_e(left, i, c, lp)
-            ra_pt = apply_e(right, i, c, rp)
-            x1 = {v: la_pt[f"{v}.x.x"] for v in names}
-            y1 = {v: la_pt[f"{v}.y.x"] for v in names}
-            z1 = {v: la_pt[f"{v}.y"] for v in names}
-            x2 = {v: ra_pt[f"{v}.x"] for v in names}
-            y2 = {v: ra_pt[f"{v}.x.y"] for v in names}
-            z2 = {v: ra_pt[f"{v}.y.y"] for v in names}
-            if (x1, y1, z1) != (x2, y2, z2):
-                return {"i": i, "c": c, "left": (x1, y1, z1), "right": (x2, y2, z2)}
-        return None
-
-    return pointwise_check(fn, spec, trials)
-
-
-def _suite_borel_oracle(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("borel-oracle", seed)
-    trials = int(params.get("trials", 100))
-    for n in _n_values(params, (1, 2, 3, 4), 6):
-        subject = f"sl{n + 1}"
-        model = borel_model(n)
-        system = borel_epsilon_system(n)
-
-        for i in range(1, n + 1):
-            col.run(
-                "borel-residual",
-                f"{subject} i={i}",
-                lambda s, n=n, i=i, m=model: _check_borel_residual(n, i, m, trials, s),
-            )
-            col.run(
-                "borel-matrix-action",
-                f"{subject} i={i}",
-                lambda s, n=n, i=i, m=model: _check_borel_matrix_action(n, i, m, trials, s),
-            )
-            col.run(
-                "borel-display",
-                f"{subject} i={i}",
-                lambda s, n=n, i=i, m=model: _check_borel_display(n, i, m, trials, s),
-            )
-        col.run(
-            "borel-eps-entries",
-            subject,
-            lambda s, n=n, m=model, sy=system: _check_borel_eps_entries(n, m, sy, trials, s),
-        )
-        col.run(
-            "borel-minor",
-            subject,
-            lambda s, n=n, m=model, sy=system: _check_borel_minor(n, m, sy, trials, s),
-        )
-        col.run(
-            "borel-mult-eps",
-            subject,
-            lambda s, n=n, m=model: _check_borel_mult_eps(n, m, trials, s),
-        )
-        col.run(
-            "borel-product-eps",
-            subject,
-            lambda s, n=n: _check_borel_product_oracle(n, trials, s, starred=False),
-        )
-        col.run(
-            "borel-product-eps-star",
-            subject,
-            lambda s, n=n: _check_borel_product_oracle(n, trials, s, starred=True),
-        )
-    return col.sorted_results()
-
-
-def _check_borel_residual(n, i, model, trials, seed) -> Verdict:
-    from .expr import vanishes_on_domain
-    from .models import borel_action
-
-    residual = borel_action(n, i).residual
-    return vanishes_on_domain(residual, model.domain_spec(seed, extra=("c",)), trials)
-
-
-def _check_borel_matrix_action(n, i, model, trials, seed) -> CheckOutcome:
-    from .models import borel_apply_e_matrix
-
-    def fn(point):
-        c = point["s1"]
-        x = {k: v for k, v in point.items() if k != "s1"}
-        try:
-            via_matrix = borel_apply_e_matrix(borel_from_point(x, n), i, c).to_point()
-        except ZeroDivisionError:
-            from .expr import EvalDomainError
-
-            raise EvalDomainError("action undefined at sample")
-        via_exprs = apply_e(model, i, c, x)
-        if via_matrix != via_exprs:
-            return {"i": i, "c": c, "x": x, "matrix": via_matrix, "exprs": via_exprs}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
-
-
-def _check_borel_display(n, i, model, trials, seed) -> CheckOutcome:
-    """Frozen closed forms of the transformed coordinates."""
-    def fn(point):
-        c = point["s1"]
-        x = {k: v for k, v in point.items() if k != "s1"}
-        y = apply_e(model, i, c, x)
-
-        def u(j, k):
-            return x[f"u{j}" if j == k else f"u{j}{k}"]
-
-        def uy(j, k):
-            return y[f"u{j}" if j == k else f"u{j}{k}"]
-
-        if uy(i, i) != u(i, i) / c:
-            return {"slot": ("u", i), "i": i}
-        if y[f"t{i}"] != c * x[f"t{i}"] or y[f"t{i + 1}"] != x[f"t{i + 1}"] / c:
-            return {"slot": ("t", i), "i": i}
-        for j in range(1, i):
-            expected = u(j, i - 1) + (c - 1) * u(j, i) / u(i, i)
-            if uy(j, i - 1) != expected:
-                return {"slot": ("row", j), "i": i}
-        for k in range(i + 1, n + 1):
-            expected = c * (u(i + 1, k) + (1 / c - 1) * u(i, k) / u(i, i))
-            if uy(i + 1, k) != expected:
-                return {"slot": ("col", k), "i": i}
-            if uy(i, k) != u(i, k) / c:
-                return {"slot": ("col-rescale", k), "i": i}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
-
-
-def _check_borel_eps_entries(n, model, system, trials, seed) -> CheckOutcome:
-    def fn(point):
-        element = borel_from_point(point, n)
-        for a, b in system.intervals():
-            expr_val = evaluate(system.eps_at(a, b), point)
-            mat_val = element.eps_entry(a + 1, b + 1)
-            if expr_val != mat_val:
-                return {"interval": (a, b), "expr": expr_val, "matrix": mat_val}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed), trials)
-
-
-def _check_borel_minor(n, model, system, trials, seed) -> CheckOutcome:
-    def fn(point):
-        element = borel_from_point(point, n)
-        for a, b in system.intervals():
-            expr_val = evaluate(system.star_at(a, b), point)
-            mat_val = element.minor(a + 1, b + 1)
-            if expr_val != mat_val:
-                return {"interval": (a, b), "expr": expr_val, "matrix": mat_val}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed), trials)
-
-
-def _check_borel_mult_eps(n, model, trials, seed) -> CheckOutcome:
-    pair_spec = product(model, model).domain_spec(seed)
-
-    def fn(point):
-        x, y = split_pair(point, model.variables, model.variables)
-        ex, ey = borel_from_point(x, n), borel_from_point(y, n)
-        prod_el = borel_multiply(ex, ey)
-        for i in range(1, n + 1):
-            lhs = prod_el.eps_entry(i, i)
-            rhs = evaluate(model.eps[i], x) + evaluate(model.eps[i], y) / evaluate(
-                model.gamma[i], x
-            )
-            if lhs != rhs:
-                return {"i": i, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, pair_spec, trials)
-
-
-def _check_borel_product_oracle(n, trials, seed, starred: bool) -> CheckOutcome:
-    """Two routes to the epsilon data of a product of group elements.
-
-    Route one evaluates the product-table expressions at the pair of
-    points; route two multiplies the matrices and reads entries (or minors)
-    off the product.  Exact agreement required.
-    """
-    model = borel_model(n)
-    system = borel_epsilon_system(n)
-    table = product_epsilon(system, system, model)
-    pair_spec = product(model, model).domain_spec(seed)
-
-    def fn(point):
-        x, y = split_pair(point, model.variables, model.variables)
-        prod_el = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
-        for a, b in table.intervals():
-            if starred:
-                expr_val = evaluate(table.star_at(a, b), point)
-                mat_val = prod_el.minor(a + 1, b + 1)
-            else:
-                expr_val = evaluate(table.eps_at(a, b), point)
-                mat_val = prod_el.eps_entry(a + 1, b + 1)
-            if expr_val != mat_val:
-                return {
-                    "interval": (a, b),
-                    "starred": starred,
-                    "table": expr_val,
-                    "matrix": mat_val,
-                }
-        return None
-
-    return pointwise_check(fn, pair_spec, trials)
-
-
-def _suite_rmap(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("rmap", seed)
-    trials = int(params.get("trials", 100))
-    ll = _as_fraction(params.get("L"), Fraction(4))
-    lr = _as_fraction(params.get("M"), Fraction(9))
-    third = _as_fraction(params.get("N"), Fraction(25))
-    for n in _n_values(params, (1, 2, 3), 4):
-        subject = f"n={n}"
-        col.run("rmap-level-swap", subject, lambda s, n=n: rmap.check_level_swap(n, ll, lr, trials, s))
-        for i in range(n + 1):
-            col.run(
-                "rmap-commutation",
-                f"{subject} i={i}",
-                lambda s, n=n, i=i: rmap.check_commutation(n, ll, lr, i, trials, s),
-            )
-            col.run(
-                "rmap-eps-preserved",
-                f"{subject} i={i}",
-                lambda s, n=n, i=i: rmap.check_eps_preserved(n, ll, lr, i, trials, s),
-            )
-            col.run(
-                "rmap-gamma-preserved",
-                f"{subject} i={i}",
-                lambda s, n=n, i=i: rmap.check_gamma_preserved(n, ll, lr, i, trials, s),
-            )
-        col.run(
-            "rmap-braid",
-            subject,
-            lambda s, n=n: rmap.check_braid(n, (ll, lr, third), trials, s),
-        )
-        col.run(
-            "rmap-braid",
-            f"{subject} degenerate",
-            lambda s, n=n: rmap.check_braid(n, (ll, lr, lr), trials, s),
-        )
-        col.run(
-            "rmap-fixed-point",
-            subject,
-            lambda s, n=n: rmap.check_fixed_point(n, Fraction(2), Fraction(3)),
-        )
-        col.run(
-            "rmap-diagonal",
-            subject,
-            lambda s, n=n: rmap.check_diagonal_identity(n, Fraction(2) ** (n + 1), min(trials, 20), s),
-        )
-        col.run(
-            "rmap-cyclic-shift",
-            subject,
-            lambda s, n=n: rmap.check_cyclic_shift(n, ll, lr, trials, s),
-        )
-    return col.sorted_results()
-
-
-def _suite_invariance(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("invariance", seed)
-    trials = int(params.get("trials", 100))
-    ll = _as_fraction(params.get("L"), Fraction(4))
-    lr = _as_fraction(params.get("M"), Fraction(9))
-    for n in _n_values(params, (2, 3), 4):
-        col.run(
-            "inv-eps",
-            f"n={n}",
-            lambda s, n=n: rmap.check_epsilon_invariance(n, ll, lr, trials, s, starred=False),
-        )
-        col.run(
-            "inv-eps-star",
-            f"n={n}",
-            lambda s, n=n: rmap.check_epsilon_invariance(n, ll, lr, trials, s, starred=True),
-        )
-    return col.sorted_results()
-
-
-def _suite_uniqueness(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("uniqueness", seed)
-    n = int(params.get("n") or 2)
-    if n < 2 or n > 4:
-        raise SuiteError("the uniqueness probe supports 2 <= n <= 4")
-    a = _as_fraction(params.get("a"), Fraction(2))
-    b = _as_fraction(params.get("b"), Fraction(3))
-    subject = f"n={n} a={a} b={b}"
-    report = rmap.uniqueness_probe(n, a, b, perturbations=50, seed=_job_seed(seed, "uniq", subject))
-
-    col.record("uniq-fixed-point", subject, "pass" if report.fixed_point_verified else "fail")
-    forced = (
-        report.solution_matches_swap
-        and report.equations_hold_at_solution
-        and (report.linear_coefficient is None or report.linear_coefficient != 0)
-    )
-    col.record(
-        "uniq-forced",
-        subject,
-        "pass" if forced else "fail",
-        f"pair product forced to {report.pair_product_forced}; "
-        f"linear coefficient {report.linear_coefficient}",
-    )
-    if report.perturbation_trials == 0:
-        col.record("uniq-perturbation", subject, "skip", "degenerate parameters (a = b)")
-    else:
         col.record(
-            "uniq-perturbation",
+            "uniq-forced",
             subject,
-            "pass" if report.perturbations_all_violate else "fail",
-            f"{report.perturbation_trials} perturbations",
+            "pass" if forced else "fail",
+            f"pair product forced to {report.pair_product_forced}; "
+            f"linear coefficient {report.linear_coefficient}",
         )
-    col.record(
-        "uniq-orbit-density",
-        subject,
-        "assumed",
-        "dense-orbit hypothesis on the product crystal taken as given",
-    )
-    return col.sorted_results()
-
-
-def _suite_ud(params: dict, seed: int) -> list[CheckResult]:
-    col = _Collector("ud", seed)
-    samples = int(params.get("trials", 1000))
-    box = int(params.get("box", 50))
-    for n in _n_values(params, (1, 2), 4):
-        subject = f"n={n}"
-        col.run("ud-gamma-shadow", subject, lambda s, n=n: _ud_gamma_shadow(n, box, samples, s))
-        col.run("ud-eps-shadow", subject, lambda s, n=n: _ud_eps_shadow(n, box, samples, s))
-        col.run("ud-operator-sum", subject, lambda s, n=n: _ud_operator_sum(n, box, samples, s))
-        col.run("ud-split", subject, lambda s, n=n: _ud_split(n, box, samples, s))
-        col.run("ud-dichotomy", subject, lambda s, n=n: _ud_dichotomy(n, box, samples, s))
-        col.run("ud-levels", subject, lambda s, n=n: _ud_levels(n, box, samples, s))
-        col.run("ud-r-eps", subject, lambda s, n=n: _ud_r_invariant(n, box, samples, s, "eps"))
-        col.run("ud-r-gamma", subject, lambda s, n=n: _ud_r_invariant(n, box, samples, s, "gamma"))
-        col.run("ud-r-commutation", subject, lambda s, n=n: _ud_r_commutation(n, box, samples, s))
-        col.run("ud-r-braid", subject, lambda s, n=n: _ud_r_braid(n, box, samples, s))
-        col.run(
-            "ud-product-eps-shadow",
+        if report.perturbation_trials == 0:
+            col.record("uniq-perturbation", subject, "skip", "degenerate parameters (a = b)")
+        else:
+            col.record(
+                "uniq-perturbation",
+                subject,
+                "pass" if report.perturbations_all_violate else "fail",
+                f"{report.perturbation_trials} perturbations",
+            )
+        col.record(
+            "uniq-orbit-density",
             subject,
-            lambda s, n=n: _ud_product_eps_shadow(n, box, samples, s),
+            "assumed",
+            "dense-orbit hypothesis on the product crystal taken as given",
         )
-    return col.sorted_results()
 
 
-def _ud_points(n, box, samples, seed, extra=()):
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    return ud.sample_box(names + tuple(extra), -box, box, samples, seed), names
+# --- suites written as tables ---------------------------------------------------------
+#
+# A row is (check id, subject suffix, fn(scope, i, seed)).  A scope is one
+# size n: the parameters, the size's subject and indices, and whatever its
+# rows share.  A row whose suffix holds "{i}" runs once per index, any other
+# row once per size.
 
 
-def _ud_gamma_shadow(n, box, samples, seed) -> CheckOutcome:
-    model = affine_a_model(n, Fraction(1))
-    ops = {i: ud.ud_crystal_operator(n, i) for i in model.cartan.labels}
-    gammas = {j: ud.ud_gamma(n, j) for j in model.cartan.labels}
-    points, names = _ud_points(n, box, samples, seed, extra=("c",))
-    count = 0
-    for point in points:
-        count += 1
-        c = point["c"]
-        base = {k: point[k] for k in names}
-        for i in model.cartan.labels:
-            moved = ops[i].apply(base, c=c)
-            for j in model.cartan.labels:
-                lhs = ud.trop_eval(gammas[j], moved)
-                rhs = ud.trop_eval(gammas[j], base) + model.cartan.a(i, j) * c
-                if lhs != rhs:
-                    return CheckOutcome(False, count, {"i": i, "j": j, "point": base, "c": c})
-    return CheckOutcome(True, count)
+def _scope(p: Params, n: int, subject: str, indices=(), **shared) -> SimpleNamespace:
+    return SimpleNamespace(**{**vars(p), "n": n, "subject": subject, "indices": indices, **shared})
 
 
-def _ud_eps_shadow(n, box, samples, seed) -> CheckOutcome:
-    model = affine_a_model(n, Fraction(1))
-    ops = {i: ud.ud_crystal_operator(n, i) for i in model.cartan.labels}
-    epss = {i: ud.ud_eps(n, i) for i in model.cartan.labels}
-    points, names = _ud_points(n, box, samples, seed, extra=("c",))
-    count = 0
-    for point in points:
-        count += 1
-        c = point["c"]
-        base = {k: point[k] for k in names}
-        for i in model.cartan.labels:
-            for j in model.cartan.labels:
-                if i != j and not (
-                    model.cartan.a(i, j) == 0 and model.cartan.a(j, i) == 0
-                ):
-                    continue
-                moved = ops[j].apply(base, c=c)
-                lhs = ud.trop_eval(epss[i], moved)
-                rhs = ud.trop_eval(epss[i], base) - (c if i == j else 0)
-                if lhs != rhs:
-                    return CheckOutcome(False, count, {"i": i, "j": j, "point": base, "c": c})
-    return CheckOutcome(True, count)
+def _borel_scope(p: Params, n: int) -> SimpleNamespace:
+    model, system = borel_model(n), borel_epsilon_system(n)
+    pair_table = product_epsilon(system, system, model)
+    return _scope(p, n, f"sl{n + 1}", range(1, n + 1), model=model, system=system, pair_table=pair_table)
 
 
-def _ud_operator_sum(n, box, samples, seed) -> CheckOutcome:
-    import random as _random
-
-    rng = _random.Random(seed)
-    op = {i: ud.ud_crystal_operator(n, i) for i in range(n + 1)}
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    count = 0
-    for _ in range(samples):
-        count += 1
-        base = {v: rng.randint(-box, box) for v in names}
-        c1, c2 = rng.randint(-box, box), rng.randint(-box, box)
-        i = rng.randrange(n + 1)
-        once = op[i].apply(op[i].apply(base, c=c2), c=c1)
-        joint = op[i].apply(base, c=c1 + c2)
-        if once != joint or sum(joint.values()) != sum(base.values()):
-            return CheckOutcome(False, count, {"i": i, "point": base, "c": (c1, c2)})
-    return CheckOutcome(True, count)
+def _size_scope(p: Params, n: int) -> SimpleNamespace:
+    return _scope(p, n, f"n={n}", range(n + 1))
 
 
-def _ud_split(n, box, samples, seed) -> CheckOutcome:
-    c1, c2 = ud.ud_tensor_coeffs(n, 1)
-    verdict = ud.check_tropical_identity(ud.TAdd(c1, c2), ud.TVar("c"), -box, box, samples, seed)
-    detail = None
-    if verdict.counterexample:
-        point, lhs, rhs = verdict.counterexample
-        detail = {"point": point, "lhs": lhs, "rhs": rhs}
-    return CheckOutcome(verdict.equal, verdict.samples, detail)
+_TABLES = {
+    "borel-oracle": (
+        _borel_scope,
+        (
+            ("borel-residual", " i={i}", lambda c, i, s: check_borel_residual(c.model, i, c.trials, s)),
+            (
+                "borel-matrix-action",
+                " i={i}",
+                lambda c, i, s: check_borel_matrix_action(c.model, i, c.trials, s),
+            ),
+            ("borel-display", " i={i}", lambda c, i, s: check_borel_display(c.model, i, c.trials, s)),
+            (
+                "borel-eps-entries",
+                "",
+                lambda c, i, s: check_borel_table(c.model, c.system, False, False, c.trials, s),
+            ),
+            (
+                "borel-minor",
+                "",
+                lambda c, i, s: check_borel_table(c.model, c.system, True, False, c.trials, s),
+            ),
+            ("borel-mult-eps", "", lambda c, i, s: check_borel_mult_eps(c.model, c.trials, s)),
+            (
+                "borel-product-eps",
+                "",
+                lambda c, i, s: check_borel_table(c.model, c.pair_table, False, True, c.trials, s),
+            ),
+            (
+                "borel-product-eps-star",
+                "",
+                lambda c, i, s: check_borel_table(c.model, c.pair_table, True, True, c.trials, s),
+            ),
+        ),
+    ),
+    "rmap": (
+        _size_scope,
+        (
+            ("rmap-level-swap", "", lambda c, i, s: rmap.check_level_swap(c.n, c.L, c.M, c.trials, s)),
+            (
+                "rmap-commutation",
+                " i={i}",
+                lambda c, i, s: rmap.check_commutation(c.n, c.L, c.M, i, c.trials, s),
+            ),
+            (
+                "rmap-eps-preserved",
+                " i={i}",
+                lambda c, i, s: rmap.check_eps_preserved(c.n, c.L, c.M, i, c.trials, s),
+            ),
+            (
+                "rmap-gamma-preserved",
+                " i={i}",
+                lambda c, i, s: rmap.check_gamma_preserved(c.n, c.L, c.M, i, c.trials, s),
+            ),
+            ("rmap-braid", "", lambda c, i, s: rmap.check_braid(c.n, (c.L, c.M, c.N), c.trials, s)),
+            (
+                "rmap-braid",
+                " degenerate",
+                lambda c, i, s: rmap.check_braid(c.n, (c.L, c.M, c.M), c.trials, s),
+            ),
+            ("rmap-fixed-point", "", lambda c, i, s: rmap.check_fixed_point(c.n, Fraction(2), Fraction(3))),
+            (
+                "rmap-diagonal",
+                "",
+                lambda c, i, s: rmap.check_diagonal_identity(
+                    c.n, Fraction(2) ** (c.n + 1), min(c.trials, 20), s
+                ),
+            ),
+            ("rmap-cyclic-shift", "", lambda c, i, s: rmap.check_cyclic_shift(c.n, c.L, c.M, c.trials, s)),
+        ),
+    ),
+    "invariance": (
+        _size_scope,
+        (
+            ("inv-eps", "", lambda c, i, s: rmap.check_epsilon_invariance(c.n, c.L, c.M, c.trials, s)),
+            (
+                "inv-eps-star",
+                "",
+                lambda c, i, s: rmap.check_epsilon_invariance(c.n, c.L, c.M, c.trials, s, starred=True),
+            ),
+        ),
+    ),
+    "ud": (
+        _size_scope,
+        (
+            ("ud-gamma-shadow", "", lambda c, i, s: ud.check_gamma_shadow(c.n, c.box, c.trials, s)),
+            ("ud-eps-shadow", "", lambda c, i, s: ud.check_eps_shadow(c.n, c.box, c.trials, s)),
+            ("ud-operator-sum", "", lambda c, i, s: ud.check_operator_sum(c.n, c.box, c.trials, s)),
+            ("ud-split", "", lambda c, i, s: ud.check_split(c.n, c.box, c.trials, s)),
+            ("ud-dichotomy", "", lambda c, i, s: ud.check_dichotomy(c.n, c.box, c.trials, s)),
+            ("ud-levels", "", lambda c, i, s: ud.check_levels(c.n, c.box, c.trials, s)),
+            ("ud-r-eps", "", lambda c, i, s: ud.check_r_invariant(c.n, c.box, c.trials, s, "eps")),
+            ("ud-r-gamma", "", lambda c, i, s: ud.check_r_invariant(c.n, c.box, c.trials, s, "gamma")),
+            ("ud-r-commutation", "", lambda c, i, s: ud.check_r_commutation(c.n, c.box, c.trials, s)),
+            ("ud-r-braid", "", lambda c, i, s: ud.check_r_braid(c.n, c.box, c.trials, s)),
+            (
+                "ud-product-eps-shadow",
+                "",
+                lambda c, i, s: ud.check_r_invariant(c.n, c.box, c.trials, s, "product-eps"),
+            ),
+        ),
+    ),
+}
 
-
-def _ud_dichotomy(n, box, samples, seed) -> CheckOutcome:
-    import random as _random
-
-    rng = _random.Random(seed)
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    pair_ops = {i: ud.ud_product_operator(n, i) for i in range(n + 1)}
-    count = 0
-    for _ in range(samples):
-        count += 1
-        x = {v: rng.randint(-box, box) for v in names}
-        y = {v: rng.randint(-box, box) for v in names}
-        i = rng.randrange(n + 1)
-        for c in (1, -1):
-            c1, c2 = pair_ops[i].split(x, y, c)
-            if sorted((c1, c2)) != sorted((c, 0)):
-                return CheckOutcome(False, count, {"i": i, "c": c, "split": (c1, c2)})
-            x2, y2 = pair_ops[i].apply(x, y, c)
-            if (x2 != x) + (y2 != y) != 1:
-                return CheckOutcome(False, count, {"i": i, "c": c, "x": x, "y": y})
-    return CheckOutcome(True, count)
-
-
-def _ud_levels(n, box, samples, seed) -> CheckOutcome:
-    import random as _random
-
-    rng = _random.Random(seed)
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    count = 0
-    for _ in range(samples):
-        count += 1
-        l = {v: rng.randint(-box, box) for v in names}
-        m = {v: rng.randint(-box, box) for v in names}
-        l2, m2 = ud.apply_combinatorial_r(n, l, m)
-        if sum(l2.values()) != sum(m.values()) or sum(m2.values()) != sum(l.values()):
-            return CheckOutcome(False, count, {"l": l, "m": m})
-    return CheckOutcome(True, count)
-
-
-def _ud_r_invariant(n, box, samples, seed, which: str) -> CheckOutcome:
-    import random as _random
-
-    rng = _random.Random(seed)
-    model = affine_a_model(n, Fraction(1))
-    z = product(model, model)
-    funcs = {
-        i: ud._silent_tropicalize((z.eps if which == "eps" else z.gamma)[i])
-        for i in z.cartan.labels
-    }
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    count = 0
-    for _ in range(samples):
-        count += 1
-        x = {v: rng.randint(-box, box) for v in names}
-        y = {v: rng.randint(-box, box) for v in names}
-        x2, y2 = ud.apply_combinatorial_r(n, x, y)
-        before = {f"{v}.x": x[v] for v in names} | {f"{v}.y": y[v] for v in names}
-        after = {f"{v}.x": x2[v] for v in names} | {f"{v}.y": y2[v] for v in names}
-        for i in z.cartan.labels:
-            if ud.trop_eval(funcs[i], before) != ud.trop_eval(funcs[i], after):
-                return CheckOutcome(False, count, {"i": i, "x": x, "y": y})
-    return CheckOutcome(True, count)
-
-
-def _ud_r_commutation(n, box, samples, seed) -> CheckOutcome:
-    import random as _random
-
-    rng = _random.Random(seed)
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    pair_ops = {i: ud.ud_product_operator(n, i) for i in range(n + 1)}
-    count = 0
-    for _ in range(samples):
-        count += 1
-        x = {v: rng.randint(-box, box) for v in names}
-        y = {v: rng.randint(-box, box) for v in names}
-        c = rng.randint(-box, box)
-        i = rng.randrange(n + 1)
-        ax, ay = pair_ops[i].apply(x, y, c)
-        lhs = ud.apply_combinatorial_r(n, ax, ay)
-        rx, ry = ud.apply_combinatorial_r(n, x, y)
-        rhs = pair_ops[i].apply(rx, ry, c)
-        if lhs != rhs:
-            return CheckOutcome(False, count, {"i": i, "c": c, "x": x, "y": y})
-    return CheckOutcome(True, count)
-
-
-def _ud_r_braid(n, box, samples, seed) -> CheckOutcome:
-    import random as _random
-
-    rng = _random.Random(seed)
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    count = 0
-    for _ in range(samples):
-        count += 1
-        triple = tuple({v: rng.randint(-box, box) for v in names} for _ in range(3))
-
-        def act(tr, pos):
-            if pos == 0:
-                a, b = ud.apply_combinatorial_r(n, tr[0], tr[1])
-                return (a, b, tr[2])
-            a, b = ud.apply_combinatorial_r(n, tr[1], tr[2])
-            return (tr[0], a, b)
-
-        lhs = act(act(act(triple, 0), 1), 0)
-        rhs = act(act(act(triple, 1), 0), 1)
-        if lhs != rhs:
-            return CheckOutcome(False, count, {"triple": triple})
-    return CheckOutcome(True, count)
-
-
-def _ud_product_eps_shadow(n, box, samples, seed) -> CheckOutcome:
-    import random as _random
-
-    rng = _random.Random(seed)
-    sys_lm, sys_ml = rmap.product_systems(n, Fraction(1), Fraction(1))
-    trop_lm = {J: ud._silent_tropicalize(sys_lm.eps_at(*J)) for J in sys_lm.intervals()}
-    trop_ml = {J: ud._silent_tropicalize(sys_ml.eps_at(*J)) for J in sys_ml.intervals()}
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    count = 0
-    for _ in range(samples):
-        count += 1
-        x = {v: rng.randint(-box, box) for v in names}
-        y = {v: rng.randint(-box, box) for v in names}
-        x2, y2 = ud.apply_combinatorial_r(n, x, y)
-        before = {f"{v}.x": x[v] for v in names} | {f"{v}.y": y[v] for v in names}
-        after = {f"{v}.x": x2[v] for v in names} | {f"{v}.y": y2[v] for v in names}
-        for J in trop_lm:
-            if ud.trop_eval(trop_lm[J], before) != ud.trop_eval(trop_ml[J], after):
-                return CheckOutcome(False, count, {"interval": J, "x": x, "y": y})
-    return CheckOutcome(True, count)
-
-
-_SUITE_BODIES = {
+_LOOPS = {
     "verma": _suite_verma,
     "axioms": _suite_axioms,
     "epsilon": _suite_epsilon,
     "product": _suite_product,
-    "borel-oracle": _suite_borel_oracle,
-    "rmap": _suite_rmap,
-    "invariance": _suite_invariance,
     "uniqueness": _suite_uniqueness,
-    "ud": _suite_ud,
 }
 
 
 def run_suite(name: str, params: dict | None = None, seed: int | None = None) -> list[CheckResult]:
     """Run one named suite; returns results sorted by (check id, subject)."""
-    if name not in _SUITE_BODIES:
+    if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    params = dict(params or {})
-    if seed is None:
-        seed = DEFAULT_SEEDS[name]
-    try:
-        return _SUITE_BODIES[name](params, seed)
-    except SuiteError:
-        raise
-    except (ValueError, ZeroDivisionError) as err:
-        # bad levels or sizes surface while the suite assembles its models
-        raise SuiteError(f"invalid parameters for suite {name!r}: {err}") from err
+    p = parse_params(name, dict(params or {}))
+    col = _Collector(name, DEFAULT_SEEDS[name] if seed is None else seed)
+    if name in _LOOPS:
+        _LOOPS[name](col, p)
+        return col.sorted_results()
+    make_scope, rows = _TABLES[name]
+    for n in p.sizes:
+        scope = make_scope(p, n)
+        for check, suffix, fn in rows:
+            for i in scope.indices if "{i}" in suffix else (None,):
+                col.run(check, scope.subject + suffix.format(i=i), lambda s: fn(scope, i, s))
+    return col.sorted_results()
 
 
 def report_dict(

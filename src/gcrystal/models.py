@@ -22,7 +22,9 @@ so the test-suite can verify the vanishing rather than assume it.
 :class:`BorelElement` is the numeric twin: exact Fraction matrices with
 honest matrix multiplication.  It provides the independent computation
 path (entries and minor determinants of actual products) against which
-the expression-level epsilon tables are checked.
+the expression-level epsilon tables are checked; the ``check_borel_*``
+functions of the borel-oracle suite compare the two routes at sampled
+points.
 """
 
 from __future__ import annotations
@@ -32,9 +34,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Assignment, SampleSpec, sample_point
-from .crystal import SCALAR, CrystalModel, cartan_affine_a, cartan_affine_d5, cartan_finite_a
+from .crystal import (
+    SCALAR,
+    CheckOutcome,
+    CrystalModel,
+    _split_scalars,
+    apply_e,
+    cartan_affine_a,
+    cartan_affine_d5,
+    cartan_finite_a,
+    pointwise_check,
+    product,
+    split_pair,
+)
 from .epsilon import EpsilonSystem, Interval, system_from_eps
-from .expr import RatExpr, add, const, div, mul, prod, sub, var
+from .expr import (
+    EvalDomainError,
+    RatExpr,
+    Verdict,
+    add,
+    const,
+    div,
+    evaluate,
+    mul,
+    prod,
+    sub,
+    vanishes_on_domain,
+    var,
+)
 
 
 # --- affine type-A torus model ----------------------------------------------------
@@ -574,6 +601,119 @@ def sample_borel(n: int, seed: int) -> BorelElement:
         seed=seed,
     )
     return borel_from_point(sample_point(model_spec), n)
+
+
+# --- Borel model: symbolic side against numeric side -------------------------------
+#
+# Each check takes a ``borel_model(n)`` and compares the expression data with
+# exact matrix arithmetic on :class:`BorelElement` at sampled points.
+
+
+def check_borel_residual(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> Verdict:
+    """The above-diagonal entry created by the conjugation vanishes identically."""
+    residual = borel_action(len(model.cartan.labels), i).residual
+    return vanishes_on_domain(residual, model.domain_spec(seed, extra=(SCALAR,)), trials)
+
+
+def check_borel_matrix_action(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
+    """The expression-level action equals the numeric elementary-matrix conjugation."""
+    n = len(model.cartan.labels)
+
+    def fn(point):
+        x, (c,) = _split_scalars(point, ("s1",))
+        try:
+            via_matrix = borel_apply_e_matrix(borel_from_point(x, n), i, c).to_point()
+        except ZeroDivisionError:
+            raise EvalDomainError("action undefined at sample")
+        via_exprs = apply_e(model, i, c, x)
+        if via_matrix != via_exprs:
+            return {"i": i, "c": c, "x": x, "matrix": via_matrix, "exprs": via_exprs}
+        return None
+
+    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
+
+
+def check_borel_display(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
+    """Frozen closed forms of the transformed coordinates."""
+    n = len(model.cartan.labels)
+
+    def fn(point):
+        x, (c,) = _split_scalars(point, ("s1",))
+        y = apply_e(model, i, c, x)
+
+        def u(j, k):
+            return x[f"u{j}" if j == k else f"u{j}{k}"]
+
+        def uy(j, k):
+            return y[f"u{j}" if j == k else f"u{j}{k}"]
+
+        if uy(i, i) != u(i, i) / c:
+            return {"slot": ("u", i), "i": i}
+        if y[f"t{i}"] != c * x[f"t{i}"] or y[f"t{i + 1}"] != x[f"t{i + 1}"] / c:
+            return {"slot": ("t", i), "i": i}
+        for j in range(1, i):
+            if uy(j, i - 1) != u(j, i - 1) + (c - 1) * u(j, i) / u(i, i):
+                return {"slot": ("row", j), "i": i}
+        for k in range(i + 1, n + 1):
+            if uy(i + 1, k) != c * (u(i + 1, k) + (1 / c - 1) * u(i, k) / u(i, i)):
+                return {"slot": ("col", k), "i": i}
+            if uy(i, k) != u(i, k) / c:
+                return {"slot": ("col-rescale", k), "i": i}
+        return None
+
+    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
+
+
+def check_borel_table(
+    model: CrystalModel,
+    table: EpsilonSystem,
+    starred: bool,
+    pair: bool,
+    trials: int = 100,
+    seed: int = 0,
+) -> CheckOutcome:
+    """Every interval [s, t] of ``table`` against the matrix it describes.
+
+    eps_[s,t] must equal the unipotent entry u_{s,t} and eps*_[s,t] the
+    minor determinant.  With ``pair`` the points are pairs (x, y) of the
+    product crystal and the matrix is the exact product of their elements.
+    """
+    n = len(model.cartan.labels)
+    names = model.variables
+
+    def fn(point):
+        if pair:
+            x, y = split_pair(point, names, names)
+            element = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
+        else:
+            element = borel_from_point(point, n)
+        for a, b in table.intervals():
+            if starred:
+                expr_val, mat_val = evaluate(table.star_at(a, b), point), element.minor(a + 1, b + 1)
+            else:
+                expr_val, mat_val = evaluate(table.eps_at(a, b), point), element.eps_entry(a + 1, b + 1)
+            if expr_val != mat_val:
+                return {"interval": (a, b), "starred": starred, "table": expr_val, "matrix": mat_val}
+        return None
+
+    return pointwise_check(fn, (product(model, model) if pair else model).domain_spec(seed), trials)
+
+
+def check_borel_mult_eps(model: CrystalModel, trials: int = 100, seed: int = 0) -> CheckOutcome:
+    """eps_i(x y) = eps_i(x) + eps_i(y)/gamma_i(x) for exact matrix products."""
+    n = len(model.cartan.labels)
+
+    def fn(point):
+        x, y = split_pair(point, model.variables, model.variables)
+        prod_el = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
+        for i in range(1, n + 1):
+            lhs = prod_el.eps_entry(i, i)
+            rhs = evaluate(model.eps[i], x) + evaluate(model.eps[i], y) / evaluate(model.gamma[i], x)
+            if lhs != rhs:
+                return {"i": i, "lhs": lhs, "rhs": rhs}
+        return None
+
+    return pointwise_check(fn, product(model, model).domain_spec(seed), trials)
 
 
 # --- model registry for the CLI ------------------------------------------------------

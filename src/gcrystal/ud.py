@@ -8,7 +8,9 @@ containing a difference or a negative constant is refused with the path
 of the offending node.
 
 Compiled programs are total piecewise-linear maps on integer points and
-all identity checking down here is exact integer sampling over a box.
+all identity checking down here is exact integer sampling over a box,
+through the one checker :func:`box_check`; the ``check_*`` functions of
+the ud suite are built on it.
 The crystal-flavored derivations (one-parameter operators, the parameter
 split on products, the combinatorial R) are obtained by compiling the
 corresponding rational expressions from the model layer rather than by
@@ -22,8 +24,18 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .crystal import LEFT_SUFFIX, RIGHT_SUFFIX, SCALAR, product_split_exprs
+from .crystal import (
+    LEFT_SUFFIX,
+    RIGHT_SUFFIX,
+    SCALAR,
+    CheckOutcome,
+    pack_pair,
+    product,
+    product_split_exprs,
+    split_pair,
+)
 from .expr import (
     ADD,
     DIV,
@@ -44,7 +56,7 @@ from .expr import (
     tree_program,
 )
 from .models import affine_a_model
-from .rmap import r_images, unit_r_map
+from .rmap import product_systems, r_images, unit_r_map
 
 TropPoint = dict[str, int]
 
@@ -199,20 +211,31 @@ def tropicalize(e: RatExpr) -> TropExpr:
     return compile_(e)
 
 
-@dataclass(frozen=True)
-class TropVerdict:
-    equal: bool
-    samples: int
-    counterexample: tuple[TropPoint, int, int] | None = None
-
-    def __bool__(self):
-        return self.equal
-
-
-def sample_box(variables: tuple[str, ...], lo: int, hi: int, samples: int, seed: int = 0):
+def sample_box(bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0):
+    """Integer points; each coordinate is drawn by ``randint(lo, hi)`` in key order."""
     rng = random.Random(seed)
     for _ in range(samples):
-        yield {v: rng.randint(lo, hi) for v in variables}
+        yield {v: rng.randint(lo, hi) for v, (lo, hi) in bounds.items()}
+
+
+def box_check(
+    fn: Callable[[TropPoint], dict | None],
+    bounds: dict[str, tuple[int, int]],
+    samples: int,
+    seed: int = 0,
+) -> CheckOutcome:
+    """Run ``fn`` at ``samples`` points of the integer box ``bounds``.
+
+    ``fn`` returns ``None`` on success and a witness dict on failure; the
+    first failure ends the check and counts the points drawn up to it.
+    """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    for done, point in enumerate(sample_box(bounds, samples, seed), start=1):
+        witness = fn(point)
+        if witness is not None:
+            return CheckOutcome(False, done, witness)
+    return CheckOutcome(True, samples)
 
 
 def check_tropical_identity(
@@ -222,14 +245,15 @@ def check_tropical_identity(
     hi: int = 50,
     samples: int = 1000,
     seed: int = 0,
-) -> TropVerdict:
+) -> CheckOutcome:
     """Exact integer agreement of two programs on a sampled box."""
-    variables = tuple(sorted(trop_free_variables(t1) | trop_free_variables(t2)))
-    for point in sample_box(variables, lo, hi, samples, seed):
+    variables = sorted(trop_free_variables(t1) | trop_free_variables(t2))
+
+    def fn(point):
         a, b = trop_eval(t1, point), trop_eval(t2, point)
-        if a != b:
-            return TropVerdict(False, samples, (point, a, b))
-    return TropVerdict(True, samples)
+        return None if a == b else {"point": point, "lhs": a, "rhs": b}
+
+    return box_check(fn, dict.fromkeys(variables, (lo, hi)), samples, seed)
 
 
 # --- crystal shadows ---------------------------------------------------------------
@@ -342,3 +366,188 @@ def apply_combinatorial_r(n: int, l: TropPoint, m: TropPoint) -> tuple[TropPoint
     (max, +), so each UDP_i is computed once for all 2(n+1) outputs.
     """
     return r_images(unit_r_map(n), l, m, run_maxplus)
+
+
+# --- checks on integer boxes ---------------------------------------------------------
+#
+# Every check below samples the box [-box, box] through :func:`box_check`, one
+# coordinate after another: the coordinates of x, then those of y (then z),
+# then the parameter c, then the index i, drawn from [0, n].
+
+
+def _coords(n: int, suffix: str = "") -> tuple[str, ...]:
+    return tuple(f"l{k}{suffix}" for k in range(1, n + 2))
+
+
+def _pair_bounds(n: int, box: int, *scalars: str) -> dict[str, tuple[int, int]]:
+    names = _coords(n, LEFT_SUFFIX) + _coords(n, RIGHT_SUFFIX) + scalars
+    return dict.fromkeys(names, (-box, box))
+
+
+def check_gamma_shadow(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """gamma_j after the C-shadow of e_i equals gamma_j + a_ij * C."""
+    cartan = affine_a_model(n, Fraction(1)).cartan
+    labels = cartan.labels
+    ops = {i: ud_crystal_operator(n, i) for i in labels}
+    gammas = {j: ud_gamma(n, j) for j in labels}
+    names = _coords(n)
+
+    def fn(point):
+        c = point[UD_SCALAR]
+        base = {k: point[k] for k in names}
+        for i in labels:
+            moved = ops[i].apply(base, c=c)
+            for j in labels:
+                if trop_eval(gammas[j], moved) != trop_eval(gammas[j], base) + cartan.a(i, j) * c:
+                    return {"i": i, "j": j, "point": base, "c": c}
+        return None
+
+    return box_check(fn, dict.fromkeys(names + (UD_SCALAR,), (-box, box)), samples, seed)
+
+
+def check_eps_shadow(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """eps_i drops by C under its own shadow; orthogonal shadows fix it."""
+    cartan = affine_a_model(n, Fraction(1)).cartan
+    labels = cartan.labels
+    ops = {i: ud_crystal_operator(n, i) for i in labels}
+    epss = {i: ud_eps(n, i) for i in labels}
+    names = _coords(n)
+
+    def fn(point):
+        c = point[UD_SCALAR]
+        base = {k: point[k] for k in names}
+        for i in labels:
+            for j in labels:
+                if i != j and not (cartan.a(i, j) == 0 and cartan.a(j, i) == 0):
+                    continue
+                moved = ops[j].apply(base, c=c)
+                if trop_eval(epss[i], moved) != trop_eval(epss[i], base) - (c if i == j else 0):
+                    return {"i": i, "j": j, "point": base, "c": c}
+        return None
+
+    return box_check(fn, dict.fromkeys(names + (UD_SCALAR,), (-box, box)), samples, seed)
+
+
+def check_operator_sum(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """The shadow operator preserves the coordinate sum and is additive in C."""
+    ops = {i: ud_crystal_operator(n, i) for i in range(n + 1)}
+    names = _coords(n)
+
+    def fn(point):
+        base = {k: point[k] for k in names}
+        c1, c2, i = point["c1"], point["c2"], point["i"]
+        joint = ops[i].apply(base, c=c1 + c2)
+        if ops[i].apply(ops[i].apply(base, c=c2), c=c1) != joint or sum(joint.values()) != sum(base.values()):
+            return {"i": i, "point": base, "c": (c1, c2)}
+        return None
+
+    bounds = dict.fromkeys(names + ("c1", "c2"), (-box, box)) | {"i": (0, n)}
+    return box_check(fn, bounds, samples, seed)
+
+
+def check_split(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """C1 + C2 = C for the tensor parameter split."""
+    c1, c2 = ud_tensor_coeffs(n, 1)
+    return check_tropical_identity(TAdd(c1, c2), TVar(UD_SCALAR), -box, box, samples, seed)
+
+
+def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """At C = +-1 exactly one tensor factor changes."""
+    pair_ops = {i: ud_product_operator(n, i) for i in range(n + 1)}
+    names = _coords(n)
+
+    def fn(point):
+        x, y = split_pair(point, names, names)
+        i = point["i"]
+        for c in (1, -1):
+            c1, c2 = pair_ops[i].split(x, y, c)
+            if sorted((c1, c2)) != sorted((c, 0)):
+                return {"i": i, "c": c, "split": (c1, c2)}
+            x2, y2 = pair_ops[i].apply(x, y, c)
+            if (x2 != x) + (y2 != y) != 1:
+                return {"i": i, "c": c, "x": x, "y": y}
+        return None
+
+    return box_check(fn, _pair_bounds(n, box) | {"i": (0, n)}, samples, seed)
+
+
+def check_levels(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """The combinatorial R swaps the coordinate sums."""
+    names = _coords(n)
+
+    def fn(point):
+        l, m = split_pair(point, names, names)
+        l2, m2 = apply_combinatorial_r(n, l, m)
+        if sum(l2.values()) != sum(m.values()) or sum(m2.values()) != sum(l.values()):
+            return {"l": l, "m": m}
+        return None
+
+    return box_check(fn, _pair_bounds(n, box), samples, seed)
+
+
+def check_r_invariant(n: int, box: int, samples: int, seed: int, which: str = "eps") -> CheckOutcome:
+    """Tropical functions of a pair (x, y) agree before and after the combinatorial R.
+
+    ``which`` names the functions: ``"eps"`` or ``"gamma"`` are eps_i or
+    gamma_i of the product crystal, compared with themselves; ``"product-eps"``
+    compares the product eps table of (L, M) before with that of (M, L)
+    after, interval by interval.
+    """
+    if which == "product-eps":
+        sys_lm, sys_ml = product_systems(n, Fraction(1), Fraction(1))
+        key = "interval"
+        before = {J: _silent_tropicalize(sys_lm.eps_at(*J)) for J in sys_lm.intervals()}
+        after = {J: _silent_tropicalize(sys_ml.eps_at(*J)) for J in sys_ml.intervals()}
+    else:
+        model = affine_a_model(n, Fraction(1))
+        z = product(model, model)
+        key = "i"
+        before = after = {i: _silent_tropicalize(getattr(z, which)[i]) for i in z.cartan.labels}
+    names = _coords(n)
+
+    def fn(point):
+        x, y = split_pair(point, names, names)
+        image = pack_pair(*apply_combinatorial_r(n, x, y))
+        for k in before:
+            if trop_eval(before[k], point) != trop_eval(after[k], image):
+                return {key: k, "x": x, "y": y}
+        return None
+
+    return box_check(fn, _pair_bounds(n, box), samples, seed)
+
+
+def check_r_commutation(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """The combinatorial R commutes with the tensor shadow operators."""
+    pair_ops = {i: ud_product_operator(n, i) for i in range(n + 1)}
+    names = _coords(n)
+
+    def fn(point):
+        x, y = split_pair(point, names, names)
+        c, i = point[UD_SCALAR], point["i"]
+        lhs = apply_combinatorial_r(n, *pair_ops[i].apply(x, y, c))
+        rhs = pair_ops[i].apply(*apply_combinatorial_r(n, x, y), c)
+        if lhs != rhs:
+            return {"i": i, "c": c, "x": x, "y": y}
+        return None
+
+    return box_check(fn, _pair_bounds(n, box, UD_SCALAR) | {"i": (0, n)}, samples, seed)
+
+
+def check_r_braid(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """(12)(23)(12) = (23)(12)(23) for the combinatorial R on integer triples."""
+    names = _coords(n)
+    suffixes = (".a", ".b", ".c")
+
+    def act(triple, pos):
+        if pos == 0:
+            return (*apply_combinatorial_r(n, triple[0], triple[1]), triple[2])
+        return (triple[0], *apply_combinatorial_r(n, triple[1], triple[2]))
+
+    def fn(point):
+        triple = tuple({v: point[v + s] for v in names} for s in suffixes)
+        if act(act(act(triple, 0), 1), 0) != act(act(act(triple, 1), 0), 1):
+            return {"triple": triple}
+        return None
+
+    bounds = dict.fromkeys((v + s for s in suffixes for v in names), (-box, box))
+    return box_check(fn, bounds, samples, seed)

@@ -176,26 +176,12 @@ def test_composition_words_commuting_and_braid():
     assert right == ((2, (1, 0)), (1, (1, 1)), (2, (0, 1)))
 
 
-def test_composition_words_higher_patterns_supported():
-    # no built-in model exercises these patterns; the frozen words document
-    # the exponent schedules the checker would apply
-    left, right = composition_words(1, 2, -2, -1)
-    assert left == ((2, (0, 1)), (1, (1, 1)), (2, (2, 1)), (1, (1, 0)))
-    assert right == ((1, (1, 0)), (2, (2, 1)), (1, (1, 1)), (2, (0, 1)))
-    left, right = composition_words(1, 2, -3, -1)
-    assert [e for _, e in left] == [(0, 1), (1, 1), (3, 2), (2, 1), (3, 1), (1, 0)]
-    assert [e for _, e in right] == [(1, 0), (3, 1), (2, 1), (3, 2), (1, 1), (0, 1)]
-
-
-@pytest.mark.skip(reason="supported, unexercised: no built-in model has Cartan pattern (-2,-1) or (-3,-1)")
-def test_higher_verma_patterns_on_a_model():
-    pass
-
-
 def test_unsupported_pattern_raises():
     model = affine_a_model(1, rat(4))  # (a_01, a_10) = (-2, -2)
     with pytest.raises(UnsupportedCartanPattern):
         check_composition_relation(model, 0, 1, 5)
+    with pytest.raises(UnsupportedCartanPattern):
+        composition_words(1, 2, -2, -1)  # only (0, 0) and (-1, -1) have a relation
 
 
 def test_applicable_pairs():

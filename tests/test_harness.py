@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from gcrystal import cli
+from gcrystal import harness
 from gcrystal.harness import (
     REGISTRY,
     SUITES,
@@ -28,6 +30,49 @@ def test_out_of_range_params_rejected():
         run_suite("uniqueness", {"n": 1})
     with pytest.raises(SuiteError):
         run_suite("axioms", {"model": "not-a-model"})
+
+
+# invalid parameters, each once through run_suite and once through the CLI
+BAD_PARAMS = [
+    ("ud", {"trials": 0}),
+    ("ud", {"trials": -3}),
+    ("axioms", {"trials": 0}),
+    ("rmap", {"n": 1, "L": 0}),
+    ("rmap", {"n": 1, "L": -4}),
+    ("invariance", {"M": 0}),
+    ("product", {"N": 0}),
+    ("uniqueness", {"n": 0}),
+    ("ud", {"box": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, params", BAD_PARAMS, ids=[f"{s}-{'-'.join(f'{k}{v}' for k, v in p.items())}" for s, p in BAD_PARAMS]
+)
+def test_bad_params_exit_2_before_any_check(suite, params, monkeypatch, capsys):
+    jobs = []
+    monkeypatch.setattr(harness._Collector, "run", lambda self, *args: jobs.append(args))
+    monkeypatch.setattr(harness._Collector, "record", lambda self, *args: jobs.append(args))
+    with pytest.raises(SuiteError):
+        run_suite(suite, params)
+    if "box" not in params:  # box has no command-line flag
+        argv = ["verify", suite] + [arg for k, v in params.items() for arg in (f"--{k}", str(v))]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+    assert jobs == []
+
+
+def test_params_selecting_nothing_rejected():
+    for suite, params in (
+        ("axioms", {"n": 2}),
+        ("rmap", {"model": "d5"}),
+        ("rmap", {"trails": 5}),
+        ("verma", {"L": 1.5}),
+        ("verma", {"trials": "many"}),
+    ):
+        with pytest.raises(SuiteError):
+            run_suite(suite, params)
 
 
 def test_results_sorted_and_tagged():
@@ -96,10 +141,26 @@ def test_every_registered_check_runs_in_its_suite():
         "uniqueness": {},
         "ud": {"trials": 20},
     }
+    # sha256 of the canonical report, first 16 hex digits; pins every verdict,
+    # trial count and sampled stream at these parameters
+    digests = {
+        "verma": "4a7c0cea3c858d9e",
+        "axioms": "454aa58dd4d1e033",
+        "epsilon": "e0143b650a1f88f8",
+        "product": "337069b2569b05a4",
+        "borel-oracle": "f436463365b8706a",
+        "rmap": "a4dda763fe06a7c8",
+        "invariance": "fb55a31a404d85c3",
+        "uniqueness": "6495295e518671d8",
+        "ud": "ff520469b8116243",
+    }
     for name in SUITES:
-        for result in run_suite(name, params[name]):
+        results = run_suite(name, params[name])
+        for result in results:
             assert REGISTRY[result.check].suite == name
             seen[name].add(result.check)
+        report = report_json(name, params[name], None, results)
+        assert hashlib.sha256(report.encode()).hexdigest()[:16] == digests[name], name
     for check, info in REGISTRY.items():
         assert check in seen[info.suite], f"{check} never ran in suite {info.suite}"
 
@@ -219,6 +280,9 @@ def test_run_all_suites_runs_each_suite_once(tmp_path, monkeypatch, capsys):
         return [CheckResult(name, "c", "s", "identity", "pass", 1, 0.0, None, "")]
 
     monkeypatch.setattr(script, "run_suite", fake_run_suite)
+    assert script.main(["--trials", "0"]) == 2
+    assert calls == []
+    assert "trials must be at least 1" in capsys.readouterr().err
     assert script.main(["--out", str(tmp_path)]) == 0
     assert calls == list(SUITES)
     for name in SUITES:

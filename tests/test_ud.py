@@ -92,13 +92,13 @@ def test_trop_json_and_pretty():
 def test_translation_invariance_of_max():
     t1 = tropicalize(parse("(x + y)*z"))
     t2 = tropicalize(parse("x*z + y*z"))
-    assert check_tropical_identity(t1, t2, samples=300).equal
+    assert check_tropical_identity(t1, t2, samples=300).ok
 
 
 def test_distinct_programs_detected():
     verdict = check_tropical_identity(TMax(TVar("x"), TVar("y")), TAdd(TVar("x"), TVar("y")), samples=100)
-    assert not verdict.equal
-    point, lhs, rhs = verdict.counterexample
+    assert not verdict.ok
+    point, lhs, rhs = (verdict.witness[k] for k in ("point", "lhs", "rhs"))
     assert max(point["x"], point["y"]) == lhs and point["x"] + point["y"] == rhs
 
 
@@ -146,7 +146,7 @@ def test_gamma_shadow_scaling_as_composed_programs():
             a_ij = cartan.a(i, j)
             for _ in range(abs(a_ij)):
                 shift = TAdd(shift, TVar("c")) if a_ij > 0 else TSub(shift, TVar("c"))
-            assert check_tropical_identity(composed, shift, samples=200).equal
+            assert check_tropical_identity(composed, shift, samples=200).ok
 
 
 def test_gamma_shadow_scaling():
@@ -184,7 +184,7 @@ def test_eps_shadow_drop():
 
 def test_split_sums_to_c():
     c1, c2 = ud_tensor_coeffs(2, 1)
-    assert check_tropical_identity(TAdd(c1, c2), TVar("c"), samples=500).equal
+    assert check_tropical_identity(TAdd(c1, c2), TVar("c"), samples=500).ok
 
 
 def test_split_case_analysis():
