@@ -24,6 +24,7 @@ from typing import Callable, Mapping
 
 from .arith import Assignment, SampleSpec, product as fraction_product, sample_point
 from .expr import (
+    Program,
     RatExpr,
     Verdict,
     add,
@@ -167,8 +168,12 @@ def apply_e(model: CrystalModel, i: int, c: Fraction, x: Assignment) -> Assignme
         raise ValueError("the action parameter must be nonzero")
     env = dict(x)
     env[SCALAR] = c
-    program = program_for(model, ("action", i), model.actions[i])
-    return dict(zip(model.variables, run(program, env)))
+    return dict(zip(model.variables, run(action_program(model, i), env)))
+
+
+def action_program(model: CrystalModel, i: int) -> Program:
+    """The program of the action family ``actions[i]``, compiled once per model and index."""
+    return program_for(model, ("action", i), model.actions[i])
 
 
 def apply_word(model: CrystalModel, word, x: Assignment) -> Assignment:

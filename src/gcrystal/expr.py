@@ -72,10 +72,9 @@ class UnboundVariableError(KeyError):
 
 # --- node types --------------------------------------------------------------
 
-# Node kinds as the compiler sees them.  Every node class names its kind in
-# ``_op``; the max-plus trees of :mod:`gcrystal.ud` reuse the same kinds
-# (their max is ADD, their + is MUL, their - is DIV) plus TROP_CONST.
-VAR, CONST, TROP_CONST, ADD, SUB, MUL, DIV, POW = range(8)
+# Node kinds as the compiler sees them; every node class names its kind in
+# ``_op``.  Leaves come first.
+VAR, CONST, ADD, SUB, MUL, DIV, POW = range(7)
 
 
 @dataclass(frozen=True)
@@ -329,8 +328,7 @@ class Program:
         self.code = code
         self.outputs = outputs
         self.roots = roots
-        # exact constants as numerators and denominators; None once a
-        # max-plus constant (which has no rational value) is present
+        # exact constants as numerators and denominators
         self.const_nums = const_nums
         self.const_dens = const_dens
         # constants under the max-plus reading; None unless certified
@@ -361,8 +359,8 @@ def compile_program(roots) -> Program:
             op = node._op
             if op == VAR:
                 key = (VAR, node.name)
-            elif op == CONST or op == TROP_CONST:
-                key = (op, node.value)
+            elif op == CONST:
+                key = (CONST, node.value)
             elif op == POW:
                 base = seen.get(id(node.base))
                 if base is None:
@@ -392,8 +390,8 @@ def compile_program(roots) -> Program:
     # registers: inputs, then constants, then instructions in value-number
     # order (children are numbered before their parents)
     inputs = [k for k, key in enumerate(keys) if key[0] == VAR]
-    leaves = [k for k, key in enumerate(keys) if key[0] == CONST or key[0] == TROP_CONST]
-    steps = [k for k, key in enumerate(keys) if key[0] > TROP_CONST]
+    leaves = [k for k, key in enumerate(keys) if key[0] == CONST]
+    steps = [k for k, key in enumerate(keys) if key[0] > CONST]
     register = [0] * len(keys)
     for r, k in enumerate(inputs + leaves + steps):
         register[k] = r
@@ -402,19 +400,16 @@ def compile_program(roots) -> Program:
         op, a, b = keys[k]
         code.append((op, register[a], b if op == POW else register[b]))
 
-    constants = [keys[k] for k in leaves]
-    exact = all(op == CONST for op, _ in constants)
-    certified = all(op != SUB for op, _, _ in code) and all(
-        op == TROP_CONST or value > 0 for op, value in constants
-    )
+    constants = [keys[k][1] for k in leaves]
+    certified = all(op != SUB for op, _, _ in code) and all(value > 0 for value in constants)
     return Program(
         names=tuple(keys[k][1] for k in inputs),
         code=code,
         outputs=tuple(register[k] for k in root_numbers),
         roots=roots,
-        const_nums=[value.numerator for _, value in constants] if exact else None,
-        const_dens=[value.denominator for _, value in constants] if exact else None,
-        maxplus_consts=[value if op == TROP_CONST else 0 for op, value in constants] if certified else None,
+        const_nums=[value.numerator for value in constants],
+        const_dens=[value.denominator for value in constants],
+        maxplus_consts=[0] * len(constants) if certified else None,
     )
 
 
@@ -434,8 +429,6 @@ def run(program: Program, point: Assignment) -> list[Fraction]:
     :class:`UnboundVariableError` before any arithmetic when an input is
     missing, and :class:`EvalDomainError` at a pole.
     """
-    if program.const_nums is None:
-        raise TypeError("a program with max-plus constants has no rational value")
     values = _inputs(program, point)
     nums = [v.numerator for v in values] + program.const_nums
     dens = [v.denominator for v in values] + program.const_dens

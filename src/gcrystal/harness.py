@@ -701,12 +701,12 @@ _TABLES = {
             (
                 "rmap-eps-preserved",
                 " i={i}",
-                lambda c, i, s: rmap.check_eps_preserved(c.n, c.L, c.M, i, c.trials, s),
+                lambda c, i, s: rmap.check_preserved(c.n, c.L, c.M, i, "eps", c.trials, s),
             ),
             (
                 "rmap-gamma-preserved",
                 " i={i}",
-                lambda c, i, s: rmap.check_gamma_preserved(c.n, c.L, c.M, i, c.trials, s),
+                lambda c, i, s: rmap.check_preserved(c.n, c.L, c.M, i, "gamma", c.trials, s),
             ),
             ("rmap-braid", "", lambda c, i, s: rmap.check_braid(c.n, (c.L, c.M, c.N), c.trials, s)),
             (

@@ -175,36 +175,19 @@ def _product_model(n: int, ll: Fraction, lr: Fraction) -> CrystalModel:
     return product(affine_a_model(n, ll), affine_a_model(n, lr))
 
 
-def check_eps_preserved(
-    n: int, ll: Fraction, lr: Fraction, i: int, trials: int = 100, seed: int = 0
+def check_preserved(
+    n: int, ll: Fraction, lr: Fraction, i: int, which: str, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
-    """eps_i of the product before R equals eps_i of the swapped product after R."""
+    """eps_i (``which="eps"``) or gamma_i (``which="gamma"``) of the product
+    before R equals the same function of the swapped product after R."""
     inst = build_r_map(n, ll, lr)
-    z_lm = _product_model(n, ll, lr)
-    z_ml = _product_model(n, lr, ll)
+    before = getattr(_product_model(n, ll, lr), which)[i]
+    after = getattr(_product_model(n, lr, ll), which)[i]
 
     def fn(point):
         l, m = _split_pair_point(point, n)
-        lhs = evaluate(z_lm.eps[i], point)
-        rhs = evaluate(z_ml.eps[i], pack_pair(*apply_r(inst, l, m)))
-        if lhs != rhs:
-            return {"i": i, "l": l, "m": m, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, _pair_spec(n, ll, lr, seed), trials)
-
-
-def check_gamma_preserved(
-    n: int, ll: Fraction, lr: Fraction, i: int, trials: int = 100, seed: int = 0
-) -> CheckOutcome:
-    inst = build_r_map(n, ll, lr)
-    z_lm = _product_model(n, ll, lr)
-    z_ml = _product_model(n, lr, ll)
-
-    def fn(point):
-        l, m = _split_pair_point(point, n)
-        lhs = evaluate(z_lm.gamma[i], point)
-        rhs = evaluate(z_ml.gamma[i], pack_pair(*apply_r(inst, l, m)))
+        lhs = evaluate(before, point)
+        rhs = evaluate(after, pack_pair(*apply_r(inst, l, m)))
         if lhs != rhs:
             return {"i": i, "l": l, "m": m, "lhs": lhs, "rhs": rhs}
         return None

@@ -1,20 +1,27 @@
-"""Ultra-discretization: subtraction-free expressions become max-plus programs.
+"""Ultra-discretization: the model layer's subtraction-free programs read in (max, +).
 
-The compilation rules are the (max, +) convention: products map to sums,
-quotients to differences, sums to maxima, positive constants to 0, and an
-integer power to a repeated sum or difference.  Named parameters stay
-variables.  Only subtraction-free expressions compile; anything
-containing a difference or a negative constant is refused with the path
-of the offending node.
+The reading is the (max, +) convention: products become sums, quotients
+differences, sums maxima, positive constants 0, and an integer power k
+becomes k times its base.  Named parameters stay variables.  Only
+subtraction-free programs are read; anything containing a difference or
+a negative constant is refused with the path of the offending node.
 
-Compiled programs are total piecewise-linear maps on integer points and
-all identity checking down here is exact integer sampling over a box,
-through the one checker :func:`box_check`; the ``check_*`` functions of
-the ud suite are built on it.
-The crystal-flavored derivations (one-parameter operators, the parameter
-split on products, the combinatorial R) are obtained by compiling the
-corresponding rational expressions from the model layer rather than by
-re-coding their shapes, so the two layers cannot drift apart.
+There is one evaluator, :func:`expr.run_maxplus`, and it runs the programs
+the model layer already compiles: the shadow of e_i^C is the torus
+model's action program (the one :func:`crystal.apply_e` runs exactly), the
+tensor split (C1, C2) is :func:`crystal.product_split_exprs`, gamma_i,
+eps_i and the product eps tables are the model's own expressions, and the
+combinatorial R is the rational R program of :func:`rmap.r_program`.  So
+the shadows cannot drift from the rational layer.
+
+:func:`tropicalize` spells the same reading out as a :class:`TropExpr`
+tree.  It serves the ``gcrystal ud trop`` display and, with
+:func:`reference_trop_eval`, is the oracle of the tests.
+
+The readings are total piecewise-linear maps on integer points, and all
+identity checking down here is exact integer sampling over a box, through
+the one checker :func:`box_check`; the ``check_*`` functions of the ud
+suite are built on it.
 """
 
 from __future__ import annotations
@@ -31,27 +38,26 @@ from .crystal import (
     RIGHT_SUFFIX,
     SCALAR,
     CheckOutcome,
+    CrystalModel,
+    action_program,
     pack_pair,
     product,
     product_split_exprs,
     split_pair,
 )
 from .expr import (
-    ADD,
-    DIV,
-    MUL,
-    TROP_CONST,
-    VAR,
     Add,
     Const,
     Div,
     Mul,
     Pow,
+    Program,
     RatExpr,
     TropicalizationError,
     Var,
     certify_subtraction_free,
-    program_for,
+    compile_program,
+    free_variables,
     run_maxplus,
     tree_program,
 )
@@ -65,6 +71,14 @@ class NonUnitConstantWarning(UserWarning):
     """A positive constant other than 1 was flattened to tropical 0."""
 
 
+def trop_eval(e: RatExpr, point: TropPoint) -> int:
+    """Value of the subtraction-free ``e`` at an integer point, read in (max, +)."""
+    return run_maxplus(tree_program(e), point)[0]
+
+
+# --- the reading spelled out as a tree -------------------------------------------------
+
+
 @dataclass(frozen=True)
 class TropExpr:
     def __str__(self):
@@ -73,45 +87,30 @@ class TropExpr:
 
 @dataclass(frozen=True)
 class TVar(TropExpr):
-    _op = VAR
-
     name: str
 
 
 @dataclass(frozen=True)
 class TConst(TropExpr):
-    _op = TROP_CONST
-
     value: int
 
 
 @dataclass(frozen=True)
 class TMax(TropExpr):
-    _op = ADD  # the tropical sum
-
     left: TropExpr
     right: TropExpr
 
 
 @dataclass(frozen=True)
 class TAdd(TropExpr):
-    _op = MUL  # the tropical product
-
     left: TropExpr
     right: TropExpr
 
 
 @dataclass(frozen=True)
 class TSub(TropExpr):
-    _op = DIV  # the tropical quotient
-
     left: TropExpr
     right: TropExpr
-
-
-def trop_eval(t: TropExpr, point: TropPoint) -> int:
-    """Value of ``t`` at an integer point, by the max-plus interpreter."""
-    return run_maxplus(tree_program(t), point)[0]
 
 
 def reference_trop_eval(t: TropExpr, point: TropPoint) -> int:
@@ -127,14 +126,6 @@ def reference_trop_eval(t: TropExpr, point: TropPoint) -> int:
     if isinstance(t, TSub):
         return reference_trop_eval(t.left, point) - reference_trop_eval(t.right, point)
     raise TypeError(f"unknown tropical node {t!r}")
-
-
-def trop_free_variables(t: TropExpr) -> set[str]:
-    if isinstance(t, TVar):
-        return {t.name}
-    if isinstance(t, TConst):
-        return set()
-    return trop_free_variables(t.left) | trop_free_variables(t.right)
 
 
 def trop_pretty(t: TropExpr) -> str:
@@ -163,20 +154,8 @@ def trop_to_json_obj(t: TropExpr):
     return {"op": kind, "args": [trop_to_json_obj(t.left), trop_to_json_obj(t.right)]}
 
 
-def trop_substitute(t: TropExpr, mapping: dict[str, TropExpr]) -> TropExpr:
-    """Plug programs in for variables; lets compiled maps compose symbolically."""
-    if isinstance(t, TVar):
-        return mapping.get(t.name, t)
-    if isinstance(t, TConst):
-        return t
-    return type(t)(trop_substitute(t.left, mapping), trop_substitute(t.right, mapping))
-
-
-# --- the compiler -----------------------------------------------------------------
-
-
 def tropicalize(e: RatExpr) -> TropExpr:
-    """Compile a subtraction-free rational expression to a max-plus program."""
+    """The (max, +) reading of a subtraction-free rational expression as a tree."""
     cert = certify_subtraction_free(e)
     if not cert:
         raise TropicalizationError(cert.blocked_path)
@@ -211,6 +190,9 @@ def tropicalize(e: RatExpr) -> TropExpr:
     return compile_(e)
 
 
+# --- integer boxes -------------------------------------------------------------------
+
+
 def sample_box(bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0):
     """Integer points; each coordinate is drawn by ``randint(lo, hi)`` in key order."""
     rng = random.Random(seed)
@@ -239,18 +221,18 @@ def box_check(
 
 
 def check_tropical_identity(
-    t1: TropExpr,
-    t2: TropExpr,
+    e1: RatExpr,
+    e2: RatExpr,
     lo: int = -50,
     hi: int = 50,
     samples: int = 1000,
     seed: int = 0,
 ) -> CheckOutcome:
-    """Exact integer agreement of two programs on a sampled box."""
-    variables = sorted(trop_free_variables(t1) | trop_free_variables(t2))
+    """Exact integer agreement of the (max, +) readings of two expressions on a sampled box."""
+    variables = sorted(free_variables(e1) | free_variables(e2))
 
     def fn(point):
-        a, b = trop_eval(t1, point), trop_eval(t2, point)
+        a, b = trop_eval(e1, point), trop_eval(e2, point)
         return None if a == b else {"point": point, "lhs": a, "rhs": b}
 
     return box_check(fn, dict.fromkeys(variables, (lo, hi)), samples, seed)
@@ -258,105 +240,45 @@ def check_tropical_identity(
 
 # --- crystal shadows ---------------------------------------------------------------
 
-UD_SCALAR = SCALAR  # the tropicalized action parameter keeps its name
 
-
-@dataclass(frozen=True)
-class TropMap:
-    """A piecewise-linear coordinate map: one program per output coordinate."""
-
-    exprs: dict[str, TropExpr]
-
-    def apply(self, point: TropPoint, **params: int) -> TropPoint:
-        env = dict(point)
-        env.update(params)
-        program = program_for(self, "map", tuple(self.exprs.values()))
-        return dict(zip(self.exprs, run_maxplus(program, env)))
-
-
-def _silent_tropicalize(e: RatExpr) -> TropExpr:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonUnitConstantWarning)
-        return tropicalize(e)
+@functools.lru_cache(maxsize=None)
+def unit_torus(n: int) -> CrystalModel:
+    """The torus model at level 1; its expressions do not involve the level."""
+    return affine_a_model(n, Fraction(1))
 
 
 @functools.lru_cache(maxsize=None)
-def ud_crystal_operator(n: int, i: int) -> TropMap:
-    """Tropical shadow of the torus-model action: add the parameter at slot i,
-    subtract it at slot i+1 (cyclically); the coordinate sum is preserved."""
-    model = affine_a_model(n, Fraction(1))
-    exprs = {
-        v: _silent_tropicalize(e) for v, e in zip(model.variables, model.actions[i])
-    }
-    return TropMap(exprs)
+def split_program(n: int, i: int) -> Program:
+    """The program of the parameter split (c1, c2) of e_i on the torus square."""
+    model = unit_torus(n)
+    return compile_program(product_split_exprs(model, model, i))
 
 
-@functools.lru_cache(maxsize=None)
-def ud_gamma(n: int, i: int) -> TropExpr:
-    return _silent_tropicalize(affine_a_model(n, Fraction(1)).gamma[i])
+def shadow(n: int, i: int, point: TropPoint, c: int) -> TropPoint:
+    """The shadow of e_i^C: add C at slot i, subtract it at slot i+1 (cyclically)."""
+    model = unit_torus(n)
+    env = dict(point)
+    env[SCALAR] = c
+    return dict(zip(model.variables, run_maxplus(action_program(model, i), env)))
 
 
-@functools.lru_cache(maxsize=None)
-def ud_eps(n: int, i: int) -> TropExpr:
-    return _silent_tropicalize(affine_a_model(n, Fraction(1)).eps[i])
+def split(n: int, i: int, x: TropPoint, y: TropPoint, c: int) -> tuple[int, int]:
+    """The shadow (C1, C2) of the parameter split of e_i^C on the pair (x, y).
 
-
-@functools.lru_cache(maxsize=None)
-def ud_tensor_coeffs(n: int, i: int) -> tuple[TropExpr, TropExpr]:
-    """Tropical split of the action parameter on a product.
-
-    Compiles to C1 = max(C + Phi_i(x), E_i(y)) - max(Phi_i(x), E_i(y)) and
-    C2 = C - C1, so C1 + C2 = C identically; at C = 1 whichever of
-    Phi_i(x), E_i(y) is strictly larger receives the whole increment, ties
-    going to the left factor.
+    It reads C1 = max(C + Phi_i(x), E_i(y)) - max(Phi_i(x), E_i(y)) and
+    C2 = C - C1; at C = 1 whichever of Phi_i(x), E_i(y) is strictly larger
+    receives the whole increment, ties going to the left factor.
     """
-    model = affine_a_model(n, Fraction(1))
-    c1, c2 = product_split_exprs(model, model, i)
-    return _silent_tropicalize(c1), _silent_tropicalize(c2)
+    env = pack_pair(x, y)
+    env[SCALAR] = c
+    c1, c2 = run_maxplus(split_program(n, i), env)
+    return c1, c2
 
 
-def ud_product_operator(n: int, i: int) -> "TropPairMap":
-    return TropPairMap(n, ud_tensor_coeffs(n, i), ud_crystal_operator(n, i))
-
-
-@dataclass(frozen=True)
-class TropPairMap:
-    """Tropical action on a pair of torus points via the parameter split."""
-
-    n: int
-    coeffs: tuple[TropExpr, TropExpr]
-    factor_op: TropMap
-
-    def split(self, x: TropPoint, y: TropPoint, c: int) -> tuple[int, int]:
-        env = {f"{k}{LEFT_SUFFIX}": v for k, v in x.items()}
-        env.update({f"{k}{RIGHT_SUFFIX}": v for k, v in y.items()})
-        env[UD_SCALAR] = c
-        c1 = trop_eval(self.coeffs[0], env)
-        c2 = trop_eval(self.coeffs[1], env)
-        return c1, c2
-
-    def apply(self, x: TropPoint, y: TropPoint, c: int) -> tuple[TropPoint, TropPoint]:
-        c1, c2 = self.split(x, y, c)
-        return self.factor_op.apply(x, **{UD_SCALAR: c1}), self.factor_op.apply(
-            y, **{UD_SCALAR: c2}
-        )
-
-
-@functools.lru_cache(maxsize=None)
-def combinatorial_r(n: int) -> tuple[TropMap, TropMap]:
-    """Tropical shadow of the birational R map, as (left outputs, right outputs).
-
-    Components are l'_i = m_i + UDP_i - UDP_{i-1} and m'_i = l_i + UDP_{i-1}
-    - UDP_i where UDP_i is the max over the window sums of the rational P_i.
-    """
-    inst = unit_r_map(n)
-    l_out = {
-        f"l{k}": _silent_tropicalize(inst.l_out[k - 1]) for k in range(1, n + 2)
-    }
-    m_out = {
-        f"l{k}": _silent_tropicalize(inst.m_out[k - 1]) for k in range(1, n + 2)
-    }
-    return TropMap(l_out), TropMap(m_out)
+def pair_shadow(n: int, i: int, x: TropPoint, y: TropPoint, c: int) -> tuple[TropPoint, TropPoint]:
+    """The shadow of e_i^C on a pair: the split, then each factor's own shadow."""
+    c1, c2 = split(n, i, x, y, c)
+    return shadow(n, i, x, c1), shadow(n, i, y, c2)
 
 
 def apply_combinatorial_r(n: int, l: TropPoint, m: TropPoint) -> tuple[TropPoint, TropPoint]:
@@ -386,58 +308,57 @@ def _pair_bounds(n: int, box: int, *scalars: str) -> dict[str, tuple[int, int]]:
 
 def check_gamma_shadow(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
     """gamma_j after the C-shadow of e_i equals gamma_j + a_ij * C."""
-    cartan = affine_a_model(n, Fraction(1)).cartan
+    model = unit_torus(n)
+    cartan = model.cartan
     labels = cartan.labels
-    ops = {i: ud_crystal_operator(n, i) for i in labels}
-    gammas = {j: ud_gamma(n, j) for j in labels}
-    names = _coords(n)
+    names = model.variables
 
     def fn(point):
-        c = point[UD_SCALAR]
+        c = point[SCALAR]
         base = {k: point[k] for k in names}
         for i in labels:
-            moved = ops[i].apply(base, c=c)
+            moved = shadow(n, i, base, c)
             for j in labels:
-                if trop_eval(gammas[j], moved) != trop_eval(gammas[j], base) + cartan.a(i, j) * c:
+                gamma = model.gamma[j]
+                if trop_eval(gamma, moved) != trop_eval(gamma, base) + cartan.a(i, j) * c:
                     return {"i": i, "j": j, "point": base, "c": c}
         return None
 
-    return box_check(fn, dict.fromkeys(names + (UD_SCALAR,), (-box, box)), samples, seed)
+    return box_check(fn, dict.fromkeys(names + (SCALAR,), (-box, box)), samples, seed)
 
 
 def check_eps_shadow(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
     """eps_i drops by C under its own shadow; orthogonal shadows fix it."""
-    cartan = affine_a_model(n, Fraction(1)).cartan
+    model = unit_torus(n)
+    cartan = model.cartan
     labels = cartan.labels
-    ops = {i: ud_crystal_operator(n, i) for i in labels}
-    epss = {i: ud_eps(n, i) for i in labels}
-    names = _coords(n)
+    names = model.variables
 
     def fn(point):
-        c = point[UD_SCALAR]
+        c = point[SCALAR]
         base = {k: point[k] for k in names}
         for i in labels:
             for j in labels:
                 if i != j and not (cartan.a(i, j) == 0 and cartan.a(j, i) == 0):
                     continue
-                moved = ops[j].apply(base, c=c)
-                if trop_eval(epss[i], moved) != trop_eval(epss[i], base) - (c if i == j else 0):
+                moved = shadow(n, j, base, c)
+                eps = model.eps[i]
+                if trop_eval(eps, moved) != trop_eval(eps, base) - (c if i == j else 0):
                     return {"i": i, "j": j, "point": base, "c": c}
         return None
 
-    return box_check(fn, dict.fromkeys(names + (UD_SCALAR,), (-box, box)), samples, seed)
+    return box_check(fn, dict.fromkeys(names + (SCALAR,), (-box, box)), samples, seed)
 
 
 def check_operator_sum(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
     """The shadow operator preserves the coordinate sum and is additive in C."""
-    ops = {i: ud_crystal_operator(n, i) for i in range(n + 1)}
     names = _coords(n)
 
     def fn(point):
         base = {k: point[k] for k in names}
         c1, c2, i = point["c1"], point["c2"], point["i"]
-        joint = ops[i].apply(base, c=c1 + c2)
-        if ops[i].apply(ops[i].apply(base, c=c2), c=c1) != joint or sum(joint.values()) != sum(base.values()):
+        joint = shadow(n, i, base, c1 + c2)
+        if shadow(n, i, shadow(n, i, base, c2), c1) != joint or sum(joint.values()) != sum(base.values()):
             return {"i": i, "point": base, "c": (c1, c2)}
         return None
 
@@ -446,24 +367,33 @@ def check_operator_sum(n: int, box: int, samples: int, seed: int) -> CheckOutcom
 
 
 def check_split(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """C1 + C2 = C for the tensor parameter split."""
-    c1, c2 = ud_tensor_coeffs(n, 1)
-    return check_tropical_identity(TAdd(c1, c2), TVar(UD_SCALAR), -box, box, samples, seed)
+    """C1 + C2 = C for the tensor parameter split of every index."""
+    names = _coords(n)
+
+    def fn(point):
+        x, y = split_pair(point, names, names)
+        c = point[SCALAR]
+        for i in range(n + 1):
+            c1, c2 = split(n, i, x, y, c)
+            if c1 + c2 != c:
+                return {"i": i, "c": c, "x": x, "y": y, "split": (c1, c2)}
+        return None
+
+    return box_check(fn, _pair_bounds(n, box, SCALAR), samples, seed)
 
 
 def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
     """At C = +-1 exactly one tensor factor changes."""
-    pair_ops = {i: ud_product_operator(n, i) for i in range(n + 1)}
     names = _coords(n)
 
     def fn(point):
         x, y = split_pair(point, names, names)
         i = point["i"]
         for c in (1, -1):
-            c1, c2 = pair_ops[i].split(x, y, c)
+            c1, c2 = split(n, i, x, y, c)
             if sorted((c1, c2)) != sorted((c, 0)):
                 return {"i": i, "c": c, "split": (c1, c2)}
-            x2, y2 = pair_ops[i].apply(x, y, c)
+            x2, y2 = pair_shadow(n, i, x, y, c)
             if (x2 != x) + (y2 != y) != 1:
                 return {"i": i, "c": c, "x": x, "y": y}
         return None
@@ -496,13 +426,13 @@ def check_r_invariant(n: int, box: int, samples: int, seed: int, which: str = "e
     if which == "product-eps":
         sys_lm, sys_ml = product_systems(n, Fraction(1), Fraction(1))
         key = "interval"
-        before = {J: _silent_tropicalize(sys_lm.eps_at(*J)) for J in sys_lm.intervals()}
-        after = {J: _silent_tropicalize(sys_ml.eps_at(*J)) for J in sys_ml.intervals()}
+        before = {J: sys_lm.eps_at(*J) for J in sys_lm.intervals()}
+        after = {J: sys_ml.eps_at(*J) for J in sys_ml.intervals()}
     else:
-        model = affine_a_model(n, Fraction(1))
+        model = unit_torus(n)
         z = product(model, model)
         key = "i"
-        before = after = {i: _silent_tropicalize(getattr(z, which)[i]) for i in z.cartan.labels}
+        before = after = {i: getattr(z, which)[i] for i in z.cartan.labels}
     names = _coords(n)
 
     def fn(point):
@@ -518,19 +448,18 @@ def check_r_invariant(n: int, box: int, samples: int, seed: int, which: str = "e
 
 def check_r_commutation(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
     """The combinatorial R commutes with the tensor shadow operators."""
-    pair_ops = {i: ud_product_operator(n, i) for i in range(n + 1)}
     names = _coords(n)
 
     def fn(point):
         x, y = split_pair(point, names, names)
-        c, i = point[UD_SCALAR], point["i"]
-        lhs = apply_combinatorial_r(n, *pair_ops[i].apply(x, y, c))
-        rhs = pair_ops[i].apply(*apply_combinatorial_r(n, x, y), c)
+        c, i = point[SCALAR], point["i"]
+        lhs = apply_combinatorial_r(n, *pair_shadow(n, i, x, y, c))
+        rhs = pair_shadow(n, i, *apply_combinatorial_r(n, x, y), c)
         if lhs != rhs:
             return {"i": i, "c": c, "x": x, "y": y}
         return None
 
-    return box_check(fn, _pair_bounds(n, box, UD_SCALAR) | {"i": (0, n)}, samples, seed)
+    return box_check(fn, _pair_bounds(n, box, SCALAR) | {"i": (0, n)}, samples, seed)
 
 
 def check_r_braid(n: int, box: int, samples: int, seed: int) -> CheckOutcome:

@@ -1,4 +1,4 @@
-"""Every ud and borel-oracle check can fail.
+"""Every ud, borel-oracle, rmap and invariance check can fail.
 
 Each defect below is planted by monkeypatching one building block; the
 suite is then run and every check the defect should break must report
@@ -10,34 +10,29 @@ depends on the sampled stream; their rows are pinned.
 import pytest
 
 import gcrystal.models as models
+import gcrystal.rmap as rmap
 import gcrystal.ud as ud
 from gcrystal.expr import const, mul
 from gcrystal.harness import REGISTRY, run_suite
 
-TRUE_OP = ud.ud_crystal_operator
+TRUE_SHADOW = ud.shadow
 TRUE_R = ud.apply_combinatorial_r
-TRUE_COEFFS = ud.ud_tensor_coeffs
+TRUE_SPLIT = ud.split
+TRUE_APPLY_R = rmap.apply_r
 TRUE_ACTION = models.borel_action
 TRUE_MATRIX_ACTION = models.borel_apply_e_matrix
 TRUE_ENTRY = models.BorelElement.eps_entry
 TRUE_MINOR = models.BorelElement.minor
 
 
-class BentOperator:
-    """The shadow operator, except that l1 gains 1 whenever C > threshold."""
-
-    def __init__(self, op, threshold):
-        self.op, self.threshold = op, threshold
-
-    def apply(self, point, **params):
-        out = self.op.apply(point, **params)
-        if params[ud.UD_SCALAR] > self.threshold:
-            out = {**out, "l1": out["l1"] + 1}
-        return out
-
-
 def bent_operator(threshold):
-    return lambda mp: mp.setattr(ud, "ud_crystal_operator", lambda n, i: BentOperator(TRUE_OP(n, i), threshold))
+    """The shadow of e_i^C, except that l1 gains 1 whenever C > threshold."""
+
+    def shadow(n, i, point, c):
+        out = TRUE_SHADOW(n, i, point, c)
+        return {**out, "l1": out["l1"] + 1} if c > threshold else out
+
+    return lambda mp: mp.setattr(ud, "shadow", shadow)
 
 
 def bent_r(mp):
@@ -52,12 +47,31 @@ def bent_r(mp):
     mp.setattr(ud, "apply_combinatorial_r", r)
 
 
-def bent_split(mp):
-    def coeffs(n, i):
-        c1, c2 = TRUE_COEFFS(n, i)
-        return ud.TAdd(c1, ud.TConst(1)), c2
+def bent_split(only=None):
+    """The split shadow with C1 raised by 1 at index ``only`` (at every index if None)."""
 
-    mp.setattr(ud, "ud_tensor_coeffs", coeffs)
+    def split(n, i, x, y, c):
+        c1, c2 = TRUE_SPLIT(n, i, x, y, c)
+        return (c1 + 1, c2) if only is None or i == only else (c1, c2)
+
+    return lambda mp: mp.setattr(ud, "split", split)
+
+
+def scaled_r(compensated):
+    """The rational R with l'_k scaled by 2^k; ``compensated`` divides m'_k by 2^k.
+
+    The compensated bend keeps every pair product l'_k m'_k, so the product
+    gamma (a product of coordinate ratios) does not see it.
+    """
+
+    def apply_r(inst, l, m):
+        l2, m2 = TRUE_APPLY_R(inst, l, m)
+        l2 = {name: v * 2**k for k, (name, v) in enumerate(l2.items(), start=1)}
+        if compensated:
+            m2 = {name: v / 2**k for k, (name, v) in enumerate(m2.items(), start=1)}
+        return l2, m2
+
+    return lambda mp: mp.setattr(rmap, "apply_r", apply_r)
 
 
 def bent_residual(mp):
@@ -88,6 +102,9 @@ def bent_minor(mp):
 
 UD = ("ud", {"trials": 200})
 BOREL = ("borel-oracle", {"n": 2, "trials": 5})
+RMAP = ("rmap", {"trials": 5})
+INVARIANCE = ("invariance", {"trials": 5})
+RMAP_CHECKS = {c for c, info in REGISTRY.items() if info.suite == "rmap"}
 
 # defect name -> (plant, suite run, checks that must fail)
 DEFECTS = {
@@ -102,12 +119,16 @@ DEFECTS = {
         UD,
         {"ud-levels", "ud-r-eps", "ud-r-gamma", "ud-r-commutation", "ud-r-braid", "ud-product-eps-shadow"},
     ),
-    "split": (bent_split, UD, {"ud-split"}),
+    "split": (bent_split(), UD, {"ud-split"}),
+    "split-index-0": (bent_split(0), UD, {"ud-split"}),
     "residual": (bent_residual, BOREL, {"borel-residual"}),
     "borel-action": (bent_borel_action, BOREL, {"borel-display", "borel-matrix-action"}),
     "matrix-action": (bent_matrix_action, BOREL, {"borel-matrix-action"}),
     "entry": (bent_entry, BOREL, {"borel-eps-entries", "borel-mult-eps", "borel-product-eps"}),
     "minor": (bent_minor, BOREL, {"borel-minor", "borel-product-eps-star"}),
+    "scaled-r": (scaled_r(True), RMAP, RMAP_CHECKS - {"rmap-gamma-preserved"}),
+    "scaled-r-uncompensated": (scaled_r(False), RMAP, {"rmap-gamma-preserved"}),
+    "scaled-r-invariance": (scaled_r(True), INVARIANCE, {"inv-eps", "inv-eps-star"}),
 }
 
 # (check, subject, verdict, trials) of every row under the partial defects,
@@ -165,9 +186,10 @@ PINNED = {
 }
 
 
-def test_defects_cover_every_ud_and_borel_check():
+def test_defects_cover_every_check_of_the_planted_suites():
     covered = set().union(*(checks for _, _, checks in DEFECTS.values()))
-    assert covered == {c for c, info in REGISTRY.items() if info.suite in ("ud", "borel-oracle")}
+    suites = ("ud", "borel-oracle", "rmap", "invariance")
+    assert covered == {c for c, info in REGISTRY.items() if info.suite in suites}
 
 
 @pytest.mark.parametrize("defect", list(DEFECTS))

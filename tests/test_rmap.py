@@ -9,11 +9,10 @@ from gcrystal.rmap import (
     check_commutation,
     check_cyclic_shift,
     check_diagonal_identity,
-    check_eps_preserved,
     check_epsilon_invariance,
     check_fixed_point,
-    check_gamma_preserved,
     check_level_swap,
+    check_preserved,
     homogeneous_point,
     p_expr,
     uniqueness_probe,
@@ -72,8 +71,8 @@ def test_commutation_all_indices(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_eps_and_gamma_preserved(n):
     for i in range(n + 1):
-        assert check_eps_preserved(n, rat(4), rat(9), i, 40).ok
-        assert check_gamma_preserved(n, rat(4), rat(9), i, 40).ok
+        assert check_preserved(n, rat(4), rat(9), i, "eps", 40).ok
+        assert check_preserved(n, rat(4), rat(9), i, "gamma", 40).ok
 
 
 def test_braid_consistency():

@@ -1,9 +1,12 @@
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from gcrystal.expr import parse
+from gcrystal.crystal import pack_pair, product, product_split_exprs
+from gcrystal.expr import mul, parse, pow_, substitute, var
+from gcrystal.rmap import product_systems, unit_r_map
 from gcrystal.ud import (
     NonUnitConstantWarning,
     TAdd,
@@ -14,17 +17,15 @@ from gcrystal.ud import (
     TropicalizationError,
     apply_combinatorial_r,
     check_tropical_identity,
-    combinatorial_r,
+    pair_shadow,
+    reference_trop_eval,
+    shadow,
+    split,
     trop_eval,
-    trop_free_variables,
     trop_pretty,
     trop_to_json_obj,
     tropicalize,
-    ud_crystal_operator,
-    ud_eps,
-    ud_gamma,
-    ud_product_operator,
-    ud_tensor_coeffs,
+    unit_torus,
 )
 
 
@@ -36,9 +37,9 @@ def test_quotient_compiles_to_difference():
 
 
 def test_sum_compiles_to_max_idempotently():
-    t = tropicalize(parse("x + x"))
-    assert t == TMax(TVar("x"), TVar("x"))
-    assert trop_eval(t, {"x": 9}) == 9
+    e = parse("x + x")
+    assert tropicalize(e) == TMax(TVar("x"), TVar("x"))
+    assert trop_eval(e, {"x": 9}) == 9
 
 
 def test_two_term_window_sum_compiles_to_max_of_sums():
@@ -83,20 +84,17 @@ def test_trop_json_and_pretty():
     t = tropicalize(parse("l1/l2 + l3"))
     assert trop_pretty(t) == "max(l1 - l2, l3)"
     assert trop_to_json_obj(t)["op"] == "max"
-    assert trop_free_variables(t) == {"l1", "l2", "l3"}
 
 
 # --- identity checking ----------------------------------------------------------------
 
 
 def test_translation_invariance_of_max():
-    t1 = tropicalize(parse("(x + y)*z"))
-    t2 = tropicalize(parse("x*z + y*z"))
-    assert check_tropical_identity(t1, t2, samples=300).ok
+    assert check_tropical_identity(parse("(x + y)*z"), parse("x*z + y*z"), samples=300).ok
 
 
 def test_distinct_programs_detected():
-    verdict = check_tropical_identity(TMax(TVar("x"), TVar("y")), TAdd(TVar("x"), TVar("y")), samples=100)
+    verdict = check_tropical_identity(parse("x + y"), parse("x*y"), samples=100)
     assert not verdict.ok
     point, lhs, rhs = (verdict.witness[k] for k in ("point", "lhs", "rhs"))
     assert max(point["x"], point["y"]) == lhs and point["x"] + point["y"] == rhs
@@ -106,109 +104,95 @@ def test_distinct_programs_detected():
 
 
 def test_operator_shifts_adjacent_slots():
-    op = ud_crystal_operator(2, 1)
     point = {"l1": 3, "l2": -1, "l3": 5}
-    assert op.apply(point, c=4) == {"l1": 7, "l2": -5, "l3": 5}
+    assert shadow(2, 1, point, 4) == {"l1": 7, "l2": -5, "l3": 5}
 
 
 def test_operator_index_zero_wraps():
-    op = ud_crystal_operator(2, 0)
     point = {"l1": 3, "l2": -1, "l3": 5}
-    assert op.apply(point, c=2) == {"l1": 1, "l2": -1, "l3": 7}
+    assert shadow(2, 0, point, 2) == {"l1": 1, "l2": -1, "l3": 7}
 
 
 def test_operator_zero_is_identity_and_additive():
-    op = ud_crystal_operator(3, 2)
     rng = random.Random(0)
     for _ in range(200):
         point = {f"l{k}": rng.randint(-50, 50) for k in range(1, 5)}
-        assert op.apply(point, c=0) == point
+        assert shadow(3, 2, point, 0) == point
         c1, c2 = rng.randint(-20, 20), rng.randint(-20, 20)
-        assert op.apply(op.apply(point, c=c2), c=c1) == op.apply(point, c=c1 + c2)
-        assert sum(op.apply(point, c=c1).values()) == sum(point.values())
+        assert shadow(3, 2, shadow(3, 2, point, c2), c1) == shadow(3, 2, point, c1 + c2)
+        assert sum(shadow(3, 2, point, c1).values()) == sum(point.values())
 
 
 def test_gamma_shadow_scaling_as_composed_programs():
-    # compose UD(gamma_j) with the shadow operator symbolically and compare
-    # against UD(gamma_j) + a_ij * C as piecewise-linear programs
-    from fractions import Fraction
-
-    from gcrystal.models import affine_a_model
-    from gcrystal.ud import trop_substitute
-
+    # compose gamma_j with the action of e_i symbolically and compare the
+    # (max, +) readings of gamma_j o e_i^c and gamma_j * c^a_ij, that is
+    # UD(gamma_j) + a_ij * C, as piecewise-linear programs
     n = 2
-    cartan = affine_a_model(n, Fraction(1)).cartan
+    model = unit_torus(n)
     for i in range(n + 1):
-        op = ud_crystal_operator(n, i)
+        action = dict(zip(model.variables, model.actions[i]))
         for j in range(n + 1):
-            composed = trop_substitute(ud_gamma(n, j), op.exprs)
-            shift = ud_gamma(n, j)
-            a_ij = cartan.a(i, j)
-            for _ in range(abs(a_ij)):
-                shift = TAdd(shift, TVar("c")) if a_ij > 0 else TSub(shift, TVar("c"))
-            assert check_tropical_identity(composed, shift, samples=200).ok
+            composed = substitute(model.gamma[j], action)
+            shifted = mul(model.gamma[j], pow_(var("c"), model.cartan.a(i, j)))
+            assert check_tropical_identity(composed, shifted, samples=200).ok
 
 
 def test_gamma_shadow_scaling():
     n = 2
     rng = random.Random(1)
-    ops = {i: ud_crystal_operator(n, i) for i in range(n + 1)}
-    from gcrystal.models import affine_a_model
-    from fractions import Fraction
-
-    cartan = affine_a_model(n, Fraction(1)).cartan
+    model = unit_torus(n)
     for _ in range(300):
         point = {f"l{k}": rng.randint(-50, 50) for k in range(1, n + 2)}
         c = rng.randint(-10, 10)
         for i in range(n + 1):
-            moved = ops[i].apply(point, c=c)
+            moved = shadow(n, i, point, c)
             for j in range(n + 1):
-                assert trop_eval(ud_gamma(n, j), moved) == trop_eval(
-                    ud_gamma(n, j), point
-                ) + cartan.a(i, j) * c
+                gamma = model.gamma[j]
+                assert trop_eval(gamma, moved) == trop_eval(gamma, point) + model.cartan.a(i, j) * c
 
 
 def test_eps_shadow_drop():
     n = 3
     rng = random.Random(2)
+    model = unit_torus(n)
     for _ in range(200):
         point = {f"l{k}": rng.randint(-50, 50) for k in range(1, n + 2)}
         c = rng.randint(-10, 10)
         for i in range(n + 1):
-            moved = ud_crystal_operator(n, i).apply(point, c=c)
-            assert trop_eval(ud_eps(n, i), moved) == trop_eval(ud_eps(n, i), point) - c
+            moved = shadow(n, i, point, c)
+            assert trop_eval(model.eps[i], moved) == trop_eval(model.eps[i], point) - c
 
 
 # --- tensor split -----------------------------------------------------------------------
 
 
 def test_split_sums_to_c():
-    c1, c2 = ud_tensor_coeffs(2, 1)
-    assert check_tropical_identity(TAdd(c1, c2), TVar("c"), samples=500).ok
+    model = unit_torus(2)
+    for i in range(3):
+        c1, c2 = product_split_exprs(model, model, i)
+        assert check_tropical_identity(mul(c1, c2), var("c"), samples=500).ok
 
 
 def test_split_case_analysis():
     # at C = 1 the larger of Phi(x), E(y) receives the increment
-    pair = ud_product_operator(1, 1)
     x = {"l1": 10, "l2": 0}   # Phi_1(x) = l1 = 10
     y = {"l1": 0, "l2": 3}    # E_1(y) = l2 = 3
-    assert pair.split(x, y, 1) == (1, 0)
+    assert split(1, 1, x, y, 1) == (1, 0)
     y_big = {"l1": 0, "l2": 30}
-    assert pair.split(x, y_big, 1) == (0, 1)
+    assert split(1, 1, x, y_big, 1) == (0, 1)
     tie = {"l1": 0, "l2": 10}
-    assert pair.split(x, tie, 1) == (1, 0)  # ties go to the left factor
+    assert split(1, 1, x, tie, 1) == (1, 0)  # ties go to the left factor
 
 
 def test_dichotomy_at_unit_parameters():
     rng = random.Random(3)
-    pair = ud_product_operator(2, 0)
     for _ in range(1000):
         x = {f"l{k}": rng.randint(-50, 50) for k in (1, 2, 3)}
         y = {f"l{k}": rng.randint(-50, 50) for k in (1, 2, 3)}
         for c in (1, -1):
-            c1, c2 = pair.split(x, y, c)
+            c1, c2 = split(2, 0, x, y, c)
             assert sorted((c1, c2)) == sorted((c, 0))
-            x2, y2 = pair.apply(x, y, c)
+            x2, y2 = pair_shadow(2, 0, x, y, c)
             assert (x2 != x) + (y2 != y) == 1
 
 
@@ -216,13 +200,12 @@ def test_dichotomy_at_unit_parameters():
 
 
 def test_combinatorial_r_window_program():
-    left, _ = combinatorial_r(1)
     # l'_1 = m_1 + UDP_1 - UDP_0 with UDP_i a max of two window sums
-    t = left.exprs["l1"]
+    e = unit_r_map(1).l_out[0]
     env = {"l1": 0, "l2": 4, "m1": 2, "m2": 3}
     udp0 = max(0 + 4 + 2, 4 + 2 + 3)
     udp1 = max(4 + 0 + 3, 0 + 3 + 2)
-    assert trop_eval(t, env) == 2 + udp1 - udp0
+    assert trop_eval(e, env) == 2 + udp1 - udp0
 
 
 def test_combinatorial_r_homogeneous_fixed_point():
@@ -264,32 +247,54 @@ def test_combinatorial_r_braid():
 def test_combinatorial_r_commutes_with_shadows():
     rng = random.Random(6)
     n = 2
-    ops = {i: ud_product_operator(n, i) for i in range(n + 1)}
     for _ in range(200):
         x = {f"l{k}": rng.randint(-30, 30) for k in range(1, n + 2)}
         y = {f"l{k}": rng.randint(-30, 30) for k in range(1, n + 2)}
         c = rng.randint(-10, 10)
         i = rng.randrange(n + 1)
-        ax, ay = ops[i].apply(x, y, c)
+        ax, ay = pair_shadow(n, i, x, y, c)
         rx, ry = apply_combinatorial_r(n, x, y)
-        assert apply_combinatorial_r(n, ax, ay) == ops[i].apply(rx, ry, c)
+        assert apply_combinatorial_r(n, ax, ay) == pair_shadow(n, i, rx, ry, c)
 
 
-def test_compiled_maps_match_the_reference_walker():
-    from gcrystal.ud import reference_trop_eval
+# --- the readings against the reference walker -------------------------------------------
 
-    rng = random.Random(7)
-    for n in (1, 2, 3):
-        left, right = combinatorial_r(n)
-        op = ud_crystal_operator(n, 1)
-        for _ in range(50):
-            l = {f"l{k}": rng.randint(-50, 50) for k in range(1, n + 2)}
-            m = {f"l{k}": rng.randint(-50, 50) for k in range(1, n + 2)}
-            env = l | {f"m{k}": m[f"l{k}"] for k in range(1, n + 2)}
-            expected = (
-                {name: reference_trop_eval(t, env) for name, t in left.exprs.items()},
-                {name: reference_trop_eval(t, env) for name, t in right.exprs.items()},
+
+def _reference(exprs, point):
+    """reference_trop_eval(tropicalize(e)) of each expression, as a list."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitConstantWarning)
+        return [reference_trop_eval(tropicalize(e), point) for e in exprs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_readings_match_the_reference_walker(n):
+    rng = random.Random(7 + n)
+    model = unit_torus(n)
+    z = product(model, model)
+    sys_lm, sys_ml = product_systems(n, Fraction(1), Fraction(1))
+    inst = unit_r_map(n)
+    names = model.variables
+    for _ in range(50):
+        x = {v: rng.randint(-50, 50) for v in names}
+        y = {v: rng.randint(-50, 50) for v in names}
+        c = rng.randint(-20, 20)
+        pair = pack_pair(x, y)
+        for i in model.cartan.labels:
+            assert shadow(n, i, x, c) == dict(zip(names, _reference(model.actions[i], x | {"c": c})))
+            split_exprs = product_split_exprs(model, model, i)
+            assert list(split(n, i, x, y, c)) == _reference(split_exprs, pair | {"c": c})
+            assert pack_pair(*pair_shadow(n, i, x, y, c)) == dict(
+                zip(z.variables, _reference(z.actions[i], pair | {"c": c}))
             )
-            assert apply_combinatorial_r(n, l, m) == expected
-            moved = {name: reference_trop_eval(t, l | {"c": 3}) for name, t in op.exprs.items()}
-            assert op.apply(l, c=3) == moved
+            for e in (model.gamma[i], model.eps[i], z.gamma[i], z.eps[i]):
+                assert [trop_eval(e, pair | x)] == _reference([e], pair | x)
+        for system in (sys_lm, sys_ml):
+            table = [system.eps_at(*J) for J in system.intervals()]
+            assert [trop_eval(e, pair) for e in table] == _reference(table, pair)
+        env = x | {f"m{k}": y[f"l{k}"] for k in range(1, n + 2)}
+        expected = _reference(inst.l_out + inst.m_out, env)
+        assert apply_combinatorial_r(n, x, y) == (
+            dict(zip(names, expected[: n + 1])),
+            dict(zip(names, expected[n + 1 :])),
+        )
