@@ -13,26 +13,29 @@ Everything is an immutable expression tree, so the same data feeds exact
 pointwise checking here and the tropicalization pass elsewhere.  All the
 axiom checkers in this module work by exact evaluation at random rational
 points: they sample coordinates and group parameters, push points through
-the action, and demand equality of ``Fraction`` values on the nose.
+the action, and demand equality of ``Fraction`` values on the nose.  Each
+one is a :func:`pointwise_check` (the one sampled-check loop, defined in
+:mod:`gcrystal.expr` and re-exported here) and returns its
+:class:`CheckOutcome`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .arith import Assignment, SampleSpec, product as fraction_product, sample_point
-from .expr import (
+from .expr import (  # CheckOutcome and pointwise_check are re-exported
+    CheckOutcome,
     Program,
     RatExpr,
-    Verdict,
     add,
     div,
     evaluate,
     identical_on_domain,
     mul,
-    pole_free_points,
+    pointwise_check,
     program_for,
     rename_variables,
     run,
@@ -186,37 +189,6 @@ def apply_word(model: CrystalModel, word, x: Assignment) -> Assignment:
 # --- pointwise checking ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    """Result of a sampled exact check; ``witness`` explains the first failure."""
-
-    ok: bool
-    trials: int
-    witness: dict | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def pointwise_check(
-    fn: Callable[[Assignment], dict | None],
-    spec: SampleSpec,
-    trials: int,
-) -> CheckOutcome:
-    """Run ``fn`` at ``trials`` sampled points, resampling on poles.
-
-    ``fn`` returns ``None`` on success and a witness dict on failure; it may
-    raise :class:`EvalDomainError` to request a fresh point.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    for done, (_point, witness) in enumerate(pole_free_points(spec, fn), start=1):
-        if witness is not None:
-            return CheckOutcome(False, done, witness)
-        if done == trials:
-            return CheckOutcome(True, trials)
-
-
 def _split_scalars(point: Assignment, names: tuple[str, ...]) -> tuple[Assignment, list[Fraction]]:
     scalars = [point[s] for s in names]
     x = {k: v for k, v in point.items() if k not in names}
@@ -284,11 +256,11 @@ def check_gamma_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, 
 def check_eps_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """eps_i(e_i^c x) = c^{-1} eps_i(x); eps_i(e_j^c x) = eps_i(x) when a_ij = a_ji = 0.
 
-    For pairs that are neither equal nor mutually orthogonal there is no
-    clause to check, and the outcome is vacuously true with zero trials.
+    Pairs that are neither equal nor mutually orthogonal have no clause to
+    check and are refused.
     """
     if i != j and not (model.cartan.a(i, j) == 0 and model.cartan.a(j, i) == 0):
-        return CheckOutcome(True, 0)
+        raise ValueError("eps scaling is checked for i = j and for orthogonal pairs only")
 
     def fn(point):
         x, (c,) = _split_scalars(point, ("s1",))
@@ -474,14 +446,14 @@ def check_product_formula(
 
 def check_product_split(
     z: CrystalModel, x_model: CrystalModel, y_model: CrystalModel, trials: int = 100, seed: int = 0
-) -> Verdict:
+) -> CheckOutcome:
     """c1 c2 = c for the parameter split of every index of ``z = product(x_model, y_model)``."""
     for i in z.cartan.labels:
         c1, c2 = product_split_exprs(x_model, y_model, i)
-        verdict = identical_on_domain(mul(c1, c2), var(SCALAR), z.domain_spec(seed, extra=(SCALAR,)), trials)
-        if not verdict:
-            return verdict
-    return verdict
+        outcome = identical_on_domain(mul(c1, c2), var(SCALAR), z.domain_spec(seed, extra=(SCALAR,)), trials)
+        if not outcome.ok:
+            return outcome
+    return outcome
 
 
 def check_product_associativity(

@@ -34,22 +34,22 @@ from typing import Mapping
 from .crystal import (
     LEFT_SUFFIX,
     RIGHT_SUFFIX,
-    CheckOutcome,
     CrystalModel,
     apply_e,
     apply_word,
     composition_words,
-    pointwise_check,
     _split_scalars,
 )
 from .expr import (
+    CheckOutcome,
     RatExpr,
-    Verdict,
     const,
     div,
     evaluate,
     free_variables,
+    identical_on_domain,
     mul,
+    pointwise_check,
     prod,
     rename_variables,
     sub,
@@ -172,15 +172,15 @@ def check_alternating_identities(
     interval: Interval,
     trials: int = 100,
     seed: int = 0,
-) -> Verdict:
+) -> CheckOutcome:
     """Both alternating convolutions over ``interval`` must vanish identically."""
     a, b = interval
     spec = model.domain_spec(seed)
     for first_starred in (False, True):
-        verdict = vanishes_on_domain(_alternating_sum(first_starred, system, a, b), spec, trials)
-        if not verdict:
-            return verdict
-    return Verdict(True, trials)
+        outcome = vanishes_on_domain(_alternating_sum(first_starred, system, a, b), spec, trials)
+        if not outcome.ok:
+            return outcome
+    return outcome
 
 
 def check_partition_sum(
@@ -189,10 +189,8 @@ def check_partition_sum(
     interval: Interval,
     trials: int = 100,
     seed: int = 0,
-) -> Verdict:
+) -> CheckOutcome:
     """The stored eps*_J must equal the alternating partition sum of the eps table."""
-    from .expr import identical_on_domain
-
     expected = eps_star_from_eps(system.eps, interval)
     return identical_on_domain(system.eps_star[interval], expected, model.domain_spec(seed), trials)
 
@@ -228,17 +226,16 @@ def _transformed_eps(system: EpsilonSystem, a: int, b: int, p: int, c: Fraction,
 def check_epsilon_axiom(
     system: EpsilonSystem,
     model: CrystalModel,
-    interval: Interval | None = None,
     trials: int = 100,
     seed: int = 0,
 ) -> CheckOutcome:
     """Exercise the action table against every chain index, by evaluation.
 
-    With ``interval=None`` all intervals are verified at each sampled point
-    (one action application per index serves every table lookup, which is
-    what keeps the large models affordable).
+    All intervals are verified at each sampled point (one action
+    application per index serves every table lookup, which is what keeps
+    the large models affordable).
     """
-    intervals = system.intervals() if interval is None else [interval]
+    intervals = system.intervals()
 
     def fn(point):
         x, (c,) = _split_scalars(point, ("s1",))
@@ -269,19 +266,18 @@ def check_well_defined(
     model: CrystalModel,
     i: int,
     j: int,
-    interval: Interval | None = None,
     trials: int = 100,
     seed: int = 0,
 ) -> CheckOutcome:
     """eps_J and eps*_J agree along both sides of the (i, j) composition relation.
 
-    ``interval=None`` checks every interval at each sampled point.
+    Every interval is checked at each sampled point.
     """
     a_ij, a_ji = model.cartan.a(i, j), model.cartan.a(j, i)
     if (a_ij, a_ji) not in ((0, 0), (-1, -1)):
         raise ValueError("well-definedness is checked for commuting and braid pairs only")
     left, right = composition_words(i, j, a_ij, a_ji)
-    intervals = system.intervals() if interval is None else [interval]
+    intervals = system.intervals()
 
     def fn(point):
         x, (c1, c2) = _split_scalars(point, ("s1", "s2"))
@@ -312,10 +308,8 @@ def check_pair_identity(
     a: int,
     trials: int = 100,
     seed: int = 0,
-) -> Verdict:
+) -> CheckOutcome:
     """eps_[a,a+1] + eps*_[a,a+1] = eps_a * eps_{a+1} (adjacent-pair identity)."""
-    from .expr import identical_on_domain
-
     lhs = system.eps_at(a, a + 1) + system.star_at(a, a + 1)
     rhs = mul(system.eps_at(a, a), system.eps_at(a + 1, a + 1))
     return identical_on_domain(lhs, rhs, model.domain_spec(seed), trials)
@@ -323,19 +317,15 @@ def check_pair_identity(
 
 def check_epsilon_system(
     system: EpsilonSystem, model: CrystalModel, trials: int = 100, seed: int = 0
-) -> CheckOutcome | Verdict:
+) -> CheckOutcome:
     """The action table, then the partition sum and both alternating identities on every interval."""
-    out = check_epsilon_axiom(system, model, None, trials, seed)
-    if not out.ok:
-        return out
+    outcome = check_epsilon_axiom(system, model, trials, seed)
     for interval in system.intervals():
-        for verdict in (
-            check_partition_sum(system, model, interval, trials, seed),
-            check_alternating_identities(system, model, interval, trials, seed),
-        ):
-            if not verdict:
-                return verdict
-    return out
+        for check in (check_partition_sum, check_alternating_identities):
+            if not outcome.ok:
+                return outcome
+            outcome = check(system, model, interval, trials, seed)
+    return outcome
 
 
 # --- products and restrictions -----------------------------------------------------

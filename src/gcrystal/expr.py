@@ -26,7 +26,9 @@ rational constant, so ``5/7`` is the literal five-sevenths.
 Identity testing is exact evaluation at random rational points: two
 expressions are declared equal on a domain when they agree exactly at
 every sampled point, and a single exact mismatch is a counterexample.
-There is no simplifier; exactness does all the work.
+There is no simplifier; exactness does all the work.  Every sampled
+check of the library, identity tests included, runs through the one loop
+:func:`pointwise_check` and returns a :class:`CheckOutcome`.
 
 Evaluation does not walk trees: :func:`compile_program` value-numbers
 trees into a straight-line :class:`Program`, which :func:`run` evaluates
@@ -36,11 +38,11 @@ exactly and :func:`run_maxplus` reads in (max, +).  The tree walker
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .arith import Assignment, DomainTooThinError, SampleSpec, sample_point
 
@@ -523,32 +525,23 @@ def evaluate(e: RatExpr, point: Assignment) -> Fraction:
     return run(tree_program(e), point)[0]
 
 
-# --- identity testing ---------------------------------------------------------
+# --- sampled checking -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Counterexample:
-    point: Assignment
-    lhs: Fraction
-    rhs: Fraction
+class CheckOutcome:
+    """Result of a sampled exact check; ``witness`` explains the first failure.
 
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of an exact identity test.
-
-    ``equal`` means every sampled point agreed exactly.  A single exact
-    mismatch produces ``equal=False`` with the witnessing point, so false
-    negatives are impossible; a false "equal" would require every sampled
-    point to land on a proper subvariety.
+    ``trials`` is the number of points checked: the requested count on a
+    pass, the index of the failing point on a failure.
     """
 
-    equal: bool
+    ok: bool
     trials: int
-    counterexample: Counterexample | None = None
+    witness: dict | None = None
 
     def __bool__(self):
-        return self.equal
+        return self.ok
 
 
 MAX_POLE_RETRIES = 100
@@ -579,32 +572,42 @@ def pole_free_points(spec: SampleSpec, attempt):
         yield point, result
 
 
-def sampled_values(exprs, spec: SampleSpec, trials: int):
-    """Yield ``trials`` tuples ``(point, values)`` at pole-free sampled points."""
-    programs = [tree_program(e) for e in exprs]
+def pointwise_check(fn: Callable[[Assignment], dict | None], spec: SampleSpec, trials: int) -> CheckOutcome:
+    """Run ``fn`` at ``trials`` pole-free points sampled from ``spec``.
 
-    def values(point):
-        return [run(program, point)[0] for program in programs]
-
-    return itertools.islice(pole_free_points(spec, values), trials)
-
-
-def identical_on_domain(e1: RatExpr, e2: RatExpr, spec: SampleSpec, trials: int = 100) -> Verdict:
-    """Exact-evaluation equality test for two rational expressions."""
+    ``fn`` returns ``None`` on success and a witness dict on failure; it may
+    raise :class:`EvalDomainError` to request a fresh point.  This is the
+    one sampling loop of every rational check.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    for point, (lhs, rhs) in sampled_values([e1, e2], spec, trials):
-        if lhs != rhs:
-            return Verdict(False, trials, Counterexample(point, lhs, rhs))
-    return Verdict(True, trials)
+    for done, (_point, witness) in enumerate(pole_free_points(spec, fn), start=1):
+        if witness is not None:
+            return CheckOutcome(False, done, witness)
+        if done == trials:
+            return CheckOutcome(True, trials)
 
 
-def vanishes_on_domain(e: RatExpr, spec: SampleSpec, trials: int = 100) -> Verdict:
+def identical_on_domain(e1: RatExpr, e2: RatExpr, spec: SampleSpec, trials: int = 100) -> CheckOutcome:
+    """Exact-evaluation equality test; the witness is ``{point, lhs, rhs}``."""
+    programs = tree_program(e1), tree_program(e2)
+
+    def fn(point):
+        lhs, rhs = [run(program, point)[0] for program in programs]
+        return None if lhs == rhs else {"point": point, "lhs": lhs, "rhs": rhs}
+
+    return pointwise_check(fn, spec, trials)
+
+
+def vanishes_on_domain(e: RatExpr, spec: SampleSpec, trials: int = 100) -> CheckOutcome:
     """Check that ``e`` evaluates to exactly zero at every sampled point."""
-    for point, (value,) in sampled_values([e], spec, trials):
-        if value != 0:
-            return Verdict(False, trials, Counterexample(point, value, Fraction(0)))
-    return Verdict(True, trials)
+    program = tree_program(e)
+
+    def fn(point):
+        value = run(program, point)[0]
+        return None if value == 0 else {"point": point, "lhs": value, "rhs": Fraction(0)}
+
+    return pointwise_check(fn, spec, trials)
 
 
 # --- subtraction-freeness ------------------------------------------------------

@@ -1,17 +1,20 @@
-"""The verification suites: check registry, parameter parser and suite tables.
+"""The verification suites: check registry, parameter parser and suites.
 
 Every check has a stable id registered in :data:`REGISTRY` together with a
 one-line statement of the identity it verifies; the generated ledger in
 :mod:`gcrystal.ledger` is produced from the same table, so documentation
 cannot drift from what actually runs.  The check bodies live beside the
 objects they check (:mod:`gcrystal.crystal`, :mod:`gcrystal.epsilon`,
-:mod:`gcrystal.models`, :mod:`gcrystal.rmap`, :mod:`gcrystal.ud`); this
-module only decides which jobs run.
+:mod:`gcrystal.models`, :mod:`gcrystal.rmap`, :mod:`gcrystal.ud`) and all
+return one result type, :class:`gcrystal.expr.CheckOutcome`; this module
+only decides which jobs run.
 
 :func:`parse_params` validates every parameter before any job runs and
-raises :class:`SuiteError` on a bad one.  A suite then expands into jobs
-(one per model / index / size), each run with a seed derived
-deterministically from the suite seed and the job's name, and collects
+raises :class:`SuiteError` on a bad one.  A suite is then one function
+``(collector, params)`` that files its jobs (one per model / index /
+size): ``collector.run`` runs a check with a seed derived
+deterministically from the suite seed and the job's name, and
+``collector.record`` files a row the suite decides itself.  Both collect
 :class:`CheckResult` rows.  A failing or crashing job never aborts the
 suite; results are sorted by (check id, subject) so run order is
 irrelevant.
@@ -28,12 +31,10 @@ import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 from . import rmap, ud
 from .arith import DomainTooThinError
 from .crystal import (
-    CheckOutcome,
     applicable_pairs,
     check_action_identity,
     check_composition_relation,
@@ -57,7 +58,6 @@ from .epsilon import (
     product_epsilon,
     restrict_model,
 )
-from .expr import Verdict
 from .models import (
     D5_CHAINS,
     affine_a_local_system,
@@ -289,21 +289,6 @@ def _jsonable(value):
     return str(value)
 
 
-def _normalize(outcome) -> tuple[bool, int, dict | None]:
-    if isinstance(outcome, CheckOutcome):
-        return outcome.ok, outcome.trials, outcome.witness
-    if isinstance(outcome, Verdict):
-        detail = None
-        if outcome.counterexample is not None:
-            detail = {
-                "point": outcome.counterexample.point,
-                "lhs": outcome.counterexample.lhs,
-                "rhs": outcome.counterexample.rhs,
-            }
-        return outcome.equal, outcome.trials, detail
-    raise TypeError(f"unexpected outcome {outcome!r}")
-
-
 class _Collector:
     def __init__(self, suite: str, seed: int):
         self.suite = suite
@@ -311,18 +296,18 @@ class _Collector:
         self.results: list[CheckResult] = []
 
     def run(self, check: str, subject: str, fn):
-        """Run one job; failures and crashes are recorded, never raised."""
+        """Run one job ``fn(seed) -> CheckOutcome``; failures and crashes are recorded, never raised."""
         info = REGISTRY[check]
         seed = _job_seed(self.seed, check, subject)
         start = time.perf_counter()
         try:
-            ok, trials, witness = _normalize(fn(seed))
-            verdict = "pass" if ok else "fail"
-            note = ""
+            outcome = fn(seed)
+            verdict = "pass" if outcome.ok else "fail"
+            trials, witness, note = outcome.trials, outcome.witness, ""
         except DomainTooThinError as err:
-            ok, trials, witness, verdict, note = False, 0, None, "fail", str(err)
+            verdict, trials, witness, note = "fail", 0, None, str(err)
         except Exception as err:  # noqa: BLE001 - a crashing check is a failing check
-            ok, trials, witness, verdict, note = False, 0, None, "fail", f"{type(err).__name__}: {err}"
+            verdict, trials, witness, note = "fail", 0, None, f"{type(err).__name__}: {err}"
         elapsed = time.perf_counter() - start
         if verdict == "fail" and witness is None:
             witness = {"error": note}  # a failure always carries its evidence
@@ -483,7 +468,11 @@ def parse_params(suite: str, params: dict) -> Params:
     )
 
 
-# --- suites written as loops ---------------------------------------------------------
+# --- suites ----------------------------------------------------------------------------
+#
+# A suite is a function (collector, params) that files its jobs: col.run for a
+# sampled check, col.record for a row it decides itself (verma's skips, the
+# uniqueness probe).
 
 
 def _suite_verma(col: _Collector, p: Params) -> None:
@@ -543,7 +532,7 @@ def _suite_epsilon(col: _Collector, p: Params) -> None:
         if p.model not in (None, name):
             continue
         model, sy = build(p.L)
-        col.run("eps-action-table", name, lambda s: check_epsilon_axiom(sy, model, None, t, s))
+        col.run("eps-action-table", name, lambda s: check_epsilon_axiom(sy, model, t, s))
         for J in sy.intervals():
             col.run("eps-partition-sum", f"{name} J={J}", lambda s: check_partition_sum(sy, model, J, t, s))
             col.run(
@@ -559,7 +548,7 @@ def _suite_epsilon(col: _Collector, p: Params) -> None:
                     col.run(
                         "eps-well-defined",
                         f"{name} pair=({i},{j})",
-                        lambda s: check_well_defined(sy, model, i, j, None, t, s),
+                        lambda s: check_well_defined(sy, model, i, j, t, s),
                     )
 
 
@@ -598,33 +587,90 @@ def _suite_product(col: _Collector, p: Params) -> None:
         col.run("prod-eps-system", f"torus-a{n}-local", lambda s: check_epsilon_system(table, zloc, t, s))
 
 
+def _suite_borel_oracle(col: _Collector, p: Params) -> None:
+    t = p.trials
+    for n in p.sizes:
+        model, system = borel_model(n), borel_epsilon_system(n)
+        pair_table = product_epsilon(system, system, model)
+        subject = f"sl{n + 1}"
+        for i in range(1, n + 1):
+            for check, fn in (
+                ("borel-residual", check_borel_residual),
+                ("borel-matrix-action", check_borel_matrix_action),
+                ("borel-display", check_borel_display),
+            ):
+                col.run(check, f"{subject} i={i}", lambda s: fn(model, i, t, s))
+        for check, table, starred, pair in (
+            ("borel-eps-entries", system, False, False),
+            ("borel-minor", system, True, False),
+            ("borel-product-eps", pair_table, False, True),
+            ("borel-product-eps-star", pair_table, True, True),
+        ):
+            col.run(check, subject, lambda s: check_borel_table(model, table, starred, pair, t, s))
+        col.run("borel-mult-eps", subject, lambda s: check_borel_mult_eps(model, t, s))
+
+
+def _suite_rmap(col: _Collector, p: Params) -> None:
+    t, L, M = p.trials, p.L, p.M
+    for n in p.sizes:
+        subject = f"n={n}"
+        col.run("rmap-level-swap", subject, lambda s: rmap.check_level_swap(n, L, M, t, s))
+        for i in range(n + 1):
+            col.run(
+                "rmap-commutation", f"{subject} i={i}", lambda s: rmap.check_commutation(n, L, M, i, t, s)
+            )
+            for check, which in (("rmap-eps-preserved", "eps"), ("rmap-gamma-preserved", "gamma")):
+                col.run(check, f"{subject} i={i}", lambda s: rmap.check_preserved(n, L, M, i, which, t, s))
+        col.run("rmap-braid", subject, lambda s: rmap.check_braid(n, (L, M, p.N), t, s))
+        col.run("rmap-braid", f"{subject} degenerate", lambda s: rmap.check_braid(n, (L, M, M), t, s))
+        col.run("rmap-fixed-point", subject, lambda s: rmap.check_fixed_point(n, Fraction(2), Fraction(3)))
+        col.run(
+            "rmap-diagonal",
+            subject,
+            lambda s: rmap.check_diagonal_identity(n, Fraction(2) ** (n + 1), min(t, 20), s),
+        )
+        col.run("rmap-cyclic-shift", subject, lambda s: rmap.check_cyclic_shift(n, L, M, t, s))
+
+
+def _suite_invariance(col: _Collector, p: Params) -> None:
+    t, L, M = p.trials, p.L, p.M
+    for n in p.sizes:
+        for check, starred in (("inv-eps", False), ("inv-eps-star", True)):
+            col.run(check, f"n={n}", lambda s: rmap.check_epsilon_invariance(n, L, M, t, s, starred))
+
+
+def _verdict(ok: bool, note: str, failure_note: str) -> tuple[str, str]:
+    return ("pass", note) if ok else ("fail", failure_note)
+
+
 def _suite_uniqueness(col: _Collector, p: Params) -> None:
     for n in p.sizes:
         subject = f"n={n} a={p.a} b={p.b}"
         seed = _job_seed(col.seed, "uniq", subject)
         report = rmap.uniqueness_probe(n, p.a, p.b, perturbations=50, seed=seed)
-        col.record("uniq-fixed-point", subject, "pass" if report.fixed_point_verified else "fail")
+        fixed = report.fixed_point_verified
+        col.record("uniq-fixed-point", subject, *_verdict(fixed, "", "R does not swap the homogeneous pair"))
+        # the probe raises rather than report a vanishing linear coefficient
+        broken = [
+            why
+            for ok, why in (
+                (report.solution_matches_swap, "the eliminated solution is not the swapped pair"),
+                (report.equations_hold_at_solution, "the invariance equations fail at the solution"),
+            )
+            if not ok
+        ]
         forced = (
-            report.solution_matches_swap
-            and report.equations_hold_at_solution
-            and (report.linear_coefficient is None or report.linear_coefficient != 0)
-        )
-        col.record(
-            "uniq-forced",
-            subject,
-            "pass" if forced else "fail",
             f"pair product forced to {report.pair_product_forced}; "
-            f"linear coefficient {report.linear_coefficient}",
+            f"linear coefficient {report.linear_coefficient}"
         )
+        col.record("uniq-forced", subject, *_verdict(not broken, forced, "; ".join([forced, *broken])))
         if report.perturbation_trials == 0:
             col.record("uniq-perturbation", subject, "skip", "degenerate parameters (a = b)")
         else:
-            col.record(
-                "uniq-perturbation",
-                subject,
-                "pass" if report.perturbations_all_violate else "fail",
-                f"{report.perturbation_trials} perturbations",
-            )
+            tried = f"{report.perturbation_trials} perturbations"
+            failure = f"{tried}; one satisfies every invariance equation"
+            ok = report.perturbations_all_violate
+            col.record("uniq-perturbation", subject, *_verdict(ok, tried, failure))
         col.record(
             "uniq-orbit-density",
             subject,
@@ -633,137 +679,35 @@ def _suite_uniqueness(col: _Collector, p: Params) -> None:
         )
 
 
-# --- suites written as tables ---------------------------------------------------------
-#
-# A row is (check id, subject suffix, fn(scope, i, seed)).  A scope is one
-# size n: the parameters, the size's subject and indices, and whatever its
-# rows share.  A row whose suffix holds "{i}" runs once per index, any other
-# row once per size.
+def _suite_ud(col: _Collector, p: Params) -> None:
+    for n in p.sizes:
+
+        def run(check, fn, *args):
+            col.run(check, f"n={n}", lambda s: fn(n, p.box, p.trials, s, *args))
+
+        run("ud-gamma-shadow", ud.check_gamma_shadow)
+        run("ud-eps-shadow", ud.check_eps_shadow)
+        run("ud-operator-sum", ud.check_operator_sum)
+        run("ud-split", ud.check_split)
+        run("ud-dichotomy", ud.check_dichotomy)
+        run("ud-levels", ud.check_levels)
+        run("ud-r-eps", ud.check_r_invariant, "eps")
+        run("ud-r-gamma", ud.check_r_invariant, "gamma")
+        run("ud-r-commutation", ud.check_r_commutation)
+        run("ud-r-braid", ud.check_r_braid)
+        run("ud-product-eps-shadow", ud.check_r_invariant, "product-eps")
 
 
-def _scope(p: Params, n: int, subject: str, indices=(), **shared) -> SimpleNamespace:
-    return SimpleNamespace(**{**vars(p), "n": n, "subject": subject, "indices": indices, **shared})
-
-
-def _borel_scope(p: Params, n: int) -> SimpleNamespace:
-    model, system = borel_model(n), borel_epsilon_system(n)
-    pair_table = product_epsilon(system, system, model)
-    return _scope(p, n, f"sl{n + 1}", range(1, n + 1), model=model, system=system, pair_table=pair_table)
-
-
-def _size_scope(p: Params, n: int) -> SimpleNamespace:
-    return _scope(p, n, f"n={n}", range(n + 1))
-
-
-_TABLES = {
-    "borel-oracle": (
-        _borel_scope,
-        (
-            ("borel-residual", " i={i}", lambda c, i, s: check_borel_residual(c.model, i, c.trials, s)),
-            (
-                "borel-matrix-action",
-                " i={i}",
-                lambda c, i, s: check_borel_matrix_action(c.model, i, c.trials, s),
-            ),
-            ("borel-display", " i={i}", lambda c, i, s: check_borel_display(c.model, i, c.trials, s)),
-            (
-                "borel-eps-entries",
-                "",
-                lambda c, i, s: check_borel_table(c.model, c.system, False, False, c.trials, s),
-            ),
-            (
-                "borel-minor",
-                "",
-                lambda c, i, s: check_borel_table(c.model, c.system, True, False, c.trials, s),
-            ),
-            ("borel-mult-eps", "", lambda c, i, s: check_borel_mult_eps(c.model, c.trials, s)),
-            (
-                "borel-product-eps",
-                "",
-                lambda c, i, s: check_borel_table(c.model, c.pair_table, False, True, c.trials, s),
-            ),
-            (
-                "borel-product-eps-star",
-                "",
-                lambda c, i, s: check_borel_table(c.model, c.pair_table, True, True, c.trials, s),
-            ),
-        ),
-    ),
-    "rmap": (
-        _size_scope,
-        (
-            ("rmap-level-swap", "", lambda c, i, s: rmap.check_level_swap(c.n, c.L, c.M, c.trials, s)),
-            (
-                "rmap-commutation",
-                " i={i}",
-                lambda c, i, s: rmap.check_commutation(c.n, c.L, c.M, i, c.trials, s),
-            ),
-            (
-                "rmap-eps-preserved",
-                " i={i}",
-                lambda c, i, s: rmap.check_preserved(c.n, c.L, c.M, i, "eps", c.trials, s),
-            ),
-            (
-                "rmap-gamma-preserved",
-                " i={i}",
-                lambda c, i, s: rmap.check_preserved(c.n, c.L, c.M, i, "gamma", c.trials, s),
-            ),
-            ("rmap-braid", "", lambda c, i, s: rmap.check_braid(c.n, (c.L, c.M, c.N), c.trials, s)),
-            (
-                "rmap-braid",
-                " degenerate",
-                lambda c, i, s: rmap.check_braid(c.n, (c.L, c.M, c.M), c.trials, s),
-            ),
-            ("rmap-fixed-point", "", lambda c, i, s: rmap.check_fixed_point(c.n, Fraction(2), Fraction(3))),
-            (
-                "rmap-diagonal",
-                "",
-                lambda c, i, s: rmap.check_diagonal_identity(
-                    c.n, Fraction(2) ** (c.n + 1), min(c.trials, 20), s
-                ),
-            ),
-            ("rmap-cyclic-shift", "", lambda c, i, s: rmap.check_cyclic_shift(c.n, c.L, c.M, c.trials, s)),
-        ),
-    ),
-    "invariance": (
-        _size_scope,
-        (
-            ("inv-eps", "", lambda c, i, s: rmap.check_epsilon_invariance(c.n, c.L, c.M, c.trials, s)),
-            (
-                "inv-eps-star",
-                "",
-                lambda c, i, s: rmap.check_epsilon_invariance(c.n, c.L, c.M, c.trials, s, starred=True),
-            ),
-        ),
-    ),
-    "ud": (
-        _size_scope,
-        (
-            ("ud-gamma-shadow", "", lambda c, i, s: ud.check_gamma_shadow(c.n, c.box, c.trials, s)),
-            ("ud-eps-shadow", "", lambda c, i, s: ud.check_eps_shadow(c.n, c.box, c.trials, s)),
-            ("ud-operator-sum", "", lambda c, i, s: ud.check_operator_sum(c.n, c.box, c.trials, s)),
-            ("ud-split", "", lambda c, i, s: ud.check_split(c.n, c.box, c.trials, s)),
-            ("ud-dichotomy", "", lambda c, i, s: ud.check_dichotomy(c.n, c.box, c.trials, s)),
-            ("ud-levels", "", lambda c, i, s: ud.check_levels(c.n, c.box, c.trials, s)),
-            ("ud-r-eps", "", lambda c, i, s: ud.check_r_invariant(c.n, c.box, c.trials, s, "eps")),
-            ("ud-r-gamma", "", lambda c, i, s: ud.check_r_invariant(c.n, c.box, c.trials, s, "gamma")),
-            ("ud-r-commutation", "", lambda c, i, s: ud.check_r_commutation(c.n, c.box, c.trials, s)),
-            ("ud-r-braid", "", lambda c, i, s: ud.check_r_braid(c.n, c.box, c.trials, s)),
-            (
-                "ud-product-eps-shadow",
-                "",
-                lambda c, i, s: ud.check_r_invariant(c.n, c.box, c.trials, s, "product-eps"),
-            ),
-        ),
-    ),
-}
-
-_LOOPS = {
+_SUITES = {
     "verma": _suite_verma,
     "axioms": _suite_axioms,
     "epsilon": _suite_epsilon,
     "product": _suite_product,
+    "borel-oracle": _suite_borel_oracle,
+    "rmap": _suite_rmap,
+    "invariance": _suite_invariance,
     "uniqueness": _suite_uniqueness,
+    "ud": _suite_ud,
 }
 
 
@@ -773,15 +717,7 @@ def run_suite(name: str, params: dict | None = None, seed: int | None = None) ->
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     p = parse_params(name, dict(params or {}))
     col = _Collector(name, DEFAULT_SEEDS[name] if seed is None else seed)
-    if name in _LOOPS:
-        _LOOPS[name](col, p)
-        return col.sorted_results()
-    make_scope, rows = _TABLES[name]
-    for n in p.sizes:
-        scope = make_scope(p, n)
-        for check, suffix, fn in rows:
-            for i in scope.indices if "{i}" in suffix else (None,):
-                col.run(check, scope.subject + suffix.format(i=i), lambda s: fn(scope, i, s))
+    _SUITES[name](col, p)
     return col.sorted_results()
 
 

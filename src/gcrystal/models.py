@@ -36,27 +36,26 @@ from fractions import Fraction
 from .arith import Assignment, SampleSpec, sample_point
 from .crystal import (
     SCALAR,
-    CheckOutcome,
     CrystalModel,
     _split_scalars,
     apply_e,
     cartan_affine_a,
     cartan_affine_d5,
     cartan_finite_a,
-    pointwise_check,
     product,
     split_pair,
 )
 from .epsilon import EpsilonSystem, Interval, system_from_eps
 from .expr import (
+    CheckOutcome,
     EvalDomainError,
     RatExpr,
-    Verdict,
     add,
     const,
     div,
     evaluate,
     mul,
+    pointwise_check,
     prod,
     sub,
     vanishes_on_domain,
@@ -609,7 +608,7 @@ def sample_borel(n: int, seed: int) -> BorelElement:
 # exact matrix arithmetic on :class:`BorelElement` at sampled points.
 
 
-def check_borel_residual(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> Verdict:
+def check_borel_residual(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """The above-diagonal entry created by the conjugation vanishes identically."""
     residual = borel_action(len(model.cartan.labels), i).residual
     return vanishes_on_domain(residual, model.domain_spec(seed, extra=(SCALAR,)), trials)

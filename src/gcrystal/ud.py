@@ -37,7 +37,6 @@ from .crystal import (
     LEFT_SUFFIX,
     RIGHT_SUFFIX,
     SCALAR,
-    CheckOutcome,
     CrystalModel,
     action_program,
     pack_pair,
@@ -47,6 +46,7 @@ from .crystal import (
 )
 from .expr import (
     Add,
+    CheckOutcome,
     Const,
     Div,
     Mul,

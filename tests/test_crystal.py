@@ -158,10 +158,10 @@ def test_eps_invariance_for_orthogonal_d5_pair():
     )
 
 
-def test_eps_scaling_vacuous_for_adjacent_pair():
+def test_eps_scaling_refuses_adjacent_pair():
     model = affine_a_model(2, rat(4))
-    outcome = check_eps_scaling(model, 1, 2, TRIALS)
-    assert outcome.ok and outcome.trials == 0
+    with pytest.raises(ValueError):
+        check_eps_scaling(model, 1, 2, TRIALS)
 
 
 # --- composition relations ---------------------------------------------------------------
@@ -257,7 +257,7 @@ def test_product_parameter_split_multiplies_to_c():
     for i in z.cartan.labels:
         c1, c2 = product_split_exprs(x_model, y_model, i)
         spec = z.domain_spec(11, extra=("c",))
-        assert identical_on_domain(mul(c1, c2), var("c"), spec, 50).equal
+        assert identical_on_domain(mul(c1, c2), var("c"), spec, 50).ok
 
 
 def test_product_inherits_axioms():

@@ -139,16 +139,17 @@ def test_operator_overloads_match_constructors():
 def test_identity_binomial_square():
     spec = SampleSpec(("x", "y"), seed=2)
     verdict = identical_on_domain(parse("(x+y)^2"), parse("x^2 + 2*x*y + y^2"), spec, 100)
-    assert verdict.equal and verdict.counterexample is None
+    assert verdict.ok and verdict.witness is None
 
 
 def test_identity_mismatch_gives_counterexample():
     spec = SampleSpec(("x", "y"), seed=3)
     verdict = identical_on_domain(parse("x*y"), parse("x+y"), spec, 100)
-    assert not verdict.equal
-    point = verdict.counterexample.point
-    assert point["x"] * point["y"] == verdict.counterexample.lhs
-    assert point["x"] + point["y"] == verdict.counterexample.rhs
+    assert not verdict.ok
+    assert 1 <= verdict.trials <= 100  # the index of the failing point
+    point = verdict.witness["point"]
+    assert point["x"] * point["y"] == verdict.witness["lhs"]
+    assert point["x"] + point["y"] == verdict.witness["rhs"]
 
 
 def test_identity_three_block_star_expansion():
@@ -167,22 +168,22 @@ def test_identity_three_block_star_expansion():
     generated = eps_star_from_eps(table, (0, 2))
     explicit = parse("e123 - e1*e23 - e12*e3 + e1*e2*e3")
     spec = SampleSpec(("e1", "e2", "e3", "e12", "e23", "e123"), seed=4)
-    assert identical_on_domain(generated, explicit, spec, 100).equal
+    assert identical_on_domain(generated, explicit, spec, 100).ok
 
 
 def test_vanishes_on_domain():
     spec = SampleSpec(("x",), seed=5)
-    assert vanishes_on_domain(parse("x - x"), spec, 20).equal
-    assert not vanishes_on_domain(parse("x"), spec, 20).equal
+    assert vanishes_on_domain(parse("x - x"), spec, 20).ok
+    assert not vanishes_on_domain(parse("x"), spec, 20).ok
 
 
 def test_identity_verdict_symmetric_and_reflexive():
     spec = SampleSpec(("x", "y"), seed=6)
     e1, e2 = parse("x*y"), parse("y*x")
-    assert identical_on_domain(e1, e1, spec, 10).equal
-    assert identical_on_domain(e1, e2, spec, 10).equal == identical_on_domain(e2, e1, spec, 10).equal
+    assert identical_on_domain(e1, e1, spec, 10).ok
+    assert identical_on_domain(e1, e2, spec, 10).ok == identical_on_domain(e2, e1, spec, 10).ok
     f = parse("x + y")
-    assert identical_on_domain(e1, f, spec, 10).equal == identical_on_domain(f, e1, spec, 10).equal
+    assert identical_on_domain(e1, f, spec, 10).ok == identical_on_domain(f, e1, spec, 10).ok
 
 
 @settings(max_examples=100, deadline=None)
@@ -195,17 +196,21 @@ def test_identity_verdict_symmetric_and_reflexive_randomized(data):
     names = tuple(sorted(free_variables(e1) | free_variables(e2))) or ("x",)
     spec = SampleSpec(names, seed=data.draw(st.integers(0, 10**6)))
     try:
-        assert identical_on_domain(e1, e1, spec, 5).equal
-        forward = identical_on_domain(e1, e2, spec, 5).equal
-        backward = identical_on_domain(e2, e1, spec, 5).equal
+        assert identical_on_domain(e1, e1, spec, 5).ok
+        forward = identical_on_domain(e1, e2, spec, 5).ok
+        backward = identical_on_domain(e2, e1, spec, 5).ok
         assert forward == backward
     except DomainTooThinError:
         pass  # an everywhere-singular draw such as 1/(x-x)
 
 
 def test_trials_must_be_positive():
-    with pytest.raises(ValueError):
-        identical_on_domain(parse("x"), parse("x"), SampleSpec(("x",)), 0)
+    spec = SampleSpec(("x",))
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            identical_on_domain(parse("x"), parse("x"), spec, trials)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            vanishes_on_domain(parse("x"), spec, trials)
 
 
 def test_everywhere_pole_exhausts_retry_budget():

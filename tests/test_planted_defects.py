@@ -1,18 +1,26 @@
-"""Every ud, borel-oracle, rmap and invariance check can fail.
+"""Every registered check can fail.
 
 Each defect below is planted by monkeypatching one building block; the
 suite is then run and every check the defect should break must report
-``fail`` with a real witness (not a crash).  The two partial defects hold
-on only part of the integer box, so the first failing sample of each row
-depends on the sampled stream; their rows are pinned.
+``fail`` with a real witness (not a crash).  The uniqueness rows are
+recorded by the suite rather than sampled, so their evidence is a note
+naming the broken step.  The two partial defects hold on only part of the
+integer box, so the first failing sample of each row depends on the
+sampled stream; their rows are pinned.
 """
+
+import dataclasses
 
 import pytest
 
+import gcrystal.crystal as crystal
+import gcrystal.harness as harness
 import gcrystal.models as models
 import gcrystal.rmap as rmap
 import gcrystal.ud as ud
-from gcrystal.expr import const, mul
+from gcrystal.crystal import SCALAR
+from gcrystal.epsilon import EpsilonSystem
+from gcrystal.expr import const, div, mul, substitute, var
 from gcrystal.harness import REGISTRY, run_suite
 
 TRUE_SHADOW = ud.shadow
@@ -23,6 +31,12 @@ TRUE_ACTION = models.borel_action
 TRUE_MATRIX_ACTION = models.borel_apply_e_matrix
 TRUE_ENTRY = models.BorelElement.eps_entry
 TRUE_MINOR = models.BorelElement.minor
+TRUE_TORUS = models.affine_a_model
+TRUE_LOCAL_SYSTEM = models.affine_a_local_system
+TRUE_PRODUCT = crystal.product
+TRUE_SPLIT_EXPRS = crystal.product_split_exprs
+TRUE_PRODUCT_EPSILON = harness.product_epsilon
+TRUE_EQUATIONS = rmap._invariance_equations
 
 
 def bent_operator(threshold):
@@ -100,11 +114,92 @@ def bent_minor(mp):
     mp.setattr(models.BorelElement, "minor", lambda self, s, t: TRUE_MINOR(self, s, t) + 1)
 
 
+def bent_torus(bend):
+    """The torus model with ``bend(n, i, row)`` applied to the action row of every index.
+
+    On the torus model e_i^c scales l_{i+1} (the coordinate at position i
+    of a row) by 1/c and its cyclic predecessor by c.
+    """
+
+    def build(n, level):
+        model = TRUE_TORUS(n, level)
+        return dataclasses.replace(model, actions={i: bend(n, i, row) for i, row in model.actions.items()})
+
+    return lambda mp: mp.setattr(harness, "affine_a_model", build)
+
+
+def halved(n, i, row):
+    """l_{i+1} scaled by 1/(2c) instead of 1/c: e_i^1 is no longer the identity."""
+    return row[:i] + (div(row[i], const(2)),) + row[i + 1 :]
+
+
+def coupled(n, i, row):
+    """The parameter of e_i read as c times l_{i+2}, a coordinate e_{i+1} and e_{i+2} move."""
+    coupling = {SCALAR: mul(var(SCALAR), var(f"l{(i + 1) % (n + 1) + 1}"))}
+    return tuple(substitute(e, coupling) for e in row)
+
+
+def rotated_eps(mp):
+    """eps_i of the torus model reads eps_{i+1}, a coordinate the orthogonal e_{i+2} moves."""
+
+    def build(n, level):
+        model = TRUE_TORUS(n, level)
+        return dataclasses.replace(model, eps={i: model.eps[(i + 1) % (n + 1)] for i in model.eps})
+
+    mp.setattr(harness, "affine_a_model", build)
+
+
+def shifted_eps(name, true):
+    """The epsilon systems built by ``harness.<name>`` with 1 added to every eps entry, eps* kept."""
+
+    def build(*args):
+        system = true(*args)
+        return EpsilonSystem(system.chain, {J: e + 1 for J, e in system.eps.items()}, system.eps_star)
+
+    return lambda mp: mp.setattr(harness, name, build)
+
+
+def doubled_product_tables(mp):
+    """The product crystal with gamma_i and eps_i doubled; its actions kept."""
+
+    def build(x_model, y_model):
+        z = TRUE_PRODUCT(x_model, y_model)
+        return dataclasses.replace(
+            z,
+            gamma={i: mul(const(2), g) for i, g in z.gamma.items()},
+            eps={i: mul(const(2), e) for i, e in z.eps.items()},
+        )
+
+    mp.setattr(crystal, "product", build)
+    mp.setattr(harness, "product", build)
+
+
+def doubled_split(mp):
+    """The product's parameter split with c2 doubled, so c1 c2 = 2c."""
+
+    def split(x_model, y_model, i):
+        c1, c2 = TRUE_SPLIT_EXPRS(x_model, y_model, i)
+        return c1, mul(const(2), c2)
+
+    mp.setattr(crystal, "product_split_exprs", split)
+
+
+def invariance_equations(pick):
+    """The uniqueness probe's equation system, replaced by ``pick(true equations)``."""
+    return lambda mp: mp.setattr(rmap, "_invariance_equations", lambda *args: pick(TRUE_EQUATIONS(*args)))
+
+
 UD = ("ud", {"trials": 200})
 BOREL = ("borel-oracle", {"n": 2, "trials": 5})
 RMAP = ("rmap", {"trials": 5})
 INVARIANCE = ("invariance", {"trials": 5})
 RMAP_CHECKS = {c for c, info in REGISTRY.items() if info.suite == "rmap"}
+VERMA = ("verma", {"n": 3, "trials": 5})
+AXIOMS_A1 = ("axioms", {"model": "torus-a1", "trials": 5})
+AXIOMS_A3 = ("axioms", {"model": "torus-a3", "trials": 5})
+EPSILON = ("epsilon", {"model": "torus-a3-local", "trials": 5})
+PRODUCT = ("product", {"n": 1, "trials": 5})
+UNIQUENESS = ("uniqueness", {})
 
 # defect name -> (plant, suite run, checks that must fail)
 DEFECTS = {
@@ -129,6 +224,33 @@ DEFECTS = {
     "scaled-r": (scaled_r(True), RMAP, RMAP_CHECKS - {"rmap-gamma-preserved"}),
     "scaled-r-uncompensated": (scaled_r(False), RMAP, {"rmap-gamma-preserved"}),
     "scaled-r-invariance": (scaled_r(True), INVARIANCE, {"inv-eps", "inv-eps-star"}),
+    "coupled-verma": (bent_torus(coupled), VERMA, {"verma-commuting", "verma-braid"}),
+    "halved-action": (
+        bent_torus(halved),
+        AXIOMS_A1,
+        {"axiom-identity", "axiom-group-law", "axiom-domain", "axiom-gamma", "axiom-eps-scale"},
+    ),
+    "rotated-eps": (rotated_eps, AXIOMS_A3, {"axiom-eps-commute"}),
+    "local-eps": (
+        shifted_eps("affine_a_local_system", TRUE_LOCAL_SYSTEM),
+        EPSILON,
+        {"eps-action-table", "eps-partition-sum", "eps-alternating", "eps-pair-identity"},
+    ),
+    "coupled-epsilon": (bent_torus(coupled), EPSILON, {"eps-well-defined"}),
+    "halved-factors": (bent_torus(halved), PRODUCT, {"prod-identity", "prod-axiom-gamma", "prod-axiom-eps"}),
+    "product-tables": (doubled_product_tables, PRODUCT, {"prod-gamma", "prod-eps", "prod-assoc"}),
+    "product-split": (doubled_split, PRODUCT, {"prod-c-split"}),
+    "product-epsilon": (shifted_eps("product_epsilon", TRUE_PRODUCT_EPSILON), PRODUCT, {"prod-eps-system"}),
+    "scaled-r-uniqueness": (scaled_r(True), UNIQUENESS, {"uniq-fixed-point"}),
+    "unsolvable-equations": (invariance_equations(lambda eqs: [*eqs, False]), UNIQUENESS, {"uniq-forced"}),
+    "levels-only-equations": (invariance_equations(lambda eqs: eqs[-2:]), UNIQUENESS, {"uniq-perturbation"}),
+}
+
+# the note of a recorded uniqueness row that names its broken step
+BROKEN_STEP = {
+    "scaled-r-uniqueness": "R does not swap the homogeneous pair",
+    "unsolvable-equations": "the invariance equations fail at the solution",
+    "levels-only-equations": "one satisfies every invariance equation",
 }
 
 # (check, subject, verdict, trials) of every row under the partial defects,
@@ -188,8 +310,7 @@ PINNED = {
 
 def test_defects_cover_every_check_of_the_planted_suites():
     covered = set().union(*(checks for _, _, checks in DEFECTS.values()))
-    suites = ("ud", "borel-oracle", "rmap", "invariance")
-    assert covered == {c for c, info in REGISTRY.items() if info.suite in suites}
+    assert covered == set(REGISTRY) - {"uniq-orbit-density"}  # assumed, never checked
 
 
 @pytest.mark.parametrize("defect", list(DEFECTS))
@@ -200,6 +321,18 @@ def test_planted_defect_fails_with_witness(defect, monkeypatch):
     for check in checks:
         rows = [r for r in results if r.check == check]
         assert rows and all(r.verdict == "fail" for r in rows), check
-        assert all(r.counterexample and "error" not in r.counterexample for r in rows), check
+        if defect in BROKEN_STEP:
+            assert all(BROKEN_STEP[defect] in r.note for r in rows), check
+        else:
+            assert all(r.counterexample and "error" not in r.counterexample for r in rows), check
     if defect in PINNED:
         assert [(r.check, r.subject, r.verdict, r.trials) for r in results] == PINNED[defect]
+
+
+def test_failing_identity_row_keeps_its_witness_keys(monkeypatch):
+    # borel-residual is a vanishing test: its witness is {point, lhs, rhs},
+    # and the bent residual (the constant 1) fails at the first point drawn
+    bent_residual(monkeypatch)
+    rows = [r for r in run_suite(*BOREL) if r.check == "borel-residual"]
+    assert rows and all(set(r.counterexample) == {"point", "lhs", "rhs"} for r in rows)
+    assert all(r.trials == 1 and r.counterexample["lhs"] == "1" for r in rows)
