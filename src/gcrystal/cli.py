@@ -11,7 +11,8 @@
 
 `verify` exits 0 iff no check failed (skipped/assumed checks do not fail
 a run), and 2 without running any check when a parameter is invalid.  Points for `rmap apply` are JSON arrays of rationals, either
-numbers or "p/q" strings; the output is JSON on stdout.
+numbers or "p/q" strings; the output is JSON on stdout.  A point at a pole
+of R (some window sum P_i vanishes) exits 2 with the error on stderr.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from fractions import Fraction
 
 from . import harness
 from .crystal import model_manifest
-from .expr import parse, pretty
+from .expr import EvalDomainError, parse, pretty
 from .models import build_named_model
-from .rmap import apply_r, build_r_map
+from .rmap import apply_r, build_r_map, window_sums
 from .ud import trop_pretty, trop_to_json_obj, tropicalize
 
 
@@ -143,7 +144,12 @@ def _cmd_rmap_apply(args) -> int:
     from .arith import product as fraction_product
 
     inst = build_r_map(args.n, fraction_product(l.values()), fraction_product(m.values()))
-    l2, m2 = apply_r(inst, l, m)
+    try:
+        l2, m2 = apply_r(inst, l, m)
+    except EvalDomainError:
+        zero = " = ".join(f"P_{i}" for i, p in enumerate(window_sums(inst, l, m)) if p == 0)
+        print(f"error: the point is a pole of R: window sum {zero} = 0", file=sys.stderr)
+        return 2
     print(
         json.dumps(
             {

@@ -5,10 +5,17 @@ a pair (l', m') with products M and L (the levels swap).  Components:
 
     l'_i = m_i * P_i / P_{i-1},    m'_i = l_i * P_{i-1} / P_i,
 
-where P_i(l, m) sums, over k = 1..n+1, the product of the trailing window
-l_{i+k} ... l_{i+n+1} with the leading window m_{i+1} ... m_{i+k} (all
-indices cyclic with representatives 1..n+1).  Every P_i is a sum of
-monomials, hence subtraction-free and tropicalizable.
+where P_i(l, m) sums, over k = 1..n+1, the product of the leading window
+m_{i+1} ... m_{i+k} with the trailing window l_{i+k} ... l_{i+n+1} (all
+indices cyclic with representatives 1..n+1).  The tree of P_i does not
+multiply each window out afresh: the leading windows are the running
+prefix products of m from m_{i+1}, the trailing windows the running
+suffix products of l down to l_{i+n+1}, and term k multiplies the k-th of
+each.  So P_i takes about 4(n+1) nodes and the whole map O(n^2), where
+writing out every monomial would take O(n^3).  It is still, as a
+function, a sum of monomials built from sums and products alone, hence
+subtraction-free and tropicalizable.  The map has a pole wherever some
+P_i vanishes.
 
 Besides the map itself this module hosts the exact checkers for its
 defining properties: commutation with every one-parameter action on the
@@ -37,7 +44,7 @@ from .crystal import (
     _split_scalars,
 )
 from .epsilon import EpsilonSystem, product_epsilon
-from .expr import Program, RatExpr, div, evaluate, mul, prod, program_for, run, var
+from .expr import Program, RatExpr, div, evaluate, mul, program_for, run, var
 from .models import affine_a_local_system, affine_a_model
 
 
@@ -46,15 +53,22 @@ def _wrap(k: int, n: int) -> int:
 
 
 def p_expr(n: int, i: int) -> RatExpr:
-    """P_i over the variables l1..l{n+1}, m1..m{n+1}."""
-    terms = []
-    for k in range(1, n + 2):
-        factors = [var(f"l{_wrap(i + j, n)}") for j in range(k, n + 2)]
-        factors += [var(f"m{_wrap(i + j, n)}") for j in range(1, k + 1)]
-        terms.append(prod(factors))
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
+    """P_i over the variables l1..l{n+1}, m1..m{n+1}.
+
+    Term k is the prefix product m_{i+1}..m_{i+k} times the suffix product
+    l_{i+k}..l_{i+n+1}; both come from running products, so P_i costs
+    about 4(n+1) nodes instead of (n+1)(n+2).
+    """
+    prefixes = [var(f"m{_wrap(i + 1, n)}")]
+    for j in range(2, n + 2):
+        prefixes.append(mul(prefixes[-1], var(f"m{_wrap(i + j, n)}")))
+    suffixes = [var(f"l{_wrap(i + n + 1, n)}")]
+    for j in range(n, 0, -1):
+        suffixes.append(mul(var(f"l{_wrap(i + j, n)}"), suffixes[-1]))
+    suffixes.reverse()  # suffixes[k - 1] = l_{i+k} ... l_{i+n+1}
+    out = mul(prefixes[0], suffixes[0])
+    for k in range(1, n + 1):
+        out = out + mul(prefixes[k], suffixes[k])
     return out
 
 
@@ -106,10 +120,20 @@ def r_images(inst: RMapInstance, l: dict, m: dict, interpret) -> tuple[dict, dic
     Both inputs and both outputs use coordinate names l1..l{n+1}.
     """
     names = [f"l{k}" for k in range(1, inst.n + 2)]
-    env = {name: l[name] for name in names}
-    env.update({f"m{k}": m[name] for k, name in enumerate(names, start=1)})
-    values = interpret(r_program(inst), env)
+    values = interpret(r_program(inst), _pair_env(inst.n, l, m))
     return dict(zip(names, values[: inst.n + 1])), dict(zip(names, values[inst.n + 1 :]))
+
+
+def window_sums(inst: RMapInstance, l: Assignment, m: Assignment) -> list[Fraction]:
+    """Exact P_0 .. P_n at the pair; R has a pole where one of them is 0."""
+    return run(program_for(inst, "p", inst.p), _pair_env(inst.n, l, m))
+
+
+def _pair_env(n: int, l: dict, m: dict) -> dict:
+    """The program inputs l1..l{n+1}, m1..m{n+1} of two points named l1..l{n+1}."""
+    env = {f"l{k}": l[f"l{k}"] for k in range(1, n + 2)}
+    env.update({f"m{k}": m[f"l{k}"] for k in range(1, n + 2)})
+    return env
 
 
 def apply_r(inst: RMapInstance, l: Assignment, m: Assignment) -> tuple[Assignment, Assignment]:

@@ -240,6 +240,18 @@ def test_cli_rmap_apply_accepts_fraction_strings(capsys):
     assert Fraction(payload["l"][0]) * Fraction(payload["l"][1]) == 6
 
 
+@pytest.mark.parametrize(
+    "l, m, zero",
+    [("[1, -1]", "[1, 1]", "P_1 = 0"), ("[1, 1]", "[-1, -1]", "P_0 = P_1 = 0")],
+    ids=["one-pole", "two-poles"],
+)
+def test_cli_rmap_apply_at_a_pole_exits_2(l, m, zero, capsys):
+    assert cli.main(["rmap", "apply", "--n", "1", "--l", l, "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"window sum {zero}" in captured.err
+
+
 def test_cli_rmap_apply_bad_point():
     with pytest.raises(SystemExit):
         cli.main(["rmap", "apply", "--n", "1", "--l", "[1]", "--m", "[2, 3]"])

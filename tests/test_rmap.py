@@ -1,7 +1,21 @@
+import json
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+from gcrystal import cli
 from gcrystal.arith import SampleSpec, rat, sample_points
-from gcrystal.expr import certify_subtraction_free, evaluate
+from gcrystal.expr import (
+    certify_subtraction_free,
+    evaluate,
+    prod,
+    reference_evaluate,
+    run_maxplus,
+    tree_program,
+    var,
+)
 from gcrystal.rmap import (
     apply_r,
     build_r_map,
@@ -15,7 +29,10 @@ from gcrystal.rmap import (
     check_preserved,
     homogeneous_point,
     p_expr,
+    r_program,
     uniqueness_probe,
+    unit_r_map,
+    window_sums,
 )
 
 TRIALS = 100
@@ -32,6 +49,100 @@ def test_p_expr_is_subtraction_free():
     for n in (1, 2, 3):
         for i in range(n + 1):
             assert certify_subtraction_free(p_expr(n, i)).free
+
+
+# --- window sums: the shared-chain builder against the monomial-by-monomial oracle ---
+
+
+def _windows(n, i):
+    """For k = 1..n+1: the indices (leading m_{i+1}..m_{i+k}, trailing l_{i+k}..l_{i+n+1})."""
+    def wrap(k):
+        return (k - 1) % (n + 1) + 1
+
+    return [
+        ([wrap(i + j) for j in range(1, k + 1)], [wrap(i + j) for j in range(k, n + 2)])
+        for k in range(1, n + 2)
+    ]
+
+
+def naive_p_expr(n, i):
+    """P_i with every monomial multiplied out on its own: (n+1)(n+2) nodes."""
+    terms = [prod([var(f"l{a}") for a in lw] + [var(f"m{b}") for b in mw]) for mw, lw in _windows(n, i)]
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+def naive_window_sums(n, l, m):
+    """P_0..P_n in plain Fraction arithmetic; ``l`` and ``m`` are 0-based lists.
+
+    Each monomial is multiplied out in ints and becomes one ``Fraction``.
+    """
+    def monomial(mw, lw):
+        factors = [m[b - 1] for b in mw] + [l[a - 1] for a in lw]
+        return Fraction(math.prod(f.numerator for f in factors), math.prod(f.denominator for f in factors))
+
+    return [sum(monomial(mw, lw) for mw, lw in _windows(n, i)) for i in range(n + 1)]
+
+
+def naive_window_maxima(n, l, m):
+    """UDP_0..UDP_n, the max-plus shadow of P_i, in plain int arithmetic."""
+    return [
+        max(sum(m[b - 1] for b in mw) + sum(l[a - 1] for a in lw) for mw, lw in _windows(n, i))
+        for i in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_p_expr_matches_naive_window_sums(n):
+    rng = random.Random(f"p_expr:{n}")
+    names = [f"{c}{k}" for c in "lm" for k in range(1, n + 2)]
+    for i in range(n + 1):
+        fast, naive = p_expr(n, i), naive_p_expr(n, i)
+        for _ in range(20):
+            point = {
+                v: Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 50)) for v in names
+            }
+            assert evaluate(fast, point) == reference_evaluate(naive, point)
+            ipoint = {v: rng.randint(-60, 60) for v in names}
+            assert run_maxplus(tree_program(fast), ipoint) == run_maxplus(tree_program(naive), ipoint)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_r_program_grows_quadratically(n):
+    assert len(r_program(unit_r_map(n)).code) <= 4 * (n + 1) ** 2 + 8 * (n + 1)
+
+
+def test_window_sums_at_a_pole():
+    # n = 1: P_0 = l2 m1 (l1 + m2), P_1 = l1 m2 (l2 + m1)
+    inst = build_r_map(1, rat(-1), rat(1))
+    l = {"l1": rat(1), "l2": rat(-1)}
+    m = {"l1": rat(1), "l2": rat(1)}
+    assert window_sums(inst, l, m) == [-2, 0]
+
+
+def test_cli_at_n_64_matches_the_window_sum_formulas(capsys):
+    n = 64
+    rng = random.Random("rmap-n64")
+    l = [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(n + 1)]
+    m = [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(n + 1)]
+    argv = ["rmap", "apply", "--n", str(n), "--l", json.dumps([str(v) for v in l]), "--m", json.dumps([str(v) for v in m])]
+    assert cli.main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    p = naive_window_sums(n, l, m)
+    size = n + 1
+    assert [Fraction(v) for v in got["l"]] == [m[i - 1] * p[i % size] / p[i - 1] for i in range(1, size + 1)]
+    assert [Fraction(v) for v in got["m"]] == [l[i - 1] * p[i - 1] / p[i % size] for i in range(1, size + 1)]
+    assert [Fraction(v) for v in got["levels"]] == [math.prod(m), math.prod(l)]
+
+    li = [rng.randint(-99, 99) for _ in range(n + 1)]
+    mi = [rng.randint(-99, 99) for _ in range(n + 1)]
+    assert cli.main(["ud", "rmap", "--n", str(n), "--l", json.dumps(li), "--m", json.dumps(mi)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    u = naive_window_maxima(n, li, mi)
+    assert got["l"] == [mi[i - 1] + u[i % size] - u[i - 1] for i in range(1, size + 1)]
+    assert got["m"] == [li[i - 1] + u[i - 1] - u[i % size] for i in range(1, size + 1)]
 
 
 def test_apply_r_frozen_example():
