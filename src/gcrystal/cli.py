@@ -10,9 +10,12 @@
     gcrystal ledger
 
 `verify` exits 0 iff no check failed (skipped/assumed checks do not fail
-a run), and 2 without running any check when a parameter is invalid.  Points for `rmap apply` are JSON arrays of rationals, either
-numbers or "p/q" strings; the output is JSON on stdout.  A point at a pole
-of R (some window sum P_i vanishes) exits 2 with the error on stderr.
+a run), and 2 without running any check when a parameter is invalid.
+Points for `rmap apply` are JSON arrays of nonzero rationals, either
+numbers or "p/q" strings, and for `ud rmap` JSON arrays of integers; the
+output is JSON on stdout.  A malformed point, or a point at a pole of R
+(some window sum P_i vanishes), exits 2 with the error on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -120,22 +123,39 @@ def _cmd_verify(args) -> int:
     return 0 if fails == 0 else 1
 
 
-def _parse_point(text: str, n: int, what: str) -> dict[str, Fraction]:
+def _reject(message: str):
+    """Refuse a bad command-line point as argparse refuses a bad option: stderr, exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _json_array(text: str, n: int, what: str, kind: str) -> list:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
-        raise SystemExit(f"error: {what} is not valid JSON: {err}")
+        _reject(f"{what} is not valid JSON: {err}")
     if not isinstance(raw, list) or len(raw) != n + 1:
-        raise SystemExit(f"error: {what} must be a JSON array of {n + 1} rationals")
+        _reject(f"{what} must be a JSON array of {n + 1} {kind}")
+    return raw
+
+
+def _parse_point(text: str, n: int, what: str) -> dict[str, Fraction]:
     out = {}
-    for k, value in enumerate(raw, start=1):
+    for k, value in enumerate(_json_array(text, n, what, "rationals"), start=1):
         try:
             out[f"l{k}"] = Fraction(str(value))
         except (ValueError, ZeroDivisionError):
-            raise SystemExit(f"error: {what}[{k - 1}] = {value!r} is not a rational")
+            _reject(f"{what}[{k - 1}] = {value!r} is not a rational")
         if out[f"l{k}"] == 0:
-            raise SystemExit(f"error: {what}[{k - 1}] must be nonzero")
+            _reject(f"{what}[{k - 1}] must be nonzero")
     return out
+
+
+def _parse_int_point(text: str, n: int, what: str) -> dict[str, int]:
+    raw = _json_array(text, n, what, "integers")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
+        _reject(f"{what} must be a JSON array of {n + 1} integers")
+    return {f"l{k}": v for k, v in enumerate(raw, start=1)}
 
 
 def _cmd_rmap_apply(args) -> int:
@@ -181,19 +201,6 @@ def _cmd_ud_trop(args) -> int:
         )
     )
     return 0
-
-
-def _parse_int_point(text: str, n: int, what: str) -> dict[str, int]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SystemExit(f"error: {what} is not valid JSON: {err}")
-    good = isinstance(raw, list) and len(raw) == n + 1 and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in raw
-    )
-    if not good:
-        raise SystemExit(f"error: {what} must be a JSON array of {n + 1} integers")
-    return {f"l{k}": v for k, v in enumerate(raw, start=1)}
 
 
 def _cmd_ud_rmap(args) -> int:

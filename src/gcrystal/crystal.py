@@ -10,13 +10,12 @@ of expression data:
   action ``e_i^c``.
 
 Everything is an immutable expression tree, so the same data feeds exact
-pointwise checking here and the tropicalization pass elsewhere.  All the
-axiom checkers in this module work by exact evaluation at random rational
-points: they sample coordinates and group parameters, push points through
-the action, and demand equality of ``Fraction`` values on the nose.  Each
-one is a :func:`pointwise_check` (the one sampled-check loop, defined in
-:mod:`gcrystal.expr` and re-exported here) and returns its
-:class:`CheckOutcome`.
+pointwise checking here and the tropicalization pass elsewhere.  Every
+identity check here is a list of rows ``(label, lhs, rhs)``, each side a
+word of actions and the trees read at its image, run in two stages by
+:func:`check_identity_rows` through :func:`pointwise_check` (the one
+sampled-check loop, defined in :mod:`gcrystal.expr` and re-exported here);
+each returns its :class:`CheckOutcome`.
 """
 
 from __future__ import annotations
@@ -31,19 +30,24 @@ from .expr import (  # CheckOutcome and pointwise_check are re-exported
     Program,
     RatExpr,
     add,
+    compile_program,
+    const,
     div,
-    evaluate,
-    identical_on_domain,
     mul,
+    pair_witness,
     pointwise_check,
+    pow_,
+    prod,
     program_for,
     rename_variables,
     run,
+    run_pairs,
     substitute,
     var,
 )
 
 SCALAR = "c"  # reserved action-parameter name; never a coordinate
+S1, S2 = var("s1"), var("s2")  # the sampled group parameters of the identity rows
 
 
 class CartanError(ValueError):
@@ -186,7 +190,7 @@ def apply_word(model: CrystalModel, word, x: Assignment) -> Assignment:
     return x
 
 
-# --- pointwise checking ---------------------------------------------------------
+# --- identity rows ---------------------------------------------------------------
 
 
 def _split_scalars(point: Assignment, names: tuple[str, ...]) -> tuple[Assignment, list[Fraction]]:
@@ -195,30 +199,71 @@ def _split_scalars(point: Assignment, names: tuple[str, ...]) -> tuple[Assignmen
     return x, scalars
 
 
-def check_action_identity(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """e_i^1 must fix every point."""
+def compose_word(model: CrystalModel, word) -> tuple[RatExpr, ...]:
+    """The coordinates of the image of ``word`` as trees over the coordinates and the parameters' scalars."""
+    coords = tuple(var(v) for v in model.variables)
+    for i, parameter in word:
+        env = dict(zip(model.variables, coords))
+        env[SCALAR] = parameter
+        coords = tuple(substitute(e, env) for e in model.actions[i])
+    return coords
+
+
+def check_identity_rows(model: CrystalModel, rows, spec: SampleSpec, trials: int) -> CheckOutcome:
+    """Run the identity ``rows`` on ``model`` at ``trials`` points of ``spec``.
+
+    A row is ``(label, lhs, rhs)`` and a side is ``(word, trees)``: ``word``
+    is ``((index, parameter), ...)`` in application order, each parameter a
+    tree over the sampled scalars, and ``trees`` (a tuple, a
+    :class:`Program` of them, or ``None`` for the image coordinates) are
+    read at the word's image.  The word is composed into one coordinate
+    program, run to reduced ``Fraction`` coordinates; the trees are one
+    program run there to unreduced pairs, compared output by output with
+    :func:`pair_witness`.  Every program is compiled here, once per call.
+    A failing row's witness is ``{**label, output, point, lhs, rhs}``.
+    """
+
+    def compiled(side):
+        word, trees = side
+        image = compile_program(compose_word(model, word)) if word else None
+        if not isinstance(trees, Program):
+            trees = compile_program(compose_word(model, ()) if trees is None else trees)
+        return image, trees
+
+    plan = [
+        (label, compiled(lhs), compiled(rhs), model.variables if lhs[1] is None else None)
+        for label, lhs, rhs in rows
+    ]
+
+    def side(image, program, point):
+        env = point if image is None else {**point, **dict(zip(model.variables, run(image, point)))}
+        return run_pairs(program, env)
 
     def fn(point):
-        y = apply_e(model, i, Fraction(1), point)
-        if y != point:
-            return {"i": i, "x": point, "e1(x)": y}
+        for label, lhs, rhs, names in plan:
+            witness = pair_witness(point, side(*lhs, point), side(*rhs, point), names)
+            if witness is not None:
+                return {**label, **witness}
         return None
 
-    return pointwise_check(fn, model.domain_spec(seed), trials)
+    return pointwise_check(fn, spec, trials)
+
+
+def tree_row(label: dict, lhs: RatExpr, rhs: RatExpr):
+    """The row of the identity lhs = rhs between two trees read at the sampled point."""
+    return label, ((), (lhs,)), ((), (rhs,))
+
+
+def check_action_identity(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
+    """e_i^1 must fix every point."""
+    rows = [({"i": i}, (((i, const(1)),), None), ((), None))]
+    return check_identity_rows(model, rows, model.domain_spec(seed), trials)
 
 
 def check_group_law(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """e_i^{c1} e_i^{c2} = e_i^{c1 c2}."""
-
-    def fn(point):
-        x, (c1, c2) = _split_scalars(point, ("s1", "s2"))
-        lhs = apply_e(model, i, c1, apply_e(model, i, c2, x))
-        rhs = apply_e(model, i, c1 * c2, x)
-        if lhs != rhs:
-            return {"i": i, "c1": c1, "c2": c2, "x": x, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1", "s2")), trials)
+    rows = [({"i": i}, (((i, S2), (i, S1)), None), (((i, mul(S1, S2)),), None))]
+    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
 
 
 def check_domain_preserved(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -240,17 +285,10 @@ def check_domain_preserved(model: CrystalModel, i: int, trials: int = 100, seed:
 
 def check_gamma_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """gamma_j(e_i^c x) = c^{a_ij} gamma_j(x)."""
-    a_ij = model.cartan.a(i, j)
-
-    def fn(point):
-        x, (c,) = _split_scalars(point, ("s1",))
-        lhs = evaluate(model.gamma[j], apply_e(model, i, c, x))
-        rhs = c**a_ij * evaluate(model.gamma[j], x)
-        if lhs != rhs:
-            return {"i": i, "j": j, "c": c, "x": x, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
+    gamma = model.gamma[j]
+    expected = mul(pow_(S1, model.cartan.a(i, j)), gamma)
+    rows = [({"i": i, "j": j}, (((i, S1),), (gamma,)), ((), (expected,)))]
+    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def check_eps_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -261,16 +299,9 @@ def check_eps_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, se
     """
     if i != j and not (model.cartan.a(i, j) == 0 and model.cartan.a(j, i) == 0):
         raise ValueError("eps scaling is checked for i = j and for orthogonal pairs only")
-
-    def fn(point):
-        x, (c,) = _split_scalars(point, ("s1",))
-        lhs = evaluate(model.eps[i], apply_e(model, j, c, x))
-        rhs = evaluate(model.eps[i], x) / c if i == j else evaluate(model.eps[i], x)
-        if lhs != rhs:
-            return {"i": i, "j": j, "c": c, "x": x, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
+    eps = model.eps[i]
+    rows = [({"i": i, "j": j}, (((j, S1),), (eps,)), ((), (div(eps, S1) if i == j else eps,)))]
+    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 # --- composition relations -------------------------------------------------------
@@ -307,21 +338,19 @@ def composition_words(i: int, j: int, a_ij: int, a_ji: int):
     return left, right
 
 
+def composition_sides(i: int, j: int, a_ij: int, a_ji: int):
+    """:func:`composition_words` as words of identity rows: c1^p c2^q written over ``s1`` and ``s2``."""
+    words = composition_words(i, j, a_ij, a_ji)
+    return tuple(tuple((k, prod([S1] * p + [S2] * q)) for k, (p, q) in word) for word in words)
+
+
 def check_composition_relation(
     model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
     """The braid-like relation between e_i and e_j dictated by the Cartan entries."""
-    left, right = composition_words(i, j, model.cartan.a(i, j), model.cartan.a(j, i))
-
-    def fn(point):
-        x, (c1, c2) = _split_scalars(point, ("s1", "s2"))
-        lhs = apply_word(model, [(k, c1**p * c2**q) for k, (p, q) in left], x)
-        rhs = apply_word(model, [(k, c1**p * c2**q) for k, (p, q) in right], x)
-        if lhs != rhs:
-            return {"i": i, "j": j, "c1": c1, "c2": c2, "x": x, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1", "s2")), trials)
+    left, right = composition_sides(i, j, model.cartan.a(i, j), model.cartan.a(j, i))
+    rows = [({"i": i, "j": j}, (left, None), (right, None))]
+    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
 
 
 def applicable_pairs(cartan: CartanData):
@@ -422,71 +451,55 @@ def product_split_exprs(x_model: CrystalModel, y_model: CrystalModel, i: int):
 def check_product_formula(
     z: CrystalModel, x_model: CrystalModel, y_model: CrystalModel, which: str, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
-    """The product's gamma_i or eps_i against separately evaluated factors.
+    """The product's gamma_i or eps_i against the factors' own, read at the split point.
 
     ``z`` is ``product(x_model, y_model)``.  ``which="gamma"`` checks
     gamma_i(x,y) = gamma_i(x) gamma_i(y); ``which="eps"`` checks
     eps_i(x,y) = eps_i(x) + eps_i(y)/gamma_i(x).
     """
-
-    def fn(point):
-        x, y = split_pair(point, x_model.variables, y_model.variables)
-        for i in z.cartan.labels:
-            lhs = evaluate(getattr(z, which)[i], point)
-            if which == "gamma":
-                rhs = evaluate(x_model.gamma[i], x) * evaluate(y_model.gamma[i], y)
-            else:
-                rhs = evaluate(x_model.eps[i], x) + evaluate(y_model.eps[i], y) / evaluate(x_model.gamma[i], x)
-            if lhs != rhs:
-                return {"i": i, "x": x, "y": y, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, z.domain_spec(seed), trials)
+    left = _rename_map(x_model.variables, LEFT_SUFFIX)
+    right = _rename_map(y_model.variables, RIGHT_SUFFIX)
+    rows = []
+    for i in z.cartan.labels:
+        gx = rename_variables(x_model.gamma[i], left)
+        if which == "gamma":
+            expected = mul(gx, rename_variables(y_model.gamma[i], right))
+        else:
+            ey = rename_variables(y_model.eps[i], right)
+            expected = add(rename_variables(x_model.eps[i], left), div(ey, gx))
+        rows.append(tree_row({"i": i}, getattr(z, which)[i], expected))
+    return check_identity_rows(z, rows, z.domain_spec(seed), trials)
 
 
 def check_product_split(
     z: CrystalModel, x_model: CrystalModel, y_model: CrystalModel, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
     """c1 c2 = c for the parameter split of every index of ``z = product(x_model, y_model)``."""
-    for i in z.cartan.labels:
-        c1, c2 = product_split_exprs(x_model, y_model, i)
-        outcome = identical_on_domain(mul(c1, c2), var(SCALAR), z.domain_spec(seed, extra=(SCALAR,)), trials)
-        if not outcome.ok:
-            return outcome
-    return outcome
+    splits = {i: product_split_exprs(x_model, y_model, i) for i in z.cartan.labels}
+    rows = [tree_row({"i": i}, mul(c1, c2), var(SCALAR)) for i, (c1, c2) in splits.items()]
+    return check_identity_rows(z, rows, z.domain_spec(seed, extra=(SCALAR,)), trials)
 
 
 def check_product_associativity(
     x_model: CrystalModel, y_model: CrystalModel, z_model: CrystalModel, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
-    """(X x Y) x Z and X x (Y x Z) agree on actions, gammas and epsilons at matched points."""
+    """(X x Y) x Z and X x (Y x Z) agree on gammas, epsilons and actions at matched points.
+
+    The points are those of the right association (X is "v.x", Y "v.x.y",
+    Z "v.y.y"); the left association's trees are renamed onto them, and c
+    onto the sampled scalar ``s1``.  Each row compares gamma_i, eps_i and
+    then the coordinates of e_i^c, in that output order.
+    """
     left = product(product(x_model, y_model), z_model)
     right = product(x_model, product(y_model, z_model))
-
-    def part(point, model, suffix):
-        return {v: point[v + suffix] for v in model.variables}
-
-    def fn(point):
-        # sampled over the right association: X is "v.x", Y "v.x.y", Z "v.y.y"
-        c = point["s1"]
-        x, y, z = part(point, x_model, ".x"), part(point, y_model, ".x.y"), part(point, z_model, ".y.y")
-        lp, rp = pack_pair(pack_pair(x, y), z), pack_pair(x, pack_pair(y, z))
-        for i in left.cartan.labels:
-            lg = evaluate(left.gamma[i], lp)
-            rg = evaluate(right.gamma[i], rp)
-            le = evaluate(left.eps[i], lp)
-            re = evaluate(right.eps[i], rp)
-            if (lg, le) != (rg, re):
-                return {"i": i, "gamma": (lg, rg), "eps": (le, re)}
-            la_pt = apply_e(left, i, c, lp)
-            ra_pt = apply_e(right, i, c, rp)
-            got_left = part(la_pt, x_model, ".x.x"), part(la_pt, y_model, ".y.x"), part(la_pt, z_model, ".y")
-            got_right = part(ra_pt, x_model, ".x"), part(ra_pt, y_model, ".x.y"), part(ra_pt, z_model, ".y.y")
-            if got_left != got_right:
-                return {"i": i, "c": c, "left": got_left, "right": got_right}
-        return None
-
-    return pointwise_check(fn, right.domain_spec(seed, extra=("s1",)), trials)
+    onto_right = {**dict(zip(left.variables, right.variables)), SCALAR: "s1"}
+    rows = []
+    for i in right.cartan.labels:
+        trees = (left.gamma[i], left.eps[i], *left.actions[i])
+        lhs = tuple(rename_variables(e, onto_right) for e in trees)
+        rhs = (right.gamma[i], right.eps[i], *(rename_variables(e, {SCALAR: "s1"}) for e in right.actions[i]))
+        rows.append(({"i": i}, ((), lhs), ((), rhs)))
+    return check_identity_rows(right, rows, right.domain_spec(seed, extra=("s1",)), trials)
 
 
 # --- JSON manifest ----------------------------------------------------------------

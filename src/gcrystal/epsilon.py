@@ -12,15 +12,17 @@ are addressed by chain *positions* ``(a, b)`` with ``0 <= a <= b``.  This
 keeps local systems (chains whose labels are not contiguous integers)
 uniform with the plain ones.
 
-The checkers verify, by exact evaluation at sampled points:
+The checkers state, as identity rows run by
+:func:`gcrystal.crystal.check_identity_rows` at sampled points:
 
 * the scaling/invariance table of eps_J and eps*_J under every ``e_i^c``
   with ``i`` in the chain, including the two boundary cases where the
-  acting index sits just outside the interval;
+  acting index sits just outside the interval: the whole table read at
+  e_i^c(x) against one expected tree per entry, read at x;
 * the two alternating convolution identities (the eps/eps* analogue of a
-  unitriangular inverse relation), each summing to zero;
-* well-definedness: eps_J and eps*_J agree along both sides of the
-  commuting and braid composition relations;
+  unitriangular inverse relation), each as its even terms = its odd terms;
+* well-definedness: the whole table read at both sides of the commuting
+  and braid composition relations;
 * the product construction, which transports two epsilon systems to the
   product crystal by a convolution weighted by the left factor's gammas.
 """
@@ -28,32 +30,29 @@ The checkers verify, by exact evaluation at sampled points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .crystal import (
     LEFT_SUFFIX,
     RIGHT_SUFFIX,
+    S1,
     CrystalModel,
-    apply_e,
-    apply_word,
-    composition_words,
-    _split_scalars,
+    check_identity_rows,
+    composition_sides,
+    tree_row,
 )
 from .expr import (
     CheckOutcome,
+    Program,
     RatExpr,
     const,
     div,
-    evaluate,
     free_variables,
-    identical_on_domain,
     mul,
-    pointwise_check,
     prod,
+    program_for,
     rename_variables,
     sub,
-    vanishes_on_domain,
 )
 
 Interval = tuple[int, int]  # chain positions (a, b), inclusive, a <= b
@@ -113,6 +112,23 @@ class EpsilonSystem:
             return const(1)
         return self.eps_star[(a, b)]
 
+    def entries(self) -> list[tuple[bool, Interval]]:
+        """(starred, interval) of every eps entry, then of every eps* entry, in :meth:`intervals` order."""
+        return [(starred, J) for starred in (False, True) for J in self.intervals()]
+
+    def table_program(self) -> Program:
+        """The program of every entry, in :meth:`entries` order; compiled once per system."""
+        trees = [(self.eps_star if starred else self.eps)[J] for starred, J in self.entries()]
+        return program_for(self, "tables", trees)
+
+
+def _sum(terms: list[RatExpr]) -> RatExpr:
+    """Left-associated sum of a nonempty list of terms."""
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
 
 def eps_star_from_eps(eps: Mapping[Interval, RatExpr], interval: Interval) -> RatExpr:
     """The alternating partition sum defining eps* from the eps table.
@@ -131,9 +147,7 @@ def eps_star_from_eps(eps: Mapping[Interval, RatExpr], interval: Interval) -> Ra
             positives.append(term)
         else:
             negatives.append(term)
-    out = positives[0]
-    for t in positives[1:]:
-        out = out + t
+    out = _sum(positives)
     for t in negatives:
         out = sub(out, t)
     return out
@@ -148,22 +162,21 @@ def system_from_eps(chain: tuple[int, ...], eps: Mapping[Interval, RatExpr]) -> 
 # --- identity checks ------------------------------------------------------------
 
 
-def _alternating_sum(first_starred: bool, system: EpsilonSystem, a: int, b: int) -> RatExpr:
-    """One of the two convolution sums over j = a-1 .. b, normalized to start +."""
-    positives: list[RatExpr] = []
-    negatives: list[RatExpr] = []
-    for j in range(a - 1, b + 1):
-        if first_starred:
-            term = mul(system.star_at(a, j), system.eps_at(j + 1, b))
-        else:
-            term = mul(system.eps_at(a, j), system.star_at(j + 1, b))
-        ((positives, negatives)[(j - (a - 1)) % 2]).append(term)
-    out = positives[0]
-    for t in positives[1:]:
-        out = out + t
-    for t in negatives:
-        out = sub(out, t)
-    return out
+def _alternating_rows(system: EpsilonSystem, interval: Interval) -> list:
+    """Both convolution sums over j = a-1 .. b vanish: their even terms equal their odd terms."""
+    a, b = interval
+    rows = []
+    for first_starred in (False, True):
+        left, right = (system.star_at, system.eps_at) if first_starred else (system.eps_at, system.star_at)
+        terms = [mul(left(a, j), right(j + 1, b)) for j in range(a - 1, b + 1)]
+        label = {"interval": interval, "starred_first": first_starred}
+        rows.append(tree_row(label, _sum(terms[0::2]), _sum(terms[1::2])))
+    return rows
+
+
+def _partition_rows(system: EpsilonSystem, interval: Interval) -> list:
+    expected = eps_star_from_eps(system.eps, interval)
+    return [tree_row({"interval": interval}, system.eps_star[interval], expected)]
 
 
 def check_alternating_identities(
@@ -174,13 +187,7 @@ def check_alternating_identities(
     seed: int = 0,
 ) -> CheckOutcome:
     """Both alternating convolutions over ``interval`` must vanish identically."""
-    a, b = interval
-    spec = model.domain_spec(seed)
-    for first_starred in (False, True):
-        outcome = vanishes_on_domain(_alternating_sum(first_starred, system, a, b), spec, trials)
-        if not outcome.ok:
-            return outcome
-    return outcome
+    return check_identity_rows(model, _alternating_rows(system, interval), model.domain_spec(seed), trials)
 
 
 def check_partition_sum(
@@ -191,35 +198,26 @@ def check_partition_sum(
     seed: int = 0,
 ) -> CheckOutcome:
     """The stored eps*_J must equal the alternating partition sum of the eps table."""
-    expected = eps_star_from_eps(system.eps, interval)
-    return identical_on_domain(system.eps_star[interval], expected, model.domain_spec(seed), trials)
+    return check_identity_rows(model, _partition_rows(system, interval), model.domain_spec(seed), trials)
 
 
-def _transformed_eps(system: EpsilonSystem, a: int, b: int, p: int, c: Fraction, x, starred: bool) -> Fraction:
-    """Expected value of eps_J (or eps*_J) at e_i^c(x) for i = chain[p].
+def _transformed_eps(system: EpsilonSystem, a: int, b: int, p: int, starred: bool) -> RatExpr:
+    """The tree that eps_J (or eps*_J) must equal at e_i^c(x) for i = chain[p], over x and c = s1.
 
     Encodes the full action table: inverse scaling at the leading position
     (trailing one for the starred family), the two boundary corrections just
     outside the interval, and invariance everywhere else.
     """
     table = system.star_at if starred else system.eps_at
-    base = evaluate(table(a, b), x)
-    if not starred and p == a:
-        return base / c
-    if starred and p == b:
-        return base / c
+    base = table(a, b)
+    if (p == b) if starred else (p == a):
+        return div(base, S1)
     if p == b + 1:
-        neighbor = evaluate(table(a, b + 1), x)
-        edge = evaluate(system.eps_at(b + 1, b + 1), x)
-        if starred:
-            return c * base + (1 - c) * neighbor / edge
-        return base + (c - 1) * neighbor / edge
+        ratio = div(table(a, b + 1), system.eps_at(b + 1, b + 1))
+        return S1 * base + (1 - S1) * ratio if starred else base + (S1 - 1) * ratio
     if p == a - 1:
-        neighbor = evaluate(table(a - 1, b), x)
-        edge = evaluate(system.eps_at(a - 1, a - 1), x)
-        if starred:
-            return base + (c - 1) * neighbor / edge
-        return c * base + (1 - c) * neighbor / edge
+        ratio = div(table(a - 1, b), system.eps_at(a - 1, a - 1))
+        return base + (S1 - 1) * ratio if starred else S1 * base + (1 - S1) * ratio
     return base
 
 
@@ -229,36 +227,17 @@ def check_epsilon_axiom(
     trials: int = 100,
     seed: int = 0,
 ) -> CheckOutcome:
-    """Exercise the action table against every chain index, by evaluation.
+    """Exercise the action table against every chain index.
 
-    All intervals are verified at each sampled point (one action
-    application per index serves every table lookup, which is what keeps
-    the large models affordable).
+    One row per chain index i: every entry of :meth:`EpsilonSystem.table_program`
+    read at e_i^c(x) against its expected tree at x.  A failing row's
+    ``output`` is the entry's place in :meth:`EpsilonSystem.entries`.
     """
-    intervals = system.intervals()
-
-    def fn(point):
-        x, (c,) = _split_scalars(point, ("s1",))
-        for p, label in enumerate(system.chain):
-            y = apply_e(model, label, c, x)
-            for a, b in intervals:
-                for starred in (False, True):
-                    table = system.star_at if starred else system.eps_at
-                    got = evaluate(table(a, b), y)
-                    want = _transformed_eps(system, a, b, p, c, x, starred)
-                    if got != want:
-                        return {
-                            "interval": (a, b),
-                            "index": label,
-                            "starred": starred,
-                            "c": c,
-                            "x": x,
-                            "lhs": got,
-                            "rhs": want,
-                        }
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
+    rows = []
+    for p, label in enumerate(system.chain):
+        expected = tuple(_transformed_eps(system, a, b, p, starred) for starred, (a, b) in system.entries())
+        rows.append(({"index": label}, (((label, S1),), system.table_program()), ((), expected)))
+    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def check_well_defined(
@@ -271,35 +250,15 @@ def check_well_defined(
 ) -> CheckOutcome:
     """eps_J and eps*_J agree along both sides of the (i, j) composition relation.
 
-    Every interval is checked at each sampled point.
+    Every entry of :meth:`EpsilonSystem.table_program` is read at both images.
     """
     a_ij, a_ji = model.cartan.a(i, j), model.cartan.a(j, i)
     if (a_ij, a_ji) not in ((0, 0), (-1, -1)):
         raise ValueError("well-definedness is checked for commuting and braid pairs only")
-    left, right = composition_words(i, j, a_ij, a_ji)
-    intervals = system.intervals()
-
-    def fn(point):
-        x, (c1, c2) = _split_scalars(point, ("s1", "s2"))
-        lhs_pt = apply_word(model, [(k, c1**p * c2**q) for k, (p, q) in left], x)
-        rhs_pt = apply_word(model, [(k, c1**p * c2**q) for k, (p, q) in right], x)
-        for a, b in intervals:
-            for table in (system.eps_at, system.star_at):
-                lhs = evaluate(table(a, b), lhs_pt)
-                rhs = evaluate(table(a, b), rhs_pt)
-                if lhs != rhs:
-                    return {
-                        "interval": (a, b),
-                        "pair": (i, j),
-                        "c1": c1,
-                        "c2": c2,
-                        "x": x,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1", "s2")), trials)
+    left, right = composition_sides(i, j, a_ij, a_ji)
+    tables = system.table_program()
+    rows = [({"pair": (i, j)}, (left, tables), (right, tables))]
+    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
 
 
 def check_pair_identity(
@@ -312,7 +271,7 @@ def check_pair_identity(
     """eps_[a,a+1] + eps*_[a,a+1] = eps_a * eps_{a+1} (adjacent-pair identity)."""
     lhs = system.eps_at(a, a + 1) + system.star_at(a, a + 1)
     rhs = mul(system.eps_at(a, a), system.eps_at(a + 1, a + 1))
-    return identical_on_domain(lhs, rhs, model.domain_spec(seed), trials)
+    return check_identity_rows(model, [tree_row({"a": a}, lhs, rhs)], model.domain_spec(seed), trials)
 
 
 def check_epsilon_system(
@@ -320,12 +279,12 @@ def check_epsilon_system(
 ) -> CheckOutcome:
     """The action table, then the partition sum and both alternating identities on every interval."""
     outcome = check_epsilon_axiom(system, model, trials, seed)
-    for interval in system.intervals():
-        for check in (check_partition_sum, check_alternating_identities):
-            if not outcome.ok:
-                return outcome
-            outcome = check(system, model, interval, trials, seed)
-    return outcome
+    if not outcome.ok:
+        return outcome
+    rows = []
+    for J in system.intervals():
+        rows += _partition_rows(system, J) + _alternating_rows(system, J)
+    return check_identity_rows(model, rows, model.domain_spec(seed), trials)
 
 
 # --- products and restrictions -----------------------------------------------------
@@ -363,20 +322,14 @@ def product_epsilon(
                 num = mul(ry(ey.eps_at(s, k)), lx(ex.eps_at(k + 1, t)))
                 denoms = [gamma[j] for j in range(s, k + 1)]
                 terms.append(div(num, prod(denoms)) if denoms else num)
-            acc = terms[0]
-            for term in terms[1:]:
-                acc = acc + term
-            eps[(s, t)] = acc
+            eps[(s, t)] = _sum(terms)
 
             terms = []
             for k in range(s - 1, t + 1):
                 num = mul(lx(ex.star_at(s, k)), ry(ey.star_at(k + 1, t)))
                 denoms = [gamma[j] for j in range(k + 1, t + 1)]
                 terms.append(div(num, prod(denoms)) if denoms else num)
-            acc = terms[0]
-            for term in terms[1:]:
-                acc = acc + term
-            star[(s, t)] = acc
+            star[(s, t)] = _sum(terms)
 
     return EpsilonSystem(chain, eps, star)
 

@@ -31,9 +31,12 @@ check of the library, identity tests included, runs through the one loop
 :func:`pointwise_check` and returns a :class:`CheckOutcome`.
 
 Evaluation does not walk trees: :func:`compile_program` value-numbers
-trees into a straight-line :class:`Program`, which :func:`run` evaluates
-exactly and :func:`run_maxplus` reads in (max, +).  The tree walker
-:func:`reference_evaluate` is kept as the oracle of the tests.
+trees into a straight-line :class:`Program`, which :func:`run_pairs`
+evaluates exactly to unreduced (numerator, denominator) pairs and
+:func:`run_maxplus` reads in (max, +).  :func:`run` turns the pairs into
+``Fraction`` values; :func:`pair_witness` compares two sides' pairs by
+cross-multiplication.  The tree walker :func:`reference_evaluate` is kept
+as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -422,14 +425,15 @@ def _inputs(program: Program, point) -> list:
         raise UnboundVariableError(err.args[0]) from None
 
 
-def run(program: Program, point: Assignment) -> list[Fraction]:
-    """Exact values of every output of ``program`` at ``point``.
+def run_pairs(program: Program, point: Assignment) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of every output of ``program`` at ``point``.
 
-    Values travel as unreduced (numerator, denominator) pairs of ints, and
-    one ``Fraction`` is built per output.  A denominator is never zero, so a
-    divisor or a base is zero exactly when its numerator is.  Raises
+    Values travel as unreduced (numerator, denominator) pairs of ints; a
+    denominator is never zero (it may be negative), so a divisor or a base
+    is zero exactly when its numerator is.  Raises
     :class:`UnboundVariableError` before any arithmetic when an input is
-    missing, and :class:`EvalDomainError` at a pole.
+    missing, and :class:`EvalDomainError` at a pole.  This is the one exact
+    register loop.
     """
     values = _inputs(program, point)
     nums = [v.numerator for v in values] + program.const_nums
@@ -464,7 +468,13 @@ def run(program: Program, point: Assignment) -> list[Fraction]:
                 raise EvalDomainError("zero raised to a negative power")
             push_num(dens[a] ** -b)
             push_den(na**-b)
-    return [Fraction(nums[r], dens[r]) for r in program.outputs]
+    outputs = program.outputs
+    return [nums[r] for r in outputs], [dens[r] for r in outputs]
+
+
+def run(program: Program, point: Assignment) -> list[Fraction]:
+    """Exact values of every output of ``program`` at ``point``, from :func:`run_pairs`."""
+    return [Fraction(n, d) for n, d in zip(*run_pairs(program, point))]
 
 
 def run_maxplus(program: Program, point: dict[str, int]) -> list[int]:
@@ -588,26 +598,35 @@ def pointwise_check(fn: Callable[[Assignment], dict | None], spec: SampleSpec, t
             return CheckOutcome(True, trials)
 
 
+def pair_witness(point: Assignment, lhs, rhs, names=None) -> dict | None:
+    """``None`` if the sides' :func:`run_pairs` outputs agree as n_l·d_r == n_r·d_l, else a witness.
+
+    The witness of the first output k that differs is ``{output, point,
+    lhs, rhs}`` with ``Fraction`` sides; ``output`` is ``names[k]`` (or
+    ``k``), and is left out when the sides have one output.
+    """
+    (lnums, ldens), (rnums, rdens) = lhs, rhs
+    if len(lnums) != len(rnums):
+        raise ValueError(f"the sides have {len(lnums)} and {len(rnums)} outputs")
+    for k, nl in enumerate(lnums):
+        if nl * rdens[k] != rnums[k] * ldens[k]:
+            witness = {"point": point, "lhs": Fraction(nl, ldens[k]), "rhs": Fraction(rnums[k], rdens[k])}
+            if len(lnums) > 1:
+                witness = {"output": k if names is None else names[k], **witness}
+            return witness
+    return None
+
+
 def identical_on_domain(e1: RatExpr, e2: RatExpr, spec: SampleSpec, trials: int = 100) -> CheckOutcome:
     """Exact-evaluation equality test; the witness is ``{point, lhs, rhs}``."""
-    programs = tree_program(e1), tree_program(e2)
-
-    def fn(point):
-        lhs, rhs = [run(program, point)[0] for program in programs]
-        return None if lhs == rhs else {"point": point, "lhs": lhs, "rhs": rhs}
-
-    return pointwise_check(fn, spec, trials)
+    p1, p2 = tree_program(e1), tree_program(e2)
+    return pointwise_check(lambda x: pair_witness(x, run_pairs(p1, x), run_pairs(p2, x)), spec, trials)
 
 
 def vanishes_on_domain(e: RatExpr, spec: SampleSpec, trials: int = 100) -> CheckOutcome:
     """Check that ``e`` evaluates to exactly zero at every sampled point."""
     program = tree_program(e)
-
-    def fn(point):
-        value = run(program, point)[0]
-        return None if value == 0 else {"point": point, "lhs": value, "rhs": Fraction(0)}
-
-    return pointwise_check(fn, spec, trials)
+    return pointwise_check(lambda x: pair_witness(x, run_pairs(program, x), ([0], [1])), spec, trials)
 
 
 # --- subtraction-freeness ------------------------------------------------------

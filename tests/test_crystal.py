@@ -210,6 +210,30 @@ def test_verma_relations_with_unit_parameters():
     assert apply_word(model, [(k, one) for k, _ in right], x) == x
 
 
+@pytest.mark.parametrize("name", ["torus-a2", "d5", "borel-sl4"])
+def test_composed_word_matches_acting_step_by_step(name):
+    # the one coordinate program of a word against apply_e one action at a time
+    import random
+
+    from gcrystal.crystal import S1, S2, apply_word, compose_word
+    from gcrystal.expr import compile_program, run
+
+    model = {
+        "torus-a2": lambda: affine_a_model(2, rat(4)),
+        "d5": lambda: affine_d5_model(rat(4)),
+        "borel-sl4": lambda: borel_model(3),
+    }[name]()
+    rng = random.Random(name)
+    for seed in range(5):
+        labels = [rng.choice(model.cartan.labels) for _ in range(3)]
+        word = tuple(zip(labels, (S1, mul(S1, S2), S2)))
+        point = model.sample(seed)
+        c1, c2 = rat(seed + 2, 3), rat(5, seed + 4)
+        composed = run(compile_program(compose_word(model, word)), {**point, "s1": c1, "s2": c2})
+        stepwise = apply_word(model, list(zip(labels, (c1, c1 * c2, c2))), point)
+        assert composed == list(stepwise.values())
+
+
 def test_verma_relations_d5_and_borel():
     d5 = affine_d5_model(rat(4))
     for i, j in ((0, 2), (2, 3), (3, 5), (0, 1), (1, 4)):

@@ -400,3 +400,37 @@ def test_system_json_export():
     assert blob["chain"] == [1, 2]
     assert from_json_obj(blob["eps"]["0,1"]) == system.eps[(0, 1)]
     assert from_json_obj(blob["eps_star"]["0,1"]) == system.eps_star[(0, 1)]
+
+
+# --- programs compile once per check call ----------------------------------------------
+
+
+def _borel_sl3_axiom(trials):
+    return check_epsilon_axiom(borel_epsilon_system(2), borel_model(2), trials, 3)
+
+
+def _borel_sl3_group_law(trials):
+    from gcrystal.crystal import check_group_law
+
+    return check_group_law(borel_model(2), 1, trials, 3)
+
+
+@pytest.mark.parametrize("check", [_borel_sl3_group_law, _borel_sl3_axiom], ids=["crystal", "epsilon"])
+def test_programs_compile_once_per_check_call(check, monkeypatch):
+    # fresh models and systems each time, so no program is cached from before
+    import gcrystal.crystal as crystal
+    import gcrystal.expr as expr
+
+    true_compile = expr.compile_program
+    counts = []
+
+    def counting(roots):
+        counts[-1] += 1
+        return true_compile(roots)
+
+    monkeypatch.setattr(expr, "compile_program", counting)
+    monkeypatch.setattr(crystal, "compile_program", counting)
+    for trials in (5, 50):
+        counts.append(0)
+        assert check(trials).ok
+    assert counts[0] == counts[1] > 0

@@ -29,6 +29,7 @@ from gcrystal.expr import (
     from_json,
     identical_on_domain,
     mul,
+    pair_witness,
     parse,
     pow_,
     pretty,
@@ -36,6 +37,7 @@ from gcrystal.expr import (
     rename_variables,
     run,
     run_maxplus,
+    run_pairs,
     sub,
     substitute,
     to_json,
@@ -367,6 +369,50 @@ def test_multi_output_program_matches_each_expression(exprs, data):
         assert ("pole",) in each
     else:
         assert joint == ("value", [v for _, v in each])
+
+
+# pairs of expressions that are equal on purpose as well as by chance: the
+# same tree, a quotient by a (possibly negative) constant against the product
+# by its inverse, and two differences that are exactly zero
+_expression_pairs = st.one_of(
+    st.tuples(expressions, expressions),
+    expressions.map(lambda e: (e, e)),
+    st.tuples(expressions, _consts).map(lambda t: (div(t[0], const(t[1])), mul(const(1 / t[1]), t[0]))),
+    st.tuples(expressions, expressions).map(lambda t: (sub(t[0], t[0]), sub(t[1], t[1]))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_expression_pairs, st.data())
+def test_pair_comparison_matches_reference_equality(pair, data):
+    a, b = pair
+    point = _point_for(data, [a, b])
+    reference = [_outcome(lambda e=e: reference_evaluate(e, _as_fractions(point))) for e in (a, b)]
+    try:
+        lhs, rhs = run_pairs(compile_program([a]), point), run_pairs(compile_program([b]), point)
+    except EvalDomainError:
+        assert ("pole",) in reference
+        return
+    (_, va), (_, vb) = reference
+    witness = pair_witness(point, lhs, rhs)
+    assert (witness is None) == (va == vb)
+    if witness is not None:
+        assert witness == {"point": point, "lhs": va, "rhs": vb}
+
+
+def test_pair_comparison_of_negative_denominators_and_zeros():
+    point = {"x": rat(3), "y": rat(-2)}
+    half = run_pairs(compile_program([parse("x/y"), parse("x - x"), parse("y/x - y/x")]), point)
+    assert [d < 0 for d in half[1]] == [True, False, False]
+    same = run_pairs(compile_program([parse("-3/2 * 1"), parse("y - y"), parse("(x - x)/y")]), point)
+    assert pair_witness(point, half, same) is None
+    other = run_pairs(compile_program([parse("3/2 * 1"), parse("y - y"), parse("x - x")]), point)
+    assert pair_witness(point, half, other, names=("q", "z0", "z1")) == {
+        "output": "q",
+        "point": point,
+        "lhs": rat(-3, 2),
+        "rhs": rat(3, 2),
+    }
 
 
 def test_value_numbering_shares_equal_subterms():

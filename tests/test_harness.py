@@ -252,9 +252,33 @@ def test_cli_rmap_apply_at_a_pole_exits_2(l, m, zero, capsys):
     assert captured.err.startswith("error: ") and f"window sum {zero}" in captured.err
 
 
-def test_cli_rmap_apply_bad_point():
-    with pytest.raises(SystemExit):
-        cli.main(["rmap", "apply", "--n", "1", "--l", "[1]", "--m", "[2, 3]"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rmap", "apply", "--n", "1", "--l", "[1]", "--m", "[2, 3]"], "--l must be a JSON array of 2 rationals"),
+        (["rmap", "apply", "--n", "1", "--l", "[1, 2]", "--m", "[2, 3"], "--m is not valid JSON"),
+        (["rmap", "apply", "--n", "1", "--l", "[1, 0]", "--m", "[2, 3]"], "--l[1] must be nonzero"),
+        (["rmap", "apply", "--n", "1", "--l", '["x", 2]', "--m", "[2, 3]"], "--l[0] = 'x' is not a rational"),
+        (["ud", "rmap", "--n", "1", "--l", "[1, 2, 3]", "--m", "[0, 1]"], "--l must be a JSON array of 2 integers"),
+        (["ud", "rmap", "--n", "1", "--l", "[1, 2]", "--m", "{0, 1}"], "--m is not valid JSON"),
+        (["ud", "rmap", "--n", "1", "--l", "[1.5, 2]", "--m", "[0, 1]"], "--l must be a JSON array of 2 integers"),
+    ],
+    ids=[
+        "rmap-apply-length",
+        "rmap-apply-json",
+        "rmap-apply-zero",
+        "rmap-apply-not-rational",
+        "ud-rmap-length",
+        "ud-rmap-json",
+        "ud-rmap-not-integer",
+    ],
+)
+def test_cli_rmap_apply_bad_point(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ import gcrystal.harness as harness
 import gcrystal.models as models
 import gcrystal.rmap as rmap
 import gcrystal.ud as ud
+from gcrystal.arith import sample_points
 from gcrystal.crystal import SCALAR
 from gcrystal.epsilon import EpsilonSystem
 from gcrystal.expr import const, div, mul, substitute, var
@@ -329,10 +330,53 @@ def test_planted_defect_fails_with_witness(defect, monkeypatch):
         assert [(r.check, r.subject, r.verdict, r.trials) for r in results] == PINNED[defect]
 
 
-def test_failing_identity_row_keeps_its_witness_keys(monkeypatch):
-    # borel-residual is a vanishing test: its witness is {point, lhs, rhs},
-    # and the bent residual (the constant 1) fails at the first point drawn
-    bent_residual(monkeypatch)
-    rows = [r for r in run_suite(*BOREL) if r.check == "borel-residual"]
-    assert rows and all(set(r.counterexample) == {"point", "lhs", "rhs"} for r in rows)
-    assert all(r.trials == 1 and r.counterexample["lhs"] == "1" for r in rows)
+def _row_spec(suite, params, model_of, extra):
+    """The sample spec of a row, from its model builder and job seed (the plants leave the domain alone)."""
+    p = harness.parse_params(suite, dict(params))
+
+    def spec(subject, check):
+        seed = harness._job_seed(harness.DEFAULT_SEEDS[suite], check, subject)
+        return model_of(p, subject).domain_spec(seed, extra=extra)
+
+    return spec
+
+
+# (defect, check, label keys of its rows, spec of a row, from (subject, check))
+WITNESSES = {
+    "borel-residual": (
+        "residual",
+        "borel-residual",
+        set(),
+        _row_spec(*BOREL, lambda p, subject: models.borel_model(2), (SCALAR,)),
+    ),
+    "eps-action-table": (
+        "local-eps",
+        "eps-action-table",
+        {"index", "output"},
+        _row_spec(*EPSILON, lambda p, subject: harness._EPSILON_TARGETS[subject](p.L)[0], ("s1",)),
+    ),
+    "verma": (
+        "coupled-verma",
+        "verma-braid",
+        {"i", "j", "output"},
+        _row_spec(*VERMA, lambda p, subject: TRUE_TORUS(3, p.L), ("s1", "s2")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WITNESSES))
+def test_failing_identity_row_keeps_its_witness_keys(case, monkeypatch):
+    # a failing row's witness is its label plus {point, lhs, rhs}, and its
+    # trials count is the index of the sampled point it names
+    defect, check, label, spec = WITNESSES[case]
+    plant, (suite, params), _ = DEFECTS[defect]
+    plant(monkeypatch)
+    rows = [r for r in run_suite(suite, params) if r.check == check]
+    assert rows
+    for r in rows:
+        assert set(r.counterexample) == label | {"point", "lhs", "rhs"}
+        assert r.counterexample["lhs"] != r.counterexample["rhs"]
+        stream = sample_points(spec(r.subject, check), r.trials)
+        assert {k: str(v) for k, v in stream[-1].items()} == r.counterexample["point"]
+    if case == "borel-residual":  # the bent residual is the constant 1
+        assert all(r.trials == 1 and r.counterexample["lhs"] == "1" for r in rows)
