@@ -19,17 +19,22 @@ coordinates off the product.  The single above-diagonal entry of that
 product vanishes identically; it is exposed as ``conjugation_residual``
 so the test-suite can verify the vanishing rather than assume it.
 
-:class:`BorelElement` is the numeric twin: exact Fraction matrices with
-honest matrix multiplication.  It provides the independent computation
-path (entries and minor determinants of actual products) against which
-the expression-level epsilon tables are checked; the ``check_borel_*``
+:class:`BorelElement` is the numeric twin: exact Fraction matrices.  The
+conjugation x_i(a) * x * x_i(b) is one row operation (a times row i+1
+added to row i) and one column operation (b times column i added to
+column i+1), after which the entry (i, i+1) they create must be exactly
+0.  Products of two elements sum only over the triangular range
+c <= k <= r, and a minor determinant is computed by Gaussian elimination
+with row swaps, not by the first-column expansion the eps* table is
+written in.  This is the independent computation path (entries and
+minor determinants of actual products) against which the
+expression-level epsilon tables are checked; the ``check_borel_*``
 functions of the borel-oracle suite compare the two routes at sampled
 points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -488,6 +493,9 @@ class BorelElement:
 
     def unipotent(self, r: int, c: int) -> Fraction:
         """Entry (r, c) of x_-, 1-indexed; columns of x divide by the torus."""
+        size = len(self.mat)
+        if not (1 <= r <= size and 1 <= c <= size):
+            raise ValueError(f"entry ({r}, {c}) is outside the {size}x{size} matrix")
         if r < c:
             return Fraction(0)
         return self.mat[r - 1][c - 1] / self.mat[c - 1][c - 1]
@@ -497,21 +505,36 @@ class BorelElement:
         return self.unipotent(t + 1, s)
 
     def minor(self, s: int, t: int) -> Fraction:
-        """Determinant of the [s, t] minor of x_-, by explicit permutation sum."""
+        """Determinant of the [s, t] minor of x_- (rows s+1..t+1, columns s..t).
+
+        Exact Gaussian elimination: a zero pivot is swapped with the first
+        lower row that is nonzero in its column, flipping the sign.  Row
+        updates skip the zero entries of the pivot row, so on these minors
+        (zero above the superdiagonal) a step without a swap touches one
+        column; nothing relies on that shape.
+        """
+        if not 1 <= s <= t + 1 <= self.size:
+            raise ValueError(f"[{s}, {t}] is not an interval of 1..{self.n}")
         size = t - s + 1
         m = [[self.unipotent(s + 1 + r, s + c) for c in range(size)] for r in range(size)]
-        total = Fraction(0)
-        for perm in itertools.permutations(range(size)):
-            sign = 1
-            for p in range(size):
-                for q in range(p + 1, size):
-                    if perm[p] > perm[q]:
-                        sign = -sign
-            term = Fraction(1)
-            for r in range(size):
-                term *= m[r][perm[r]]
-            total += sign * term
-        return total
+        det = Fraction(1)
+        for col in range(size):
+            pivot = next((r for r in range(col, size) if m[r][col]), None)
+            if pivot is None:
+                return Fraction(0)
+            if pivot != col:
+                m[col], m[pivot] = m[pivot], m[col]
+                det = -det
+            top = m[col]
+            det *= top[col]
+            support = [c for c in range(col + 1, size) if top[c]]
+            for r in range(col + 1, size):
+                row = m[r]
+                if row[col]:
+                    factor = row[col] / top[col]
+                    for c in support:
+                        row[c] -= factor * top[c]
+        return det
 
     def to_point(self) -> Assignment:
         out: Assignment = {}
@@ -543,24 +566,32 @@ def borel_from_point(point: Assignment, n: int) -> BorelElement:
     return BorelElement(tuple(rows))
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(size)), Fraction(0)) for c in range(size))
-        for r in range(size)
-    )
-
-
 def borel_multiply(x: BorelElement, y: BorelElement) -> BorelElement:
+    """Product of two lower-triangular matrices: entry (r, c) sums only
+    k in [c, r], and every entry above the diagonal is an exact 0."""
     if x.size != y.size:
         raise ValueError("size mismatch")
-    return BorelElement(_matmul(x.mat, y.mat))
+    a, b = x.mat, y.mat
+    size = x.size
+    zero = Fraction(0)
+    rows = []
+    for r in range(size):
+        ar = a[r]
+        row = []
+        for c in range(r + 1):
+            acc = ar[c] * b[c][c]
+            for k in range(c + 1, r + 1):
+                acc += ar[k] * b[k][c]
+            row.append(acc)
+        row.extend([zero] * (size - 1 - r))
+        rows.append(tuple(row))
+    return BorelElement(tuple(rows))
 
 
 def borel_apply_e_matrix(x: BorelElement, i: int, c: Fraction) -> BorelElement:
-    """Numeric twin of the symbolic action: multiply by the two elementary
-    matrices and check that the above-diagonal entry cancels exactly."""
-    size = x.size
+    """Numeric twin of the symbolic action, x_i(a) * x * x_i(b) done as one row
+    and one column operation; the above-diagonal entry (i, i+1) that they
+    create is computed and must cancel exactly."""
     eps_i = x.unipotent(i + 1, i)
     gamma_i = x.mat[i - 1][i - 1] / x.mat[i][i]
     if eps_i == 0 or gamma_i * eps_i == 0:
@@ -568,19 +599,15 @@ def borel_apply_e_matrix(x: BorelElement, i: int, c: Fraction) -> BorelElement:
     a = (c - 1) / eps_i
     b = (1 / c - 1) / (eps_i * gamma_i)
 
-    def elementary(z: Fraction) -> Matrix:
-        return tuple(
-            tuple(
-                Fraction(1) if r == col else (z if (r, col) == (i - 1, i) else Fraction(0))
-                for col in range(size)
-            )
-            for r in range(size)
-        )
-
-    y = _matmul(_matmul(elementary(a), x.mat), elementary(b))
+    y = [list(row) for row in x.mat]
+    upper, lower = y[i - 1], y[i]
+    for col in range(i + 1):  # row i+1 is zero right of the diagonal
+        upper[col] += a * lower[col]
+    for row in y[i - 1 :]:  # column i is zero above row i
+        row[i] += b * row[i - 1]
     if y[i - 1][i] != 0:
         raise AssertionError("conjugation residual did not vanish")
-    return BorelElement(y)
+    return BorelElement(tuple(map(tuple, y)))
 
 
 def borel_to_json_obj(x: BorelElement) -> list[list[str]]:

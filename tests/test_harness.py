@@ -165,6 +165,16 @@ def test_every_registered_check_runs_in_its_suite():
         assert check in seen[info.suite], f"{check} never ran in suite {info.suite}"
 
 
+def test_borel_oracle_report_at_the_largest_size():
+    # n = 6 is an allowed size that the digests above never reach: it pins the
+    # 7x7 products, actions and minors of the matrix twin
+    params = {"n": 6, "trials": 10}
+    results = run_suite("borel-oracle", params, 3)
+    assert all(r.verdict == "pass" for r in results)
+    report = report_json("borel-oracle", params, 3, results)
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == "3ee485179d77fb3e"
+
+
 def test_counterexamples_serialize():
     # force a failure by monkeypatching nothing: craft a result through report
     # of a suite with a deliberately tiny domain is overkill; instead check the

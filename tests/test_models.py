@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,13 +131,29 @@ def test_minor_recurrence_expansion_3():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_minor_recurrence_equals_permutation_determinant(n):
+def test_minor_recurrence_equals_elimination_determinant(n):
     system = borel_epsilon_system(n)
     for seed in range(10):
         element = sample_borel(n, seed)
         point = element.to_point()
         for a, b in system.intervals():
             assert evaluate(system.eps_star[(a, b)], point) == element.minor(a + 1, b + 1)
+
+
+def test_unipotent_rejects_indices_outside_the_matrix():
+    element = sample_borel(2, 3)  # 3x3: rows and columns 1..3
+    for r, c in [(0, 1), (1, 0), (4, 1), (3, 4), (-1, 1)]:
+        with pytest.raises(ValueError):
+            element.unipotent(r, c)
+    with pytest.raises(ValueError):
+        element.eps_entry(0, 1)
+    with pytest.raises(ValueError):
+        element.eps_entry(1, 3)
+    for s, t in [(0, 1), (2, 3), (3, 1), (9, 8)]:
+        with pytest.raises(ValueError):
+            element.minor(s, t)
+    assert element.eps_entry(1, 2) == element.unipotent(3, 1)
+    assert element.minor(3, 2) == element.minor(1, 0) == 1  # empty minors
 
 
 def test_borel_eps_entries_match_matrix():
@@ -269,3 +287,132 @@ def test_named_model_builder():
     assert build_named_model("borel", n=3).name == "borel-sl4"
     with pytest.raises(ValueError):
         build_named_model("nope")
+
+
+# --- the numeric twin against dense matrix arithmetic -----------------------------------
+#
+# The oracles are the dense routes: full (n+1)^3 products (with the two
+# elementary matrices for the action) and the k!-term permutation sum.
+
+
+def _dense_matmul(a, b):
+    size = len(a)
+    return tuple(
+        tuple(sum((a[r][k] * b[k][c] for k in range(size)), Fraction(0)) for c in range(size))
+        for r in range(size)
+    )
+
+
+def _dense_apply_e(x, i, c):
+    size = x.size
+    eps_i = x.unipotent(i + 1, i)
+    gamma_i = x.mat[i - 1][i - 1] / x.mat[i][i]
+    a = (c - 1) / eps_i
+    b = (1 / c - 1) / (eps_i * gamma_i)
+
+    def elementary(z):
+        return tuple(
+            tuple(Fraction(r == col) + (z if (r, col) == (i - 1, i) else 0) for col in range(size))
+            for r in range(size)
+        )
+
+    return _dense_matmul(_dense_matmul(elementary(a), x.mat), elementary(b))
+
+
+def _permutation_minor(x, s, t):
+    size = t - s + 1
+    m = [[x.unipotent(s + 1 + r, s + c) for c in range(size)] for r in range(size)]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[p] > perm[q] for p in range(size) for q in range(p + 1, size))
+        term = Fraction((-1) ** inversions)
+        for r in range(size):
+            term *= m[r][perm[r]]
+        total += term
+    return total
+
+
+def _signed_borel(n, rng, zeros=False):
+    """A random element with signed rational entries; with ``zeros`` the
+    entries below the diagonal are small integers, many of them 0."""
+
+    def entry():
+        if zeros:
+            return Fraction(rng.randint(-2, 2))
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+
+    torus = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+    last = Fraction(1)
+    for t in torus:
+        last /= t
+    torus.append(last)
+    rows = tuple(
+        tuple(torus[r] if c == r else (entry() * torus[c] if c < r else Fraction(0)) for c in range(n + 1))
+        for r in range(n + 1)
+    )
+    return BorelElement(rows)
+
+
+def _elements(n, count=6):
+    rng = random.Random(1000 + n)
+    return (
+        [sample_borel(n, seed) for seed in range(count)]
+        + [_signed_borel(n, rng) for _ in range(count)]
+        + [_signed_borel(n, rng, zeros=True) for _ in range(count)]
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_e_matrix_matches_dense_elementary_products(n):
+    rng = random.Random(n)
+    checked = 0
+    for x in _elements(n):
+        for i in range(1, n + 1):
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20))
+            if x.unipotent(i + 1, i) == 0:
+                with pytest.raises(ZeroDivisionError):
+                    borel_apply_e_matrix(x, i, c)
+                continue
+            assert borel_apply_e_matrix(x, i, c).mat == _dense_apply_e(x, i, c)
+            checked += 1
+    assert checked >= 12 * n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_multiply_matches_dense_product(n):
+    elements = _elements(n)
+    for x, y in zip(elements, elements[1:] + elements[:1]):
+        assert borel_multiply(x, y).mat == _dense_matmul(x.mat, y.mat)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minor_matches_permutation_sum(n):
+    for x in _elements(n, count=3 if n == 6 else 6):
+        for s in range(1, n + 1):
+            for t in range(s, n + 1):
+                assert x.minor(s, t) == _permutation_minor(x, s, t), (s, t)
+
+
+def _unit_torus_element(n, **entries):
+    """Torus 1, the named unipotent coordinates as given, the others 0."""
+    point = {v: Fraction(v.startswith("t")) for v in borel_variables(n)}
+    point.update({name: Fraction(value) for name, value in entries.items()})
+    return borel_from_point(point, n)
+
+
+def test_minor_with_zero_leading_pivot_flips_the_sign():
+    # u1 = 0: the [1, 2] minor [[u1, 1], [u12, u2]] needs a row swap
+    x = _unit_torus_element(2, u2=3, u12=5)
+    assert x.minor(1, 2) == -5 == _permutation_minor(x, 1, 2)
+    # u1 = u2 = u3 = 0 over [1, 3]: [[0, 1, 0], [2, 0, 1], [7, 11, 0]]
+    x = _unit_torus_element(3, u12=2, u13=7, u23=11)
+    assert x.minor(1, 3) == _permutation_minor(x, 1, 3) == 7
+    assert x.minor(1, 2) == -2
+    # [[1, 1, 0], [1, 1, 1], [0, 2, 5]]: the second pivot is 0 only after
+    # the first elimination step
+    x = _unit_torus_element(3, u1=1, u12=1, u2=1, u23=2, u3=5)
+    assert x.minor(1, 3) == _permutation_minor(x, 1, 3) == -2
+    # a zero column: no pivot at all
+    x = _unit_torus_element(3, u3=4)
+    assert x.minor(1, 1) == 0 == _permutation_minor(x, 1, 1)
+    assert x.minor(1, 3) == _permutation_minor(x, 1, 3)

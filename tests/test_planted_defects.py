@@ -30,6 +30,7 @@ TRUE_SPLIT = ud.split
 TRUE_APPLY_R = rmap.apply_r
 TRUE_ACTION = models.borel_action
 TRUE_MATRIX_ACTION = models.borel_apply_e_matrix
+TRUE_MULTIPLY = models.borel_multiply
 TRUE_ENTRY = models.BorelElement.eps_entry
 TRUE_MINOR = models.BorelElement.minor
 TRUE_TORUS = models.affine_a_model
@@ -105,6 +106,17 @@ def bent_borel_action(mp):
 
 def bent_matrix_action(mp):
     mp.setattr(models, "borel_apply_e_matrix", lambda x, i, c: TRUE_MATRIX_ACTION(x, i, c * c))
+
+
+def bent_multiply(mp):
+    """The exact product with 1 added to entry (2, 1); the determinant stays 1."""
+
+    def multiply(x, y):
+        rows = [list(row) for row in TRUE_MULTIPLY(x, y).mat]
+        rows[1][0] += 1
+        return models.BorelElement(tuple(map(tuple, rows)))
+
+    mp.setattr(models, "borel_multiply", multiply)
 
 
 def bent_entry(mp):
@@ -220,6 +232,7 @@ DEFECTS = {
     "residual": (bent_residual, BOREL, {"borel-residual"}),
     "borel-action": (bent_borel_action, BOREL, {"borel-display", "borel-matrix-action"}),
     "matrix-action": (bent_matrix_action, BOREL, {"borel-matrix-action"}),
+    "multiply": (bent_multiply, BOREL, {"borel-product-eps", "borel-product-eps-star", "borel-mult-eps"}),
     "entry": (bent_entry, BOREL, {"borel-eps-entries", "borel-mult-eps", "borel-product-eps"}),
     "minor": (bent_minor, BOREL, {"borel-minor", "borel-product-eps-star"}),
     "scaled-r": (scaled_r(True), RMAP, RMAP_CHECKS - {"rmap-gamma-preserved"}),
