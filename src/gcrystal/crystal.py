@@ -12,10 +12,11 @@ of expression data:
 Everything is an immutable expression tree, so the same data feeds exact
 pointwise checking here and the tropicalization pass elsewhere.  Every
 identity check here is a list of rows ``(label, lhs, rhs)``, each side a
-word of actions and the trees read at its image, run in two stages by
-:func:`check_identity_rows` through :func:`pointwise_check` (the one
-sampled-check loop, defined in :mod:`gcrystal.expr` and re-exported here);
-each returns its :class:`CheckOutcome`.
+list of coordinate-map steps (a word of actions is one step) and the
+trees read at the last image, run by :func:`check_identity_rows` through
+:func:`pointwise_check` (the one sampled-check loop, defined in
+:mod:`gcrystal.expr` and re-exported here); each returns its
+:class:`CheckOutcome`.
 """
 
 from __future__ import annotations
@@ -209,39 +210,54 @@ def compose_word(model: CrystalModel, word) -> tuple[RatExpr, ...]:
     return coords
 
 
-def check_identity_rows(model: CrystalModel, rows, spec: SampleSpec, trials: int) -> CheckOutcome:
-    """Run the identity ``rows`` on ``model`` at ``trials`` points of ``spec``.
+def word_side(model: CrystalModel, word, trees=None):
+    """The side that acts with ``word`` on ``model`` as one step, then reads ``trees``."""
+    return (compose_word(model, word),), trees
 
-    A row is ``(label, lhs, rhs)`` and a side is ``(word, trees)``: ``word``
-    is ``((index, parameter), ...)`` in application order, each parameter a
-    tree over the sampled scalars, and ``trees`` (a tuple, a
-    :class:`Program` of them, or ``None`` for the image coordinates) are
-    read at the word's image.  The word is composed into one coordinate
-    program, run to reduced ``Fraction`` coordinates; the trees are one
-    program run there to unreduced pairs, compared output by output with
-    :func:`pair_witness`.  Every program is compiled here, once per call.
-    A failing row's witness is ``{**label, output, point, lhs, rhs}``.
+
+def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: int) -> CheckOutcome:
+    """Run the identity ``rows`` over the coordinates ``names`` at ``trials`` points of ``spec``.
+
+    A row is ``(label, lhs, rhs)`` and a side is ``(steps, trees)``.  A
+    step is a coordinate map, one tree per name over the coordinates and
+    the sampled scalars: a word of actions composed by :func:`compose_word`,
+    or the R map.  The steps run in order, each to reduced ``Fraction``
+    coordinates that the next one reads.  ``trees`` are read at the last
+    image as one program run to unreduced pairs, compared output by output
+    with :func:`pair_witness`; they are a tuple, a mapping from output
+    names to trees, a :class:`Program`, or ``None`` for the coordinates.
+    The outputs take the lhs's names (``names`` for ``None``).  Every
+    distinct step and tree object is compiled here, once per call.  A
+    failing row's witness is ``{**label, output, point, lhs, rhs}``.
     """
+    coords = tuple(var(v) for v in names)
+    programs: dict[int, Program] = {}
+
+    def program(trees) -> Program:
+        key = id(trees)
+        if key not in programs:
+            roots = trees.values() if isinstance(trees, dict) else trees
+            programs[key] = trees if isinstance(trees, Program) else compile_program(roots)
+        return programs[key]
 
     def compiled(side):
-        word, trees = side
-        image = compile_program(compose_word(model, word)) if word else None
-        if not isinstance(trees, Program):
-            trees = compile_program(compose_word(model, ()) if trees is None else trees)
-        return image, trees
+        steps, trees = side
+        return [program(step) for step in steps], program(coords if trees is None else trees)
 
-    plan = [
-        (label, compiled(lhs), compiled(rhs), model.variables if lhs[1] is None else None)
-        for label, lhs, rhs in rows
-    ]
+    def output_names(trees):
+        return names if trees is None else tuple(trees) if isinstance(trees, dict) else None
 
-    def side(image, program, point):
-        env = point if image is None else {**point, **dict(zip(model.variables, run(image, point)))}
-        return run_pairs(program, env)
+    plan = [(label, compiled(lhs), compiled(rhs), output_names(lhs[1])) for label, lhs, rhs in rows]
+
+    def side(steps, trees, point):
+        env = point
+        for step in steps:
+            env = {**env, **dict(zip(names, run(step, env)))}
+        return run_pairs(trees, env)
 
     def fn(point):
-        for label, lhs, rhs, names in plan:
-            witness = pair_witness(point, side(*lhs, point), side(*rhs, point), names)
+        for label, lhs, rhs, outputs in plan:
+            witness = pair_witness(point, side(*lhs, point), side(*rhs, point), outputs)
             if witness is not None:
                 return {**label, **witness}
         return None
@@ -256,14 +272,14 @@ def tree_row(label: dict, lhs: RatExpr, rhs: RatExpr):
 
 def check_action_identity(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """e_i^1 must fix every point."""
-    rows = [({"i": i}, (((i, const(1)),), None), ((), None))]
-    return check_identity_rows(model, rows, model.domain_spec(seed), trials)
+    rows = [({"i": i}, word_side(model, ((i, const(1)),)), ((), None))]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
 
 
 def check_group_law(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """e_i^{c1} e_i^{c2} = e_i^{c1 c2}."""
-    rows = [({"i": i}, (((i, S2), (i, S1)), None), (((i, mul(S1, S2)),), None))]
-    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
+    rows = [({"i": i}, word_side(model, ((i, S2), (i, S1))), word_side(model, ((i, mul(S1, S2)),)))]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
 
 
 def check_domain_preserved(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -287,8 +303,8 @@ def check_gamma_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, 
     """gamma_j(e_i^c x) = c^{a_ij} gamma_j(x)."""
     gamma = model.gamma[j]
     expected = mul(pow_(S1, model.cartan.a(i, j)), gamma)
-    rows = [({"i": i, "j": j}, (((i, S1),), (gamma,)), ((), (expected,)))]
-    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1",)), trials)
+    rows = [({"i": i, "j": j}, word_side(model, ((i, S1),), (gamma,)), ((), (expected,)))]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def check_eps_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -300,8 +316,8 @@ def check_eps_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, se
     if i != j and not (model.cartan.a(i, j) == 0 and model.cartan.a(j, i) == 0):
         raise ValueError("eps scaling is checked for i = j and for orthogonal pairs only")
     eps = model.eps[i]
-    rows = [({"i": i, "j": j}, (((j, S1),), (eps,)), ((), (div(eps, S1) if i == j else eps,)))]
-    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1",)), trials)
+    rows = [({"i": i, "j": j}, word_side(model, ((j, S1),), (eps,)), ((), (div(eps, S1) if i == j else eps,)))]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 # --- composition relations -------------------------------------------------------
@@ -349,8 +365,8 @@ def check_composition_relation(
 ) -> CheckOutcome:
     """The braid-like relation between e_i and e_j dictated by the Cartan entries."""
     left, right = composition_sides(i, j, model.cartan.a(i, j), model.cartan.a(j, i))
-    rows = [({"i": i, "j": j}, (left, None), (right, None))]
-    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
+    rows = [({"i": i, "j": j}, word_side(model, left), word_side(model, right))]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
 
 
 def applicable_pairs(cartan: CartanData):
@@ -468,7 +484,7 @@ def check_product_formula(
             ey = rename_variables(y_model.eps[i], right)
             expected = add(rename_variables(x_model.eps[i], left), div(ey, gx))
         rows.append(tree_row({"i": i}, getattr(z, which)[i], expected))
-    return check_identity_rows(z, rows, z.domain_spec(seed), trials)
+    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
 
 
 def check_product_split(
@@ -477,7 +493,7 @@ def check_product_split(
     """c1 c2 = c for the parameter split of every index of ``z = product(x_model, y_model)``."""
     splits = {i: product_split_exprs(x_model, y_model, i) for i in z.cartan.labels}
     rows = [tree_row({"i": i}, mul(c1, c2), var(SCALAR)) for i, (c1, c2) in splits.items()]
-    return check_identity_rows(z, rows, z.domain_spec(seed, extra=(SCALAR,)), trials)
+    return check_identity_rows(z.variables, rows, z.domain_spec(seed, extra=(SCALAR,)), trials)
 
 
 def check_product_associativity(
@@ -499,7 +515,7 @@ def check_product_associativity(
         lhs = tuple(rename_variables(e, onto_right) for e in trees)
         rhs = (right.gamma[i], right.eps[i], *(rename_variables(e, {SCALAR: "s1"}) for e in right.actions[i]))
         rows.append(({"i": i}, ((), lhs), ((), rhs)))
-    return check_identity_rows(right, rows, right.domain_spec(seed, extra=("s1",)), trials)
+    return check_identity_rows(right.variables, rows, right.domain_spec(seed, extra=("s1",)), trials)
 
 
 # --- JSON manifest ----------------------------------------------------------------

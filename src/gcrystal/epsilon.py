@@ -40,6 +40,7 @@ from .crystal import (
     check_identity_rows,
     composition_sides,
     tree_row,
+    word_side,
 )
 from .expr import (
     CheckOutcome,
@@ -187,7 +188,8 @@ def check_alternating_identities(
     seed: int = 0,
 ) -> CheckOutcome:
     """Both alternating convolutions over ``interval`` must vanish identically."""
-    return check_identity_rows(model, _alternating_rows(system, interval), model.domain_spec(seed), trials)
+    rows = _alternating_rows(system, interval)
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
 
 
 def check_partition_sum(
@@ -198,7 +200,8 @@ def check_partition_sum(
     seed: int = 0,
 ) -> CheckOutcome:
     """The stored eps*_J must equal the alternating partition sum of the eps table."""
-    return check_identity_rows(model, _partition_rows(system, interval), model.domain_spec(seed), trials)
+    rows = _partition_rows(system, interval)
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
 
 
 def _transformed_eps(system: EpsilonSystem, a: int, b: int, p: int, starred: bool) -> RatExpr:
@@ -236,8 +239,8 @@ def check_epsilon_axiom(
     rows = []
     for p, label in enumerate(system.chain):
         expected = tuple(_transformed_eps(system, a, b, p, starred) for starred, (a, b) in system.entries())
-        rows.append(({"index": label}, (((label, S1),), system.table_program()), ((), expected)))
-    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1",)), trials)
+        rows.append(({"index": label}, word_side(model, ((label, S1),), system.table_program()), ((), expected)))
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def check_well_defined(
@@ -257,8 +260,8 @@ def check_well_defined(
         raise ValueError("well-definedness is checked for commuting and braid pairs only")
     left, right = composition_sides(i, j, a_ij, a_ji)
     tables = system.table_program()
-    rows = [({"pair": (i, j)}, (left, tables), (right, tables))]
-    return check_identity_rows(model, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
+    rows = [({"pair": (i, j)}, word_side(model, left, tables), word_side(model, right, tables))]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
 
 
 def check_pair_identity(
@@ -271,7 +274,7 @@ def check_pair_identity(
     """eps_[a,a+1] + eps*_[a,a+1] = eps_a * eps_{a+1} (adjacent-pair identity)."""
     lhs = system.eps_at(a, a + 1) + system.star_at(a, a + 1)
     rhs = mul(system.eps_at(a, a), system.eps_at(a + 1, a + 1))
-    return check_identity_rows(model, [tree_row({"a": a}, lhs, rhs)], model.domain_spec(seed), trials)
+    return check_identity_rows(model.variables, [tree_row({"a": a}, lhs, rhs)], model.domain_spec(seed), trials)
 
 
 def check_epsilon_system(
@@ -284,7 +287,7 @@ def check_epsilon_system(
     rows = []
     for J in system.intervals():
         rows += _partition_rows(system, J) + _alternating_rows(system, J)
-    return check_identity_rows(model, rows, model.domain_spec(seed), trials)
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
 
 
 # --- products and restrictions -----------------------------------------------------

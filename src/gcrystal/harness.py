@@ -623,7 +623,7 @@ def _suite_rmap(col: _Collector, p: Params) -> None:
                 col.run(check, f"{subject} i={i}", lambda s: rmap.check_preserved(n, L, M, i, which, t, s))
         col.run("rmap-braid", subject, lambda s: rmap.check_braid(n, (L, M, p.N), t, s))
         col.run("rmap-braid", f"{subject} degenerate", lambda s: rmap.check_braid(n, (L, M, M), t, s))
-        col.run("rmap-fixed-point", subject, lambda s: rmap.check_fixed_point(n, Fraction(2), Fraction(3)))
+        col.run("rmap-fixed-point", subject, lambda s: rmap.check_fixed_point(n, p.a, p.b))
         col.run(
             "rmap-diagonal",
             subject,

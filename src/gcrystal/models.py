@@ -40,6 +40,7 @@ from fractions import Fraction
 
 from .arith import Assignment, SampleSpec, sample_point
 from .crystal import (
+    S1,
     SCALAR,
     CrystalModel,
     _split_scalars,
@@ -47,8 +48,10 @@ from .crystal import (
     cartan_affine_a,
     cartan_affine_d5,
     cartan_finite_a,
+    check_identity_rows,
     product,
     split_pair,
+    word_side,
 )
 from .epsilon import EpsilonSystem, Interval, system_from_eps
 from .expr import (
@@ -660,34 +663,22 @@ def check_borel_matrix_action(model: CrystalModel, i: int, trials: int = 100, se
 
 
 def check_borel_display(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """Frozen closed forms of the transformed coordinates."""
+    """Frozen closed forms of the transformed coordinates, against the image of e_i^c (c = s1).
+
+    One row, its outputs named by the coordinates: u_i, t_i, t_{i+1}, the
+    row slots u_{j,i-1} (j < i), then the column slots u_{i+1,k} and
+    u_{i,k} (k > i).
+    """
     n = len(model.cartan.labels)
-
-    def fn(point):
-        x, (c,) = _split_scalars(point, ("s1",))
-        y = apply_e(model, i, c, x)
-
-        def u(j, k):
-            return x[f"u{j}" if j == k else f"u{j}{k}"]
-
-        def uy(j, k):
-            return y[f"u{j}" if j == k else f"u{j}{k}"]
-
-        if uy(i, i) != u(i, i) / c:
-            return {"slot": ("u", i), "i": i}
-        if y[f"t{i}"] != c * x[f"t{i}"] or y[f"t{i + 1}"] != x[f"t{i + 1}"] / c:
-            return {"slot": ("t", i), "i": i}
-        for j in range(1, i):
-            if uy(j, i - 1) != u(j, i - 1) + (c - 1) * u(j, i) / u(i, i):
-                return {"slot": ("row", j), "i": i}
-        for k in range(i + 1, n + 1):
-            if uy(i + 1, k) != c * (u(i + 1, k) + (1 / c - 1) * u(i, k) / u(i, i)):
-                return {"slot": ("col", k), "i": i}
-            if uy(i, k) != u(i, k) / c:
-                return {"slot": ("col-rescale", k), "i": i}
-        return None
-
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
+    c, ui = S1, _u(i, i)
+    forms = {f"u{i}": ui / c, f"t{i}": c * var(f"t{i}"), f"t{i + 1}": var(f"t{i + 1}") / c}
+    for j in range(1, i):
+        forms[_u(j, i - 1).name] = _u(j, i - 1) + (c - 1) * _u(j, i) / ui
+    for k in range(i + 1, n + 1):
+        forms[_u(i + 1, k).name] = c * (_u(i + 1, k) + (1 / c - 1) * _u(i, k) / ui)
+        forms[_u(i, k).name] = _u(i, k) / c
+    rows = [({"i": i}, word_side(model, ((i, S1),), {v: var(v) for v in forms}), ((), forms))]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def check_borel_table(

@@ -17,11 +17,15 @@ function, a sum of monomials built from sums and products alone, hence
 subtraction-free and tropicalizable.  The map has a pole wherever some
 P_i vanishes.
 
-Besides the map itself this module hosts the exact checkers for its
-defining properties: commutation with every one-parameter action on the
-product crystal, preservation of the eps/gamma functions, the braid
-consistency on triple products, interval-wise invariance of product
-epsilon systems, and the fixed-point probe that solves the invariance
+The trees of :func:`unit_r_map` are the one source of R: :func:`apply_r`
+runs them, and the checks of its defining properties read them renamed
+onto product coordinates as one step of identity rows, run by
+:func:`gcrystal.crystal.check_identity_rows`: the level swap,
+commutation with every one-parameter action on the product crystal,
+preservation of the eps/gamma functions, the braid relation on triple
+products (three R steps a side), the cyclic shift, the diagonal, and
+interval-wise invariance of product epsilon systems.  The fixed point is
+checked at one point, and the uniqueness probe solves the invariance
 equations at the homogeneous point by hand and confirms the solution is
 forced.
 """
@@ -35,16 +39,17 @@ from fractions import Fraction
 
 from .arith import Assignment, SampleSpec, product as fraction_product
 from .crystal import (
+    LEFT_SUFFIX,
+    RIGHT_SUFFIX,
+    S1,
     CheckOutcome,
     CrystalModel,
-    apply_e,
-    pack_pair,
-    pointwise_check,
-    split_pair,
-    _split_scalars,
+    check_identity_rows,
+    compose_word,
+    product,
 )
 from .epsilon import EpsilonSystem, product_epsilon
-from .expr import Program, RatExpr, div, evaluate, mul, program_for, run, var
+from .expr import Program, RatExpr, const, div, mul, prod, program_for, rename_variables, run, var
 from .models import affine_a_local_system, affine_a_model
 
 
@@ -141,62 +146,49 @@ def apply_r(inst: RMapInstance, l: Assignment, m: Assignment) -> tuple[Assignmen
     return r_images(inst, l, m, run)
 
 
-def _pair_spec(n: int, ll: Fraction, lr: Fraction, seed: int, extra: tuple[str, ...] = ()) -> SampleSpec:
-    left = tuple(f"l{k}.x" for k in range(1, n + 2))
-    right = tuple(f"l{k}.y" for k in range(1, n + 2))
-    return SampleSpec(
-        variables=left + right + extra,
-        positive=True,
-        constraints=((left, Fraction(ll)), (right, Fraction(lr))),
-        seed=seed,
-    )
+def _r_trees(n: int, left: str, right: str) -> tuple[RatExpr, ...]:
+    """The trees of :func:`unit_r_map` (l' then m'), reading l_k as ``l{k}{left}`` and m_k as ``l{k}{right}``."""
+    unit = unit_r_map(n)
+    onto = {}
+    for k in range(1, n + 2):
+        onto[f"l{k}"] = f"l{k}{left}"
+        onto[f"m{k}"] = f"l{k}{right}"
+    return tuple(rename_variables(e, onto) for e in unit.l_out + unit.m_out)
 
 
-def _split_pair_point(point: Assignment, n: int) -> tuple[Assignment, Assignment]:
-    names = tuple(f"l{k}" for k in range(1, n + 2))
-    return split_pair(point, names, names)
+def _product_model(n: int, ll: Fraction, lr: Fraction) -> CrystalModel:
+    """The product crystal of the torus models at levels ``ll`` and ``lr``; R acts on its coordinates."""
+    return product(affine_a_model(n, ll), affine_a_model(n, lr))
+
+
+def r_step(n: int) -> tuple[RatExpr, ...]:
+    """R as a step of identity rows on the product coordinates, l' onto ``.x`` and m' onto ``.y``."""
+    return _r_trees(n, LEFT_SUFFIX, RIGHT_SUFFIX)
 
 
 def check_level_swap(n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """The coordinate products of the two output points trade places exactly."""
-    inst = build_r_map(n, ll, lr)
+    z = _product_model(n, ll, lr)
+    products = (prod([var(v) for v in z.variables[: n + 1]]), prod([var(v) for v in z.variables[n + 1 :]]))
+    rows = [({}, ((r_step(n),), products), ((), (const(lr), const(ll))))]
+    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
 
-    def fn(point):
-        l, m = _split_pair_point(point, n)
-        l2, m2 = apply_r(inst, l, m)
-        got = (fraction_product(l2.values()), fraction_product(m2.values()))
-        if got != (Fraction(lr), Fraction(ll)):
-            return {"l": l, "m": m, "products": got}
-        return None
 
-    return pointwise_check(fn, _pair_spec(n, ll, lr, seed), trials)
+def commutation_rows(n: int, ll: Fraction, lr: Fraction, i: int) -> list:
+    """(e_i^s1 on Z_LM, then R) against (R, then e_i^s1 on Z_ML), over the coordinates of Z_LM."""
+    r = r_step(n)
+    e_lm = compose_word(_product_model(n, ll, lr), ((i, S1),))
+    e_ml = compose_word(_product_model(n, lr, ll), ((i, S1),))
+    return [({"i": i}, ((e_lm, r), None), ((r, e_ml), None))]
 
 
 def check_commutation(
     n: int, ll: Fraction, lr: Fraction, i: int, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
     """R intertwines e_i^c on the two product crystals."""
-    inst = build_r_map(n, ll, lr)
-    z_lm = _product_model(n, ll, lr)
-    z_ml = _product_model(n, lr, ll)
-
-    def fn(point):
-        x, (c,) = _split_scalars(point, ("s1",))
-        l, m = _split_pair_point(x, n)
-        lhs = apply_e(z_ml, i, c, pack_pair(*apply_r(inst, l, m)))
-        la, ma = _split_pair_point(apply_e(z_lm, i, c, x), n)
-        rhs = pack_pair(*apply_r(inst, la, ma))
-        if lhs != rhs:
-            return {"i": i, "c": c, "l": l, "m": m, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, _pair_spec(n, ll, lr, seed, extra=("s1",)), trials)
-
-
-def _product_model(n: int, ll: Fraction, lr: Fraction) -> CrystalModel:
-    from .crystal import product
-
-    return product(affine_a_model(n, ll), affine_a_model(n, lr))
+    z = _product_model(n, ll, lr)
+    rows = commutation_rows(n, ll, lr, i)
+    return check_identity_rows(z.variables, rows, z.domain_spec(seed, extra=("s1",)), trials)
 
 
 def check_preserved(
@@ -204,19 +196,26 @@ def check_preserved(
 ) -> CheckOutcome:
     """eps_i (``which="eps"``) or gamma_i (``which="gamma"``) of the product
     before R equals the same function of the swapped product after R."""
-    inst = build_r_map(n, ll, lr)
-    before = getattr(_product_model(n, ll, lr), which)[i]
-    after = getattr(_product_model(n, lr, ll), which)[i]
+    z_lm, z_ml = _product_model(n, ll, lr), _product_model(n, lr, ll)
+    rows = [({"i": i}, ((), (getattr(z_lm, which)[i],)), ((r_step(n),), (getattr(z_ml, which)[i],)))]
+    return check_identity_rows(z_lm.variables, rows, z_lm.domain_spec(seed), trials)
 
-    def fn(point):
-        l, m = _split_pair_point(point, n)
-        lhs = evaluate(before, point)
-        rhs = evaluate(after, pack_pair(*apply_r(inst, l, m)))
-        if lhs != rhs:
-            return {"i": i, "l": l, "m": m, "lhs": lhs, "rhs": rhs}
-        return None
 
-    return pointwise_check(fn, _pair_spec(n, ll, lr, seed), trials)
+def _triple_names(n: int) -> tuple[tuple[str, ...], ...]:
+    """The coordinates l1.a..l{n+1}.a, l1.b.., l1.c.. of the three points of a triple."""
+    return tuple(tuple(f"l{k}.{t}" for k in range(1, n + 2)) for t in "abc")
+
+
+def braid_rows(n: int) -> list:
+    """(R12, R23, R12) against (R23, R12, R23) over the coordinates of a triple.
+
+    The component formulas do not involve the levels, so one R acts on
+    every adjacent pair.
+    """
+    a, _, c = _triple_names(n)
+    r12 = _r_trees(n, ".a", ".b") + tuple(var(v) for v in c)
+    r23 = tuple(var(v) for v in a) + _r_trees(n, ".b", ".c")
+    return [({}, ((r12, r23, r12), None), ((r23, r12, r23), None))]
 
 
 def check_braid(
@@ -227,62 +226,25 @@ def check_braid(
 ) -> CheckOutcome:
     """Adjacent-pair applications in orders (12)(23)(12) and (23)(12)(23) agree.
 
-    The component formulas do not involve the levels, so one instance acts on
-    every adjacent pair; the levels only specify the sampling domain.
+    The levels only specify the sampling domain.
     """
-    la, lb, lc = (Fraction(x) for x in levels)
-    inst = build_r_map(n, la, lb)
-
-    def act(triple, pos):
-        x, y, z = triple
-        if pos == 0:
-            x2, y2 = apply_r(inst, x, y)
-            return (x2, y2, z)
-        y2, z2 = apply_r(inst, y, z)
-        return (x, y2, z2)
-
-    coords = tuple(f"l{k}" for k in range(1, n + 2))
-    names_a = tuple(f"{v}.a" for v in coords)
-    names_b = tuple(f"{v}.b" for v in coords)
-    names_c = tuple(f"{v}.c" for v in coords)
+    names = _triple_names(n)
     spec = SampleSpec(
-        variables=names_a + names_b + names_c,
+        variables=sum(names, ()),
         positive=True,
-        constraints=((names_a, la), (names_b, lb), (names_c, lc)),
+        constraints=tuple(zip(names, (Fraction(x) for x in levels))),
         seed=seed,
     )
-
-    def fn(point):
-        triple = (
-            {v: point[f"{v}.a"] for v in coords},
-            {v: point[f"{v}.b"] for v in coords},
-            {v: point[f"{v}.c"] for v in coords},
-        )
-        lhs = act(act(act(triple, 0), 1), 0)
-        rhs = act(act(act(triple, 1), 0), 1)
-        if lhs != rhs:
-            return {"triple": triple, "lhs": lhs, "rhs": rhs}
-        return None
-
-    return pointwise_check(fn, spec, trials)
+    return check_identity_rows(spec.variables, braid_rows(n), spec, trials)
 
 
 def check_cyclic_shift(n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """Shifting every index by one commutes with the map."""
-    inst = build_r_map(n, ll, lr)
-
-    def shift(pt: Assignment) -> Assignment:
-        return {f"l{k}": pt[f"l{_wrap(k + 1, n)}"] for k in range(1, n + 2)}
-
-    def fn(point):
-        l, m = _split_pair_point(point, n)
-        l2, m2 = apply_r(inst, l, m)
-        l3, m3 = apply_r(inst, shift(l), shift(m))
-        if (l3, m3) != (shift(l2), shift(m2)):
-            return {"l": l, "m": m}
-        return None
-
-    return pointwise_check(fn, _pair_spec(n, ll, lr, seed), trials)
+    z = _product_model(n, ll, lr)
+    shift = tuple(var(f"l{_wrap(k + 1, n)}{s}") for s in (LEFT_SUFFIX, RIGHT_SUFFIX) for k in range(1, n + 2))
+    r = r_step(n)
+    rows = [({}, ((shift, r), None), ((r, shift), None))]
+    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
 
 
 def homogeneous_point(n: int, value: Fraction) -> Assignment:
@@ -301,18 +263,11 @@ def check_fixed_point(n: int, a: Fraction, b: Fraction) -> CheckOutcome:
 
 
 def check_diagonal_identity(n: int, level: Fraction, trials: int = 20, seed: int = 0) -> CheckOutcome:
-    """With equal levels, the map fixes every diagonal pair (l, l)."""
-    inst = build_r_map(n, level, level)
-    coords = tuple(f"l{k}" for k in range(1, n + 2))
-    spec = SampleSpec(variables=coords, positive=True, constraints=((coords, Fraction(level)),), seed=seed)
-
-    def fn(point):
-        l2, m2 = apply_r(inst, point, point)
-        if l2 != point or m2 != point:
-            return {"l": point, "l'": l2, "m'": m2}
-        return None
-
-    return pointwise_check(fn, spec, trials)
+    """With equal levels, the map fixes every diagonal pair (l, l): R with m read as l, against (l, l)."""
+    model = affine_a_model(n, level)
+    coords = tuple(var(v) for v in model.variables)
+    rows = [({}, ((), _r_trees(n, "", "")), ((), coords + coords))]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
 
 
 # --- invariance of product epsilon systems ------------------------------------------
@@ -332,23 +287,20 @@ def product_systems(n: int, ll: Fraction, lr: Fraction) -> tuple[EpsilonSystem, 
 def check_epsilon_invariance(
     n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0, starred: bool = False
 ) -> CheckOutcome:
-    """Every interval's product eps (or eps*) is constant along the map."""
-    inst = build_r_map(n, ll, lr)
+    """Every interval's product eps (or eps*) is constant along the map.
+
+    One row: the L x M table against the M x L table read at R(x), each
+    output named by its interval.
+    """
     sys_lm, sys_ml = product_systems(n, ll, lr)
 
-    def fn(point):
-        l, m = _split_pair_point(point, n)
-        image = pack_pair(*apply_r(inst, l, m))
-        for interval in sys_lm.intervals():
-            before = sys_lm.star_at(*interval) if starred else sys_lm.eps_at(*interval)
-            after = sys_ml.star_at(*interval) if starred else sys_ml.eps_at(*interval)
-            lhs = evaluate(before, point)
-            rhs = evaluate(after, image)
-            if lhs != rhs:
-                return {"interval": interval, "starred": starred, "l": l, "m": m, "lhs": lhs, "rhs": rhs}
-        return None
+    def table(system):
+        entry = system.star_at if starred else system.eps_at
+        return {J: entry(*J) for J in system.intervals()}
 
-    return pointwise_check(fn, _pair_spec(n, ll, lr, seed), trials)
+    z = _product_model(n, ll, lr)
+    rows = [({"starred": starred}, ((), table(sys_lm)), ((r_step(n),), table(sys_ml)))]
+    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
 
 
 # --- uniqueness probe ---------------------------------------------------------------

@@ -415,9 +415,25 @@ def _borel_sl3_group_law(trials):
     return check_group_law(borel_model(2), 1, trials, 3)
 
 
-@pytest.mark.parametrize("check", [_borel_sl3_group_law, _borel_sl3_axiom], ids=["crystal", "epsilon"])
+def _rmap_commutation(trials):
+    from gcrystal.rmap import check_commutation
+
+    return check_commutation(2, rat(4), rat(9), 1, trials, 3)
+
+
+def _rmap_braid(trials):
+    from gcrystal.rmap import check_braid
+
+    return check_braid(2, (rat(4), rat(9), rat(25)), trials, 3)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [_borel_sl3_group_law, _borel_sl3_axiom, _rmap_commutation, _rmap_braid],
+    ids=["crystal", "epsilon", "rmap-commutation", "rmap-braid"],
+)
 def test_programs_compile_once_per_check_call(check, monkeypatch):
-    # fresh models and systems each time, so no program is cached from before
+    # fresh models, systems and R trees each time, so no program is cached from before
     import gcrystal.crystal as crystal
     import gcrystal.expr as expr
 

@@ -175,6 +175,36 @@ def test_borel_oracle_report_at_the_largest_size():
     assert hashlib.sha256(report.encode()).hexdigest()[:16] == "3ee485179d77fb3e"
 
 
+@pytest.mark.parametrize(
+    "suite, digest", [("rmap", "7dd7728932a8059c"), ("invariance", "0501f5110f5a4377")]
+)
+def test_r_map_reports_at_the_largest_size(suite, digest):
+    # n = 4 is an allowed size that the digests above never reach: it pins
+    # the R steps and the product epsilon tables at their largest
+    params = {"n": 4, "trials": 10}
+    results = run_suite(suite, params, 3)
+    assert all(r.verdict == "pass" for r in results)
+    report = report_json(suite, params, 3, results)
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == digest
+
+
+def test_rmap_fixed_point_is_checked_at_a_and_b(monkeypatch):
+    from fractions import Fraction
+
+    from gcrystal import rmap
+
+    true_check, calls = rmap.check_fixed_point, []
+
+    def recording(n, a, b):
+        calls.append((n, a, b))
+        return true_check(n, a, b)
+
+    monkeypatch.setattr(rmap, "check_fixed_point", recording)
+    results = run_suite("rmap", {"n": 1, "a": "5", "b": "7/2", "trials": 2})
+    assert calls == [(1, Fraction(5), Fraction(7, 2))]
+    assert [r.verdict for r in results if r.check == "rmap-fixed-point"] == ["pass"]
+
+
 def test_counterexamples_serialize():
     # force a failure by monkeypatching nothing: craft a result through report
     # of a suite with a deliberately tiny domain is overkill; instead check the

@@ -27,7 +27,7 @@ from gcrystal.harness import REGISTRY, run_suite
 TRUE_SHADOW = ud.shadow
 TRUE_R = ud.apply_combinatorial_r
 TRUE_SPLIT = ud.split
-TRUE_APPLY_R = rmap.apply_r
+TRUE_UNIT_R = rmap.unit_r_map
 TRUE_ACTION = models.borel_action
 TRUE_MATRIX_ACTION = models.borel_apply_e_matrix
 TRUE_MULTIPLY = models.borel_multiply
@@ -76,18 +76,19 @@ def bent_split(only=None):
 def scaled_r(compensated):
     """The rational R with l'_k scaled by 2^k; ``compensated`` divides m'_k by 2^k.
 
-    The compensated bend keeps every pair product l'_k m'_k, so the product
-    gamma (a product of coordinate ratios) does not see it.
+    The bend is planted in ``rmap.unit_r_map``, the trees that both
+    ``apply_r`` and the identity rows read.  The compensated bend keeps
+    every pair product l'_k m'_k, so the product gamma (a product of
+    coordinate ratios) does not see it.
     """
 
-    def apply_r(inst, l, m):
-        l2, m2 = TRUE_APPLY_R(inst, l, m)
-        l2 = {name: v * 2**k for k, (name, v) in enumerate(l2.items(), start=1)}
-        if compensated:
-            m2 = {name: v / 2**k for k, (name, v) in enumerate(m2.items(), start=1)}
-        return l2, m2
+    def unit_r_map(n):
+        true = TRUE_UNIT_R(n)
+        l_out = tuple(mul(const(2**k), e) for k, e in enumerate(true.l_out, start=1))
+        m_out = tuple(div(e, const(2**k)) for k, e in enumerate(true.m_out, start=1))
+        return dataclasses.replace(true, l_out=l_out, m_out=m_out if compensated else true.m_out)
 
-    return lambda mp: mp.setattr(rmap, "apply_r", apply_r)
+    return lambda mp: mp.setattr(rmap, "unit_r_map", unit_r_map)
 
 
 def bent_residual(mp):
@@ -354,6 +355,12 @@ def _row_spec(suite, params, model_of, extra):
     return spec
 
 
+def _torus_pair(subject, ll, lr):
+    """The product of the torus models that R acts on, at the size ``n`` a subject "n=... ..." names."""
+    n = int(subject.split()[0].removeprefix("n="))
+    return TRUE_PRODUCT(TRUE_TORUS(n, ll), TRUE_TORUS(n, lr))
+
+
 # (defect, check, label keys of its rows, spec of a row, from (subject, check))
 WITNESSES = {
     "borel-residual": (
@@ -373,6 +380,18 @@ WITNESSES = {
         "verma-braid",
         {"i", "j", "output"},
         _row_spec(*VERMA, lambda p, subject: TRUE_TORUS(3, p.L), ("s1", "s2")),
+    ),
+    "rmap-commutation": (
+        "scaled-r",
+        "rmap-commutation",
+        {"i", "output"},
+        _row_spec(*RMAP, lambda p, subject: _torus_pair(subject, p.L, p.M), ("s1",)),
+    ),
+    "inv-eps": (
+        "scaled-r-invariance",
+        "inv-eps",
+        {"starred", "output"},
+        _row_spec(*INVARIANCE, lambda p, subject: _torus_pair(subject, p.L, p.M), ()),
     ),
 }
 

@@ -18,6 +18,7 @@ from gcrystal.expr import (
 )
 from gcrystal.rmap import (
     apply_r,
+    braid_rows,
     build_r_map,
     check_braid,
     check_commutation,
@@ -27,6 +28,7 @@ from gcrystal.rmap import (
     check_fixed_point,
     check_level_swap,
     check_preserved,
+    commutation_rows,
     homogeneous_point,
     p_expr,
     r_program,
@@ -233,6 +235,80 @@ def test_double_application_returns_to_start():
         l2, m2 = apply_r(inst, l, m)
         l3, m3 = apply_r(back, l2, m2)
         assert (l3, m3) == (l, m)
+
+
+# --- the R map as steps of identity rows ------------------------------------------------
+
+
+def _step_images(steps, names, point):
+    """The image after each step, each step run to reduced coordinates that the next one reads."""
+    from gcrystal.expr import compile_program, run
+
+    images, env = [], dict(point)
+    for step in steps:
+        env.update(zip(names, run(compile_program(step), env)))
+        images.append({v: env[v] for v in names})
+    return images
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_steps_match_apply_e_and_apply_r(n):
+    from gcrystal.crystal import apply_e, pack_pair, product, split_pair
+    from gcrystal.models import affine_a_model
+
+    ll, lr = rat(4), rat(9)
+    inst = build_r_map(n, ll, lr)
+    z_lm = product(affine_a_model(n, ll), affine_a_model(n, lr))
+    z_ml = product(affine_a_model(n, lr), affine_a_model(n, ll))
+    coords = tuple(f"l{k}" for k in range(1, n + 2))
+
+    def r(x):
+        return pack_pair(*apply_r(inst, *split_pair(x, coords, coords)))
+
+    for i in range(n + 1):
+        [(_, (lhs, _), (rhs, _))] = commutation_rows(n, ll, lr, i)
+        for point in sample_points(z_lm.domain_spec(n + i, extra=("s1",)), 5):
+            x, c = {v: point[v] for v in z_lm.variables}, point["s1"]
+            e = apply_e(z_lm, i, c, x)
+            assert _step_images(lhs, z_lm.variables, point) == [e, r(e)]
+            assert _step_images(rhs, z_lm.variables, point) == [r(x), apply_e(z_ml, i, c, r(x))]
+
+    [(_, (lhs, _), (rhs, _))] = braid_rows(n)
+    names = tuple(f"l{k}.{t}" for t in "abc" for k in range(1, n + 2))
+    spec = SampleSpec(names, positive=True, constraints=((names, rat(60)),), seed=n)
+
+    def act(triple, pos):
+        x, y, z = triple
+        return (*apply_r(inst, x, y), z) if pos == 0 else (x, *apply_r(inst, y, z))
+
+    def triple_of(point):
+        return tuple({v: point[f"{v}.{t}"] for v in coords} for t in "abc")
+
+    for point in sample_points(spec, 5):
+        for steps, order in ((lhs, (0, 1, 0)), (rhs, (1, 0, 1))):
+            expected, triple = [], triple_of(point)
+            for pos in order:
+                triple = act(triple, pos)
+                expected.append(triple)
+            assert [triple_of(image) for image in _step_images(steps, names, point)] == expected
+
+
+def test_braid_word_runs_as_three_reduced_steps(monkeypatch):
+    # a braid side composed into one program takes about 20 s at n = 3
+    # against 0.08 s as three reduced steps (README "Evaluation"), so each
+    # side must run its three R steps, each a program of 3(n+1) outputs
+    import gcrystal.crystal as crystal
+
+    true_run, calls = crystal.run, []
+
+    def counting(program, point):
+        calls.append(len(program.outputs))
+        return true_run(program, point)
+
+    monkeypatch.setattr(crystal, "run", counting)
+    trials = 7
+    assert check_braid(2, (rat(4), rat(9), rat(25)), trials).ok
+    assert calls == [9] * (6 * trials)
 
 
 @pytest.mark.parametrize("n", [2, 3])
