@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arith import Assignment, SampleSpec, product as fraction_product, sample_point
+from .arith import Assignment, SampleSpec, fraction_point, product as fraction_product, sample_point
 from .expr import (  # CheckOutcome and pointwise_check are re-exported
     CheckOutcome,
     Program,
@@ -43,6 +43,7 @@ from .expr import (  # CheckOutcome and pointwise_check are re-exported
     rename_variables,
     run,
     run_pairs,
+    run_reduced,
     substitute,
     var,
 )
@@ -221,14 +222,16 @@ def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: 
     A row is ``(label, lhs, rhs)`` and a side is ``(steps, trees)``.  A
     step is a coordinate map, one tree per name over the coordinates and
     the sampled scalars: a word of actions composed by :func:`compose_word`,
-    or the R map.  The steps run in order, each to reduced ``Fraction``
-    coordinates that the next one reads.  ``trees`` are read at the last
-    image as one program run to unreduced pairs, compared output by output
-    with :func:`pair_witness`; they are a tuple, a mapping from output
-    names to trees, a :class:`Program`, or ``None`` for the coordinates.
-    The outputs take the lhs's names (``names`` for ``None``).  Every
-    distinct step and tree object is compiled here, once per call.  A
-    failing row's witness is ``{**label, output, point, lhs, rhs}``.
+    or the R map.  The drawn int pairs go straight into the programs; the
+    steps run in order, each to coordinates in lowest terms
+    (:func:`run_reduced`) that the next one reads.  ``trees`` are read at
+    the last image as one program run to unreduced pairs, compared output
+    by output with :func:`pair_witness`; they are a tuple, a mapping from
+    output names to trees, a :class:`Program`, or ``None`` for the
+    coordinates.  The outputs take the lhs's names (``names`` for
+    ``None``).  Every distinct step and tree object is compiled here, once
+    per call.  A failing row's witness is ``{**label, output, point, lhs,
+    rhs}``, the only place a ``Fraction`` is built.
     """
     coords = tuple(var(v) for v in names)
     programs: dict[int, Program] = {}
@@ -252,7 +255,7 @@ def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: 
     def side(steps, trees, point):
         env = point
         for step in steps:
-            env = {**env, **dict(zip(names, run(step, env)))}
+            env = {**env, **dict(zip(names, run_reduced(step, env)))}
         return run_pairs(trees, env)
 
     def fn(point):
@@ -285,8 +288,8 @@ def check_group_law(model: CrystalModel, i: int, trials: int = 100, seed: int = 
 def check_domain_preserved(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """Every product constraint of the domain survives e_i^c exactly."""
 
-    def fn(point):
-        x, (c,) = _split_scalars(point, ("s1",))
+    def fn(pairs):
+        x, (c,) = _split_scalars(fraction_point(pairs), ("s1",))
         y = apply_e(model, i, c, x)
         for subset, target in model.constraints:
             got = fraction_product(y[v] for v in subset)

@@ -32,11 +32,14 @@ check of the library, identity tests included, runs through the one loop
 
 Evaluation does not walk trees: :func:`compile_program` value-numbers
 trees into a straight-line :class:`Program`, which :func:`run_pairs`
-evaluates exactly to unreduced (numerator, denominator) pairs and
-:func:`run_maxplus` reads in (max, +).  :func:`run` turns the pairs into
-``Fraction`` values; :func:`pair_witness` compares two sides' pairs by
-cross-multiplication.  The tree walker :func:`reference_evaluate` is kept
-as the oracle of the tests.
+evaluates exactly from and to unreduced (numerator, denominator) pairs
+and :func:`run_maxplus` reads in (max, +).  Sampled points are drawn as
+such pairs (:func:`gcrystal.arith.draw_pairs`) and stay pairs through
+the comparison: :func:`run_reduced` gives the outputs in lowest terms,
+:func:`pair_witness` compares two sides' pairs by cross-multiplication,
+and a ``Fraction`` is built only for a witness.  :func:`run` reads and
+returns ``Fraction`` values.  The tree walker :func:`reference_evaluate`
+is kept as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
-from .arith import Assignment, DomainTooThinError, SampleSpec, sample_point
+from .arith import Assignment, DomainTooThinError, PairPoint, SampleSpec, draw_pairs, fraction_point
 
 
 class ExprError(ValueError):
@@ -425,19 +429,20 @@ def _inputs(program: Program, point) -> list:
         raise UnboundVariableError(err.args[0]) from None
 
 
-def run_pairs(program: Program, point: Assignment) -> tuple[list[int], list[int]]:
+def run_pairs(program: Program, point: PairPoint) -> tuple[list[int], list[int]]:
     """Numerators and denominators of every output of ``program`` at ``point``.
 
-    Values travel as unreduced (numerator, denominator) pairs of ints; a
-    denominator is never zero (it may be negative), so a divisor or a base
-    is zero exactly when its numerator is.  Raises
-    :class:`UnboundVariableError` before any arithmetic when an input is
-    missing, and :class:`EvalDomainError` at a pole.  This is the one exact
-    register loop.
+    ``point`` maps each input name to a (numerator, denominator) pair of
+    ints, and values travel as such unreduced pairs; a denominator is
+    never zero (it may be negative), so a divisor or a base is zero
+    exactly when its numerator is.  Raises :class:`UnboundVariableError`
+    before any arithmetic when an input is missing, and
+    :class:`EvalDomainError` at a pole.  This is the one exact register
+    loop.
     """
-    values = _inputs(program, point)
-    nums = [v.numerator for v in values] + program.const_nums
-    dens = [v.denominator for v in values] + program.const_dens
+    pairs = _inputs(program, point)
+    nums = [num for num, _ in pairs] + program.const_nums
+    dens = [den for _, den in pairs] + program.const_dens
     push_num = nums.append
     push_den = dens.append
     for op, a, b in program.code:
@@ -472,9 +477,20 @@ def run_pairs(program: Program, point: Assignment) -> tuple[list[int], list[int]
     return [nums[r] for r in outputs], [dens[r] for r in outputs]
 
 
+def run_reduced(program: Program, point: PairPoint) -> list[tuple[int, int]]:
+    """The :func:`run_pairs` outputs in lowest terms, denominators positive (as ``Fraction`` keeps them)."""
+    out = []
+    push = out.append
+    for num, den in zip(*run_pairs(program, point)):
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        push((num // g, den // g))
+    return out
+
+
 def run(program: Program, point: Assignment) -> list[Fraction]:
-    """Exact values of every output of ``program`` at ``point``, from :func:`run_pairs`."""
-    return [Fraction(n, d) for n, d in zip(*run_pairs(program, point))]
+    """Exact values of every output of ``program`` at the rational ``point``, from :func:`run_pairs`."""
+    pairs = {name: (v.numerator, v.denominator) for name, v in zip(program.names, _inputs(program, point))}
+    return [Fraction(n, d) for n, d in zip(*run_pairs(program, pairs))]
 
 
 def run_maxplus(program: Program, point: dict[str, int]) -> list[int]:
@@ -558,17 +574,18 @@ MAX_POLE_RETRIES = 100
 
 
 def pole_free_points(spec: SampleSpec, attempt):
-    """Yield ``(point, attempt(point))`` at the points sampled from ``spec``.
+    """Yield ``(point, attempt(point))`` at the points drawn from ``spec``.
 
-    A point where ``attempt`` raises :class:`EvalDomainError` is discarded
-    and resampled; after :data:`MAX_POLE_RETRIES` consecutive discards the
-    domain is declared too thin.  The stream never ends by itself, and it
-    draws a point only when the next one is asked for.
+    Points are :func:`gcrystal.arith.draw_pairs` pairs.  A point where
+    ``attempt`` raises :class:`EvalDomainError` is discarded and redrawn;
+    after :data:`MAX_POLE_RETRIES` consecutive discards the domain is
+    declared too thin.  The stream never ends by itself, and it draws a
+    point only when the next one is asked for.
     """
     rng = random.Random(spec.seed)
     failures = 0
     while True:
-        point = sample_point(spec, rng)
+        point = draw_pairs(spec, rng)
         try:
             result = attempt(point)
         except EvalDomainError:
@@ -582,10 +599,12 @@ def pole_free_points(spec: SampleSpec, attempt):
         yield point, result
 
 
-def pointwise_check(fn: Callable[[Assignment], dict | None], spec: SampleSpec, trials: int) -> CheckOutcome:
-    """Run ``fn`` at ``trials`` pole-free points sampled from ``spec``.
+def pointwise_check(fn: Callable[[PairPoint], dict | None], spec: SampleSpec, trials: int) -> CheckOutcome:
+    """Run ``fn`` at ``trials`` pole-free points drawn from ``spec``.
 
-    ``fn`` returns ``None`` on success and a witness dict on failure; it may
+    ``fn`` reads the point as int pairs (a check that needs ``Fraction``
+    values converts it with :func:`gcrystal.arith.fraction_point`); it
+    returns ``None`` on success and a witness dict on failure, and may
     raise :class:`EvalDomainError` to request a fresh point.  This is the
     one sampling loop of every rational check.
     """
@@ -598,11 +617,11 @@ def pointwise_check(fn: Callable[[Assignment], dict | None], spec: SampleSpec, t
             return CheckOutcome(True, trials)
 
 
-def pair_witness(point: Assignment, lhs, rhs, names=None) -> dict | None:
+def pair_witness(point: PairPoint, lhs, rhs, names=None) -> dict | None:
     """``None`` if the sides' :func:`run_pairs` outputs agree as n_l·d_r == n_r·d_l, else a witness.
 
     The witness of the first output k that differs is ``{output, point,
-    lhs, rhs}`` with ``Fraction`` sides; ``output`` is ``names[k]`` (or
+    lhs, rhs}`` with ``Fraction`` values; ``output`` is ``names[k]`` (or
     ``k``), and is left out when the sides have one output.
     """
     (lnums, ldens), (rnums, rdens) = lhs, rhs
@@ -610,7 +629,11 @@ def pair_witness(point: Assignment, lhs, rhs, names=None) -> dict | None:
         raise ValueError(f"the sides have {len(lnums)} and {len(rnums)} outputs")
     for k, nl in enumerate(lnums):
         if nl * rdens[k] != rnums[k] * ldens[k]:
-            witness = {"point": point, "lhs": Fraction(nl, ldens[k]), "rhs": Fraction(rnums[k], rdens[k])}
+            witness = {
+                "point": fraction_point(point),
+                "lhs": Fraction(nl, ldens[k]),
+                "rhs": Fraction(rnums[k], rdens[k]),
+            }
             if len(lnums) > 1:
                 witness = {"output": k if names is None else names[k], **witness}
             return witness

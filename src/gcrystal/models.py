@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .arith import Assignment, SampleSpec, sample_point
+from .arith import Assignment, SampleSpec, fraction_point, sample_point
 from .crystal import (
     S1,
     SCALAR,
@@ -65,6 +66,8 @@ from .expr import (
     mul,
     pointwise_check,
     prod,
+    program_for,
+    run_pairs,
     sub,
     vanishes_on_domain,
     var,
@@ -494,14 +497,25 @@ class BorelElement:
     def torus(self) -> tuple[Fraction, ...]:
         return tuple(self.mat[j][j] for j in range(self.size))
 
+    @cached_property
+    def lower(self) -> Matrix:
+        """x_-, built once per element: column c of x divided by its torus entry."""
+        mat, size = self.mat, self.size
+        zero, one = Fraction(0), Fraction(1)
+        rows = [[row[c] / mat[c][c] for c in range(r)] + [one] + [zero] * (size - 1 - r) for r, row in enumerate(mat)]
+        # tuples of lists, not of generators: CPython resizes a tuple grown
+        # from a generator in place, so the tuple never comes from the
+        # per-size free list it is later returned to; one such matrix per
+        # element filled those lists and raised the borel-oracle peak RSS
+        # by about 0.5 MB
+        return tuple([tuple(row) for row in rows])
+
     def unipotent(self, r: int, c: int) -> Fraction:
         """Entry (r, c) of x_-, 1-indexed; columns of x divide by the torus."""
         size = len(self.mat)
         if not (1 <= r <= size and 1 <= c <= size):
             raise ValueError(f"entry ({r}, {c}) is outside the {size}x{size} matrix")
-        if r < c:
-            return Fraction(0)
-        return self.mat[r - 1][c - 1] / self.mat[c - 1][c - 1]
+        return self.lower[r - 1][c - 1]
 
     def eps_entry(self, s: int, t: int) -> Fraction:
         """u_{s,t} (with u_{s,s} = u_s): the unipotent entry in row t+1, column s."""
@@ -519,7 +533,7 @@ class BorelElement:
         if not 1 <= s <= t + 1 <= self.size:
             raise ValueError(f"[{s}, {t}] is not an interval of 1..{self.n}")
         size = t - s + 1
-        m = [[self.unipotent(s + 1 + r, s + c) for c in range(size)] for r in range(size)]
+        m = [list(row[s - 1 : t]) for row in self.lower[s : t + 1]]
         det = Fraction(1)
         for col in range(size):
             pivot = next((r for r in range(col, size) if m[r][col]), None)
@@ -648,8 +662,8 @@ def check_borel_matrix_action(model: CrystalModel, i: int, trials: int = 100, se
     """The expression-level action equals the numeric elementary-matrix conjugation."""
     n = len(model.cartan.labels)
 
-    def fn(point):
-        x, (c,) = _split_scalars(point, ("s1",))
+    def fn(pairs):
+        x, (c,) = _split_scalars(fraction_point(pairs), ("s1",))
         try:
             via_matrix = borel_apply_e_matrix(borel_from_point(x, n), i, c).to_point()
         except ZeroDivisionError:
@@ -694,23 +708,26 @@ def check_borel_table(
     eps_[s,t] must equal the unipotent entry u_{s,t} and eps*_[s,t] the
     minor determinant.  With ``pair`` the points are pairs (x, y) of the
     product crystal and the matrix is the exact product of their elements.
+    The intervals' trees run as one program per table and ``starred``.
     """
     n = len(model.cartan.labels)
     names = model.variables
+    intervals = table.intervals()
+    entry = table.star_at if starred else table.eps_at
+    program = program_for(table, ("intervals", starred), [entry(a, b) for a, b in intervals])
 
-    def fn(point):
+    def fn(pairs):
+        point = fraction_point(pairs)
         if pair:
             x, y = split_pair(point, names, names)
             element = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
         else:
             element = borel_from_point(point, n)
-        for a, b in table.intervals():
-            if starred:
-                expr_val, mat_val = evaluate(table.star_at(a, b), point), element.minor(a + 1, b + 1)
-            else:
-                expr_val, mat_val = evaluate(table.eps_at(a, b), point), element.eps_entry(a + 1, b + 1)
-            if expr_val != mat_val:
-                return {"interval": (a, b), "starred": starred, "table": expr_val, "matrix": mat_val}
+        nums, dens = run_pairs(program, pairs)
+        for (a, b), num, den in zip(intervals, nums, dens):
+            mat_val = element.minor(a + 1, b + 1) if starred else element.eps_entry(a + 1, b + 1)
+            if num * mat_val.denominator != mat_val.numerator * den:
+                return {"interval": (a, b), "starred": starred, "table": Fraction(num, den), "matrix": mat_val}
         return None
 
     return pointwise_check(fn, (product(model, model) if pair else model).domain_spec(seed), trials)
@@ -720,8 +737,8 @@ def check_borel_mult_eps(model: CrystalModel, trials: int = 100, seed: int = 0) 
     """eps_i(x y) = eps_i(x) + eps_i(y)/gamma_i(x) for exact matrix products."""
     n = len(model.cartan.labels)
 
-    def fn(point):
-        x, y = split_pair(point, model.variables, model.variables)
+    def fn(pairs):
+        x, y = split_pair(fraction_point(pairs), model.variables, model.variables)
         prod_el = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
         for i in range(1, n + 1):
             lhs = prod_el.eps_entry(i, i)

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 from gcrystal.arith import (
     ConstraintConflictError,
     SampleSpec,
+    draw_pairs,
+    fraction_point,
     product,
     rat,
     sample_point,
@@ -134,3 +139,80 @@ def test_magnitude_bound_respected():
 def test_product_helper():
     assert product([rat(1, 2), rat(4), rat(1, 2)]) == 1
     assert product([]) == 1
+
+
+def test_constraint_subset_repeating_a_name_rejected():
+    with pytest.raises(ValueError):
+        SampleSpec(("a", "b"), constraints=((("a", "a"), rat(4)),))
+
+
+def test_empty_constraint_subset_rejected():
+    with pytest.raises(ValueError):
+        SampleSpec(("a",), constraints=(((), rat(4)),))
+
+
+def test_boolean_magnitude_rejected():
+    with pytest.raises(ValueError):
+        SampleSpec(("a",), magnitude=True)
+
+
+def test_fractional_magnitude_rejected():
+    with pytest.raises(ValueError):
+        SampleSpec(("a",), magnitude=2.5)
+
+
+def _randint_sample_point(spec, rng):
+    """The sampler as it was written with ``randint``: the oracle of the rng stream."""
+
+    def random_rational():
+        num = rng.randint(1, spec.magnitude)
+        den = rng.randint(1, spec.magnitude)
+        if not spec.positive and rng.random() < 0.5:
+            num = -num
+        return Fraction(num, den)
+
+    out = {}
+    solved = {subset[-1]: (subset, target) for subset, target in spec.constraints}
+    for name in spec.variables:
+        if name not in solved:
+            out[name] = random_rational()
+    for last, (subset, target) in solved.items():
+        out[last] = target / product(out[v] for v in subset[:-1])
+    return {name: out[name] for name in spec.variables}
+
+
+_STREAM_SPECS = {
+    "positive": dict(variables=("x", "y", "z"), positive=True),
+    "signed": dict(variables=("x", "y")),
+    # the solved name comes first, and one constraint is a single variable
+    "constrained": dict(
+        variables=("a", "b", "c", "d", "s1"),
+        constraints=((("b", "c", "a"), rat(-7, 3)), (("d",), rat(5, 2))),
+    ),
+    "constrained-positive": dict(
+        variables=("l1", "l2", "l3", "s1"), positive=True, constraints=((("l1", "l2", "l3"), rat(4)),)
+    ),
+}
+
+
+@pytest.mark.parametrize("magnitude", [1, 2, 1000, 1024, 1025])
+@pytest.mark.parametrize("kind", list(_STREAM_SPECS))
+def test_sampler_keeps_the_randint_stream(kind, magnitude):
+    spec = SampleSpec(**_STREAM_SPECS[kind], magnitude=magnitude, seed=17)
+    new, old = random.Random(spec.seed), random.Random(spec.seed)
+    for _ in range(300):
+        point, expected = sample_point(spec, new), _randint_sample_point(spec, old)
+        assert point == expected
+        assert list(point) == list(expected) == list(spec.variables)
+        assert all(type(v) is Fraction for v in point.values())
+    assert new.random() == old.random()  # both consumed the same draws
+
+
+def test_drawn_pairs_are_the_sampled_values():
+    spec = SampleSpec(**_STREAM_SPECS["constrained"], seed=5)
+    drawn, sampled = random.Random(spec.seed), random.Random(spec.seed)
+    for _ in range(50):
+        pairs = draw_pairs(spec, drawn)
+        assert list(pairs) == list(spec.variables)
+        assert all(den != 0 for _, den in pairs.values())
+        assert fraction_point(pairs) == sample_point(spec, sampled)

@@ -38,6 +38,7 @@ from gcrystal.expr import (
     run,
     run_maxplus,
     run_pairs,
+    run_reduced,
     sub,
     substitute,
     to_json,
@@ -336,6 +337,12 @@ def _as_fractions(point):
     return {name: Fraction(value) for name, value in point.items()}
 
 
+def _as_pairs(point, scale=1):
+    # the (numerator, denominator) pairs run_pairs reads; a scale other than
+    # 1 leaves them unreduced, a negative one makes the denominators negative
+    return {name: (scale * value.numerator, scale * value.denominator) for name, value in point.items()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(expressions, st.data())
 def test_compiled_evaluation_matches_reference(e, data):
@@ -387,14 +394,15 @@ _expression_pairs = st.one_of(
 def test_pair_comparison_matches_reference_equality(pair, data):
     a, b = pair
     point = _point_for(data, [a, b])
+    pairs = _as_pairs(point, data.draw(st.sampled_from((1, -2, 3))))
     reference = [_outcome(lambda e=e: reference_evaluate(e, _as_fractions(point))) for e in (a, b)]
     try:
-        lhs, rhs = run_pairs(compile_program([a]), point), run_pairs(compile_program([b]), point)
+        lhs, rhs = run_pairs(compile_program([a]), pairs), run_pairs(compile_program([b]), pairs)
     except EvalDomainError:
         assert ("pole",) in reference
         return
     (_, va), (_, vb) = reference
-    witness = pair_witness(point, lhs, rhs)
+    witness = pair_witness(pairs, lhs, rhs)
     assert (witness is None) == (va == vb)
     if witness is not None:
         assert witness == {"point": point, "lhs": va, "rhs": vb}
@@ -402,17 +410,24 @@ def test_pair_comparison_matches_reference_equality(pair, data):
 
 def test_pair_comparison_of_negative_denominators_and_zeros():
     point = {"x": rat(3), "y": rat(-2)}
-    half = run_pairs(compile_program([parse("x/y"), parse("x - x"), parse("y/x - y/x")]), point)
+    pairs = _as_pairs(point)
+    half = run_pairs(compile_program([parse("x/y"), parse("x - x"), parse("y/x - y/x")]), pairs)
     assert [d < 0 for d in half[1]] == [True, False, False]
-    same = run_pairs(compile_program([parse("-3/2 * 1"), parse("y - y"), parse("(x - x)/y")]), point)
-    assert pair_witness(point, half, same) is None
-    other = run_pairs(compile_program([parse("3/2 * 1"), parse("y - y"), parse("x - x")]), point)
-    assert pair_witness(point, half, other, names=("q", "z0", "z1")) == {
+    same = run_pairs(compile_program([parse("-3/2 * 1"), parse("y - y"), parse("(x - x)/y")]), pairs)
+    assert pair_witness(pairs, half, same) is None
+    other = run_pairs(compile_program([parse("3/2 * 1"), parse("y - y"), parse("x - x")]), pairs)
+    assert pair_witness(pairs, half, other, names=("q", "z0", "z1")) == {
         "output": "q",
         "point": point,
         "lhs": rat(-3, 2),
         "rhs": rat(3, 2),
     }
+
+
+def test_reduced_outputs_are_lowest_terms_with_positive_denominators():
+    program = compile_program([parse("x/y"), parse("(x*y)/(y*y)"), parse("x - x"), parse("y*y/2")])
+    # unreduced inputs, one with a negative denominator
+    assert run_reduced(program, {"x": (-6, -2), "y": (4, -2)}) == [(-3, 2), (-3, 2), (0, 1), (2, 1)]
 
 
 def test_value_numbering_shares_equal_subterms():

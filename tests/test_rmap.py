@@ -293,19 +293,67 @@ def test_row_steps_match_apply_e_and_apply_r(n):
             assert [triple_of(image) for image in _step_images(steps, names, point)] == expected
 
 
+def _torus_word_rows(n):
+    """Group-law rows and composition rows of the torus model, as check_identity_rows gets them."""
+    from gcrystal.crystal import S1, S2, applicable_pairs, composition_sides, word_side
+    from gcrystal.expr import mul
+    from gcrystal.models import affine_a_model
+
+    model = affine_a_model(n, rat(4))
+    a = model.cartan.a
+    rows = [(word_side(model, ((i, S2), (i, S1))), word_side(model, ((i, mul(S1, S2)),))) for i in model.cartan.labels]
+    for i, j in applicable_pairs(model.cartan):
+        left, right = composition_sides(i, j, a(i, j), a(j, i))
+        rows.append((word_side(model, left), word_side(model, right)))
+    return model.variables, rows, model.domain_spec(n, extra=("s1", "s2"))
+
+
+def _braid_word_rows(n):
+    a, b, c = (tuple(f"l{k}.{t}" for k in range(1, n + 2)) for t in "abc")
+    names = a + b + c
+    constraints = ((a, rat(4)), (b, rat(9)), (c, rat(25)))
+    spec = SampleSpec(names, positive=True, constraints=constraints, seed=n)
+    return names, [(lhs, rhs) for _, lhs, rhs in braid_rows(n)], spec
+
+
+@pytest.mark.parametrize(
+    "rows_of, n",
+    [(_torus_word_rows, 1), (_torus_word_rows, 2), (_torus_word_rows, 3), (_braid_word_rows, 2), (_braid_word_rows, 3)],
+    ids=["torus-a1", "torus-a2", "torus-a3", "braid-2", "braid-3"],
+)
+def test_reduced_pair_steps_match_fraction_run(rows_of, n):
+    # the identity rows feed drawn int pairs into each step and reduce its
+    # outputs with gcd; every image must be the lowest-terms pair of the
+    # Fraction route run step by step
+    from gcrystal.arith import draw_pairs, fraction_point
+    from gcrystal.expr import compile_program, run_reduced
+
+    names, rows, spec = rows_of(n)
+    rng = random.Random(spec.seed)
+    for _ in range(5):
+        pairs = draw_pairs(spec, rng)
+        for lhs, rhs in rows:
+            for steps, _trees in (lhs, rhs):
+                expected = _step_images(steps, names, fraction_point(pairs))
+                env = pairs
+                for step, image in zip(steps, expected):
+                    env = {**env, **dict(zip(names, run_reduced(compile_program(step), env)))}
+                    assert {v: env[v] for v in names} == {v: (f.numerator, f.denominator) for v, f in image.items()}
+
+
 def test_braid_word_runs_as_three_reduced_steps(monkeypatch):
     # a braid side composed into one program takes about 20 s at n = 3
     # against 0.08 s as three reduced steps (README "Evaluation"), so each
     # side must run its three R steps, each a program of 3(n+1) outputs
     import gcrystal.crystal as crystal
 
-    true_run, calls = crystal.run, []
+    true_step, calls = crystal.run_reduced, []
 
     def counting(program, point):
         calls.append(len(program.outputs))
-        return true_run(program, point)
+        return true_step(program, point)
 
-    monkeypatch.setattr(crystal, "run", counting)
+    monkeypatch.setattr(crystal, "run_reduced", counting)
     trials = 7
     assert check_braid(2, (rat(4), rat(9), rat(25)), trials).ok
     assert calls == [9] * (6 * trials)
