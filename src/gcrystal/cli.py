@@ -27,10 +27,10 @@ from fractions import Fraction
 
 from . import harness
 from .crystal import model_manifest
-from .expr import EvalDomainError, parse, pretty
+from .expr import EvalDomainError, parse, pretty, to_json_obj
 from .models import build_named_model
 from .rmap import apply_r, build_r_map, window_sums
-from .ud import trop_pretty, trop_to_json_obj, tropicalize
+from .ud import tropicalize
 
 
 def _fraction(text: str) -> Fraction:
@@ -186,20 +186,12 @@ def _cmd_rmap_apply(args) -> int:
 def _cmd_ud_trop(args) -> int:
     try:
         expr = parse(args.expr)
+        tropical = tropicalize(expr)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    try:
-        program = tropicalize(expr)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print(
-        json.dumps(
-            {"input": pretty(expr), "tropical": trop_pretty(program), "tree": trop_to_json_obj(program)},
-            indent=2,
-        )
-    )
+    # ``tree`` is the expression tree that the (max, +) reading reads
+    print(json.dumps({"input": pretty(expr), "tropical": tropical, "tree": to_json_obj(expr)}, indent=2))
     return 0
 
 

@@ -13,10 +13,15 @@ Everything is an immutable expression tree, so the same data feeds exact
 pointwise checking here and the tropicalization pass elsewhere.  Every
 identity check here is a list of rows ``(label, lhs, rhs)``, each side a
 list of coordinate-map steps (a word of actions is one step) and the
-trees read at the last image, run by :func:`check_identity_rows` through
-:func:`pointwise_check` (the one sampled-check loop, defined in
-:mod:`gcrystal.expr` and re-exported here); each returns its
-:class:`CheckOutcome`.
+trees read at the last image.  :func:`row_plan` compiles the rows once,
+and the plan has two readings, chosen by the domain a check samples: at
+exact rational points of a :class:`SampleSpec`, :func:`check_identity_rows`
+runs it through :func:`pointwise_check` (the one sampled-check loop,
+defined in :mod:`gcrystal.expr` and re-exported here); on an integer box,
+:func:`gcrystal.ud.check_box_rows` reads it in (max, +).  Both return a
+:class:`CheckOutcome`.  Row builders such as :func:`gamma_scaling_row`
+take the indices they cover, so the ud checks read the same rows as the
+rational ones, with the outputs that share a step in one row.
 """
 
 from __future__ import annotations
@@ -216,22 +221,18 @@ def word_side(model: CrystalModel, word, trees=None):
     return (compose_word(model, word),), trees
 
 
-def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: int) -> CheckOutcome:
-    """Run the identity ``rows`` over the coordinates ``names`` at ``trials`` points of ``spec``.
+def row_plan(names: tuple[str, ...], rows) -> list:
+    """The identity ``rows`` over the coordinates ``names``, compiled for either reading.
 
     A row is ``(label, lhs, rhs)`` and a side is ``(steps, trees)``.  A
     step is a coordinate map, one tree per name over the coordinates and
     the sampled scalars: a word of actions composed by :func:`compose_word`,
-    or the R map.  The drawn int pairs go straight into the programs; the
-    steps run in order, each to coordinates in lowest terms
-    (:func:`run_reduced`) that the next one reads.  ``trees`` are read at
-    the last image as one program run to unreduced pairs, compared output
-    by output with :func:`pair_witness`; they are a tuple, a mapping from
-    output names to trees, a :class:`Program`, or ``None`` for the
-    coordinates.  The outputs take the lhs's names (``names`` for
-    ``None``).  Every distinct step and tree object is compiled here, once
-    per call.  A failing row's witness is ``{**label, output, point, lhs,
-    rhs}``, the only place a ``Fraction`` is built.
+    or the R map.  ``trees`` are read at the last image; they are a tuple,
+    a mapping from output names to trees, a :class:`Program`, or ``None``
+    for the coordinates.  Each entry of the plan is ``(label, lhs, rhs,
+    outputs)`` with a side ``(step programs, tree program)``; the outputs
+    take the lhs's names (``names`` for ``None``, else ``None``).  Every
+    distinct step and tree object is compiled once per plan.
     """
     coords = tuple(var(v) for v in names)
     programs: dict[int, Program] = {}
@@ -250,7 +251,28 @@ def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: 
     def output_names(trees):
         return names if trees is None else tuple(trees) if isinstance(trees, dict) else None
 
-    plan = [(label, compiled(lhs), compiled(rhs), output_names(lhs[1])) for label, lhs, rhs in rows]
+    plan = []
+    for label, lhs, rhs in rows:
+        left, right = compiled(lhs), compiled(rhs)
+        if len(left[1].outputs) != len(right[1].outputs):
+            raise ValueError(f"the sides have {len(left[1].outputs)} and {len(right[1].outputs)} outputs")
+        plan.append((label, left, right, output_names(lhs[1])))
+    return plan
+
+
+def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: int) -> CheckOutcome:
+    """Run the identity ``rows`` (see :func:`row_plan`) over ``names`` at ``trials`` points of ``spec``.
+
+    This is the rational reading of the plan.  The drawn int pairs go
+    straight into the programs; the steps run in order, each to
+    coordinates in lowest terms (:func:`run_reduced`) that the next one
+    reads, and the trees run to unreduced pairs compared output by output
+    with :func:`pair_witness`.  A failing row's witness is ``{**label,
+    output, point, lhs, rhs}``, the only place a ``Fraction`` is built.
+    The (max, +) reading of the same plan is
+    :func:`gcrystal.ud.check_box_rows`.
+    """
+    plan = row_plan(names, rows)
 
     def side(steps, trees, point):
         env = point
@@ -279,9 +301,14 @@ def check_action_identity(model: CrystalModel, i: int, trials: int = 100, seed: 
     return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
 
 
+def group_law_row(model: CrystalModel, i: int):
+    """e_i^{s2} then e_i^{s1} against e_i^{s1 s2}, over the coordinates."""
+    return {"i": i}, word_side(model, ((i, S2), (i, S1))), word_side(model, ((i, mul(S1, S2)),))
+
+
 def check_group_law(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """e_i^{c1} e_i^{c2} = e_i^{c1 c2}."""
-    rows = [({"i": i}, word_side(model, ((i, S2), (i, S1))), word_side(model, ((i, mul(S1, S2)),)))]
+    rows = [group_law_row(model, i)]
     return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
 
 
@@ -302,12 +329,36 @@ def check_domain_preserved(model: CrystalModel, i: int, trials: int = 100, seed:
     return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
 
 
+def gamma_scaling_row(model: CrystalModel, i: int, js):
+    """gamma_j(e_i^{s1} x) against s1^{a_ij} gamma_j(x) for every j of ``js``, behind one e_i step.
+
+    Outputs are named by j.
+    """
+    gammas = {j: model.gamma[j] for j in js}
+    expected = {j: mul(pow_(S1, model.cartan.a(i, j)), gamma) for j, gamma in gammas.items()}
+    return {"i": i}, word_side(model, ((i, S1),), gammas), ((), expected)
+
+
 def check_gamma_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """gamma_j(e_i^c x) = c^{a_ij} gamma_j(x)."""
-    gamma = model.gamma[j]
-    expected = mul(pow_(S1, model.cartan.a(i, j)), gamma)
-    rows = [({"i": i, "j": j}, word_side(model, ((i, S1),), (gamma,)), ((), (expected,)))]
+    _, lhs, rhs = gamma_scaling_row(model, i, (j,))
+    rows = [({"i": i, "j": j}, lhs, rhs)]
     return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
+
+
+def has_eps_clause(cartan: CartanData, i: int, j: int) -> bool:
+    """Whether the eps scaling axiom says how e_j moves eps_i: for i = j and for orthogonal pairs."""
+    return i == j or (cartan.a(i, j) == 0 and cartan.a(j, i) == 0)
+
+
+def eps_scaling_row(model: CrystalModel, j: int, indices):
+    """eps_i(e_j^{s1} x) against eps_i(x)/s1 (i = j) or eps_i(x) for every i of ``indices``, behind one e_j step.
+
+    Outputs are named by i; every i must have an eps clause with j.
+    """
+    eps = {i: model.eps[i] for i in indices}
+    expected = {i: div(e, S1) if i == j else e for i, e in eps.items()}
+    return {"j": j}, word_side(model, ((j, S1),), eps), ((), expected)
 
 
 def check_eps_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -316,10 +367,10 @@ def check_eps_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, se
     Pairs that are neither equal nor mutually orthogonal have no clause to
     check and are refused.
     """
-    if i != j and not (model.cartan.a(i, j) == 0 and model.cartan.a(j, i) == 0):
+    if not has_eps_clause(model.cartan, i, j):
         raise ValueError("eps scaling is checked for i = j and for orthogonal pairs only")
-    eps = model.eps[i]
-    rows = [({"i": i, "j": j}, word_side(model, ((j, S1),), (eps,)), ((), (div(eps, S1) if i == j else eps,)))]
+    _, lhs, rhs = eps_scaling_row(model, j, (i,))
+    rows = [({"i": i, "j": j}, lhs, rhs)]
     return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
@@ -494,9 +545,16 @@ def check_product_split(
     z: CrystalModel, x_model: CrystalModel, y_model: CrystalModel, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
     """c1 c2 = c for the parameter split of every index of ``z = product(x_model, y_model)``."""
-    splits = {i: product_split_exprs(x_model, y_model, i) for i in z.cartan.labels}
-    rows = [tree_row({"i": i}, mul(c1, c2), var(SCALAR)) for i, (c1, c2) in splits.items()]
+    rows = product_split_rows(x_model, y_model, z.cartan.labels)
     return check_identity_rows(z.variables, rows, z.domain_spec(seed, extra=(SCALAR,)), trials)
+
+
+def product_split_rows(x_model: CrystalModel, y_model: CrystalModel, indices) -> list:
+    """c1 c2 against c for the parameter split of every index of ``indices``, one row each.
+
+    The rows read the coordinates of ``product(x_model, y_model)`` and the scalar c.
+    """
+    return [tree_row({"i": i}, mul(*product_split_exprs(x_model, y_model, i)), var(SCALAR)) for i in indices]
 
 
 def check_product_associativity(

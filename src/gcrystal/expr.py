@@ -622,11 +622,10 @@ def pair_witness(point: PairPoint, lhs, rhs, names=None) -> dict | None:
 
     The witness of the first output k that differs is ``{output, point,
     lhs, rhs}`` with ``Fraction`` values; ``output`` is ``names[k]`` (or
-    ``k``), and is left out when the sides have one output.
+    ``k``), and is left out when the sides have one output.  The sides
+    have equally many outputs (:func:`gcrystal.crystal.row_plan` checks).
     """
     (lnums, ldens), (rnums, rdens) = lhs, rhs
-    if len(lnums) != len(rnums):
-        raise ValueError(f"the sides have {len(lnums)} and {len(rnums)} outputs")
     for k, nl in enumerate(lnums):
         if nl * rdens[k] != rnums[k] * ldens[k]:
             witness = {
@@ -634,10 +633,13 @@ def pair_witness(point: PairPoint, lhs, rhs, names=None) -> dict | None:
                 "lhs": Fraction(nl, ldens[k]),
                 "rhs": Fraction(rnums[k], rdens[k]),
             }
-            if len(lnums) > 1:
-                witness = {"output": k if names is None else names[k], **witness}
-            return witness
+            return output_witness(witness, k, len(lnums), names)
     return None
+
+
+def output_witness(witness: dict, k: int, count: int, names=None) -> dict:
+    """``witness`` of output ``k`` of ``count``, led by ``output``: ``names[k]`` (or ``k``) when ``count > 1``."""
+    return witness if count == 1 else {"output": k if names is None else names[k], **witness}
 
 
 def identical_on_domain(e1: RatExpr, e2: RatExpr, spec: SampleSpec, trials: int = 100) -> CheckOutcome:

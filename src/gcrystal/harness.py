@@ -162,8 +162,8 @@ REGISTRY: dict[str, CheckInfo] = {
         "borel-oracle",
     ),
     "borel-minor": CheckInfo(
-        "eps*_[s,t](x): the first-column det recurrence equals the permutation-sum "
-        "determinant of the unipotent minor",
+        "eps*_[s,t](x): the first-column det recurrence equals the determinant of the "
+        "unipotent minor, computed by exact elimination",
         "borel-oracle",
     ),
     "borel-mult-eps": CheckInfo(
@@ -681,21 +681,10 @@ def _suite_uniqueness(col: _Collector, p: Params) -> None:
 
 def _suite_ud(col: _Collector, p: Params) -> None:
     for n in p.sizes:
-
-        def run(check, fn, *args):
-            col.run(check, f"n={n}", lambda s: fn(n, p.box, p.trials, s, *args))
-
-        run("ud-gamma-shadow", ud.check_gamma_shadow)
-        run("ud-eps-shadow", ud.check_eps_shadow)
-        run("ud-operator-sum", ud.check_operator_sum)
-        run("ud-split", ud.check_split)
-        run("ud-dichotomy", ud.check_dichotomy)
-        run("ud-levels", ud.check_levels)
-        run("ud-r-eps", ud.check_r_invariant, "eps")
-        run("ud-r-gamma", ud.check_r_invariant, "gamma")
-        run("ud-r-commutation", ud.check_r_commutation)
-        run("ud-r-braid", ud.check_r_braid)
-        run("ud-product-eps-shadow", ud.check_r_invariant, "product-eps")
+        subject = f"n={n}"
+        for check in ud.ROWS:
+            col.run(check, subject, lambda s: ud.check_rows(check, n, p.box, p.trials, s))
+        col.run("ud-dichotomy", subject, lambda s: ud.check_dichotomy(n, p.box, p.trials, s))
 
 
 _SUITES = {

@@ -24,10 +24,12 @@ onto product coordinates as one step of identity rows, run by
 commutation with every one-parameter action on the product crystal,
 preservation of the eps/gamma functions, the braid relation on triple
 products (three R steps a side), the cyclic shift, the diagonal, and
-interval-wise invariance of product epsilon systems.  The fixed point is
-checked at one point, and the uniqueness probe solves the invariance
-equations at the homogeneous point by hand and confirms the solution is
-forced.
+interval-wise invariance of product epsilon systems.  The row builders
+take the factor models and the indices they cover, so the ud suite reads
+the same rows in (max, +) on the torus model at level 1.  The fixed
+point is checked at one point, and the uniqueness probe solves the
+invariance equations at the homogeneous point by hand and confirms the
+solution is forced.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .crystal import (
     product,
 )
 from .epsilon import EpsilonSystem, product_epsilon
-from .expr import Program, RatExpr, const, div, mul, prod, program_for, rename_variables, run, var
+from .expr import Program, RatExpr, div, mul, prod, program_for, rename_variables, run, var
 from .models import affine_a_local_system, affine_a_model
 
 
@@ -166,20 +168,38 @@ def r_step(n: int) -> tuple[RatExpr, ...]:
     return _r_trees(n, LEFT_SUFFIX, RIGHT_SUFFIX)
 
 
+def level_swap_rows(n: int) -> list:
+    """The coordinate products of R(l, m) against those of (m, l), over the product coordinates.
+
+    The rhs is the products of the coordinates, not the levels, so the row
+    holds off the level variety too (the P_i telescope).
+    """
+    products = tuple(prod([var(f"l{k}{s}") for k in range(1, n + 2)]) for s in (LEFT_SUFFIX, RIGHT_SUFFIX))
+    return [({}, ((r_step(n),), products), ((), products[::-1]))]
+
+
 def check_level_swap(n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """The coordinate products of the two output points trade places exactly."""
     z = _product_model(n, ll, lr)
-    products = (prod([var(v) for v in z.variables[: n + 1]]), prod([var(v) for v in z.variables[n + 1 :]]))
-    rows = [({}, ((r_step(n),), products), ((), (const(lr), const(ll))))]
-    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
+    return check_identity_rows(z.variables, level_swap_rows(n), z.domain_spec(seed), trials)
 
 
-def commutation_rows(n: int, ll: Fraction, lr: Fraction, i: int) -> list:
-    """(e_i^s1 on Z_LM, then R) against (R, then e_i^s1 on Z_ML), over the coordinates of Z_LM."""
-    r = r_step(n)
-    e_lm = compose_word(_product_model(n, ll, lr), ((i, S1),))
-    e_ml = compose_word(_product_model(n, lr, ll), ((i, S1),))
-    return [({"i": i}, ((e_lm, r), None), ((r, e_ml), None))]
+def _size(model: CrystalModel) -> int:
+    """The n of a torus model, which has the n + 1 coordinates l1..l{n+1}."""
+    return len(model.variables) - 1
+
+
+def commutation_rows(x_model: CrystalModel, y_model: CrystalModel, indices) -> list:
+    """(e_i^s1 on X x Y, then R) against (R, then e_i^s1 on Y x X) for every i of ``indices``, over X x Y.
+
+    One row per i; the rows share one R step.
+    """
+    r = r_step(_size(x_model))
+    z_lm, z_ml = product(x_model, y_model), product(y_model, x_model)
+    return [
+        ({"i": i}, ((compose_word(z_lm, ((i, S1),)), r), None), ((r, compose_word(z_ml, ((i, S1),))), None))
+        for i in indices
+    ]
 
 
 def check_commutation(
@@ -187,8 +207,19 @@ def check_commutation(
 ) -> CheckOutcome:
     """R intertwines e_i^c on the two product crystals."""
     z = _product_model(n, ll, lr)
-    rows = commutation_rows(n, ll, lr, i)
+    rows = commutation_rows(affine_a_model(n, ll), affine_a_model(n, lr), (i,))
     return check_identity_rows(z.variables, rows, z.domain_spec(seed, extra=("s1",)), trials)
+
+
+def preserved_row(x_model: CrystalModel, y_model: CrystalModel, which: str, indices):
+    """eps_i (``which="eps"``) or gamma_i (``which="gamma"``) of X x Y against that of Y x X after R.
+
+    One row for every i of ``indices``, behind one R step; outputs are named by i.
+    """
+    before, after = (getattr(product(a, b), which) for a, b in ((x_model, y_model), (y_model, x_model)))
+    lhs = {i: before[i] for i in indices}
+    rhs = {i: after[i] for i in indices}
+    return {}, ((), lhs), ((r_step(_size(x_model)),), rhs)
 
 
 def check_preserved(
@@ -196,12 +227,12 @@ def check_preserved(
 ) -> CheckOutcome:
     """eps_i (``which="eps"``) or gamma_i (``which="gamma"``) of the product
     before R equals the same function of the swapped product after R."""
-    z_lm, z_ml = _product_model(n, ll, lr), _product_model(n, lr, ll)
-    rows = [({"i": i}, ((), (getattr(z_lm, which)[i],)), ((r_step(n),), (getattr(z_ml, which)[i],)))]
-    return check_identity_rows(z_lm.variables, rows, z_lm.domain_spec(seed), trials)
+    z = _product_model(n, ll, lr)
+    _, lhs, rhs = preserved_row(affine_a_model(n, ll), affine_a_model(n, lr), which, (i,))
+    return check_identity_rows(z.variables, [({"i": i}, lhs, rhs)], z.domain_spec(seed), trials)
 
 
-def _triple_names(n: int) -> tuple[tuple[str, ...], ...]:
+def triple_names(n: int) -> tuple[tuple[str, ...], ...]:
     """The coordinates l1.a..l{n+1}.a, l1.b.., l1.c.. of the three points of a triple."""
     return tuple(tuple(f"l{k}.{t}" for k in range(1, n + 2)) for t in "abc")
 
@@ -212,7 +243,7 @@ def braid_rows(n: int) -> list:
     The component formulas do not involve the levels, so one R acts on
     every adjacent pair.
     """
-    a, _, c = _triple_names(n)
+    a, _, c = triple_names(n)
     r12 = _r_trees(n, ".a", ".b") + tuple(var(v) for v in c)
     r23 = tuple(var(v) for v in a) + _r_trees(n, ".b", ".c")
     return [({}, ((r12, r23, r12), None), ((r23, r12, r23), None))]
@@ -228,7 +259,7 @@ def check_braid(
 
     The levels only specify the sampling domain.
     """
-    names = _triple_names(n)
+    names = triple_names(n)
     spec = SampleSpec(
         variables=sum(names, ()),
         positive=True,
@@ -284,23 +315,23 @@ def product_systems(n: int, ll: Fraction, lr: Fraction) -> tuple[EpsilonSystem, 
     return product_epsilon(base, base, left), product_epsilon(base, base, right)
 
 
-def check_epsilon_invariance(
-    n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0, starred: bool = False
-) -> CheckOutcome:
-    """Every interval's product eps (or eps*) is constant along the map.
-
-    One row: the L x M table against the M x L table read at R(x), each
-    output named by its interval.
-    """
+def invariance_row(n: int, ll: Fraction, lr: Fraction, starred: bool):
+    """The L x M product eps (or eps*) table at x against the M x L table at R(x), outputs named by interval."""
     sys_lm, sys_ml = product_systems(n, ll, lr)
 
     def table(system):
         entry = system.star_at if starred else system.eps_at
         return {J: entry(*J) for J in system.intervals()}
 
+    return {"starred": starred}, ((), table(sys_lm)), ((r_step(n),), table(sys_ml))
+
+
+def check_epsilon_invariance(
+    n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0, starred: bool = False
+) -> CheckOutcome:
+    """Every interval's product eps (or eps*) is constant along the map: one :func:`invariance_row`."""
     z = _product_model(n, ll, lr)
-    rows = [({"starred": starred}, ((), table(sys_lm)), ((r_step(n),), table(sys_ml)))]
-    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
+    return check_identity_rows(z.variables, [invariance_row(n, ll, lr, starred)], z.domain_spec(seed), trials)
 
 
 # --- uniqueness probe ---------------------------------------------------------------

@@ -7,21 +7,20 @@ subtraction-free programs are read; anything containing a difference or
 a negative constant is refused with the path of the offending node.
 
 There is one evaluator, :func:`expr.run_maxplus`, and it runs the programs
-the model layer already compiles: the shadow of e_i^C is the torus
-model's action program (the one :func:`crystal.apply_e` runs exactly), the
-tensor split (C1, C2) is :func:`crystal.product_split_exprs`, gamma_i,
-eps_i and the product eps tables are the model's own expressions, and the
-combinatorial R is the rational R program of :func:`rmap.r_program`.  So
-the shadows cannot drift from the rational layer.
+the model layer already compiles.  Every ud check but one is the
+rational layer's identity rows read in (max, +): :data:`ROWS` maps each
+check id to the row builder of its rational twin on :func:`unit_torus`
+or its square, and :func:`check_box_rows` runs the same
+:func:`crystal.row_plan` as :func:`crystal.check_identity_rows`, at the
+points of an integer box, steps unreduced, sides compared with ``==``.
+So a shadow cannot drift from the identity it reads.  ``ud-dichotomy``
+is not an identity; it stays a body over :func:`shadow` (the torus
+action program), :func:`split` (:func:`crystal.product_split_exprs`) and
+the combinatorial R (:func:`rmap.r_program`).
 
-:func:`tropicalize` spells the same reading out as a :class:`TropExpr`
-tree.  It serves the ``gcrystal ud trop`` display and, with
-:func:`reference_trop_eval`, is the oracle of the tests.
-
-The readings are total piecewise-linear maps on integer points, and all
-identity checking down here is exact integer sampling over a box, through
-the one checker :func:`box_check`; the ``check_*`` functions of the ud
-suite are built on it.
+:func:`tropicalize` writes the reading of an expression out as text for
+``gcrystal ud trop``.  All checking down here is exact integer sampling
+over a box, through the one checker :func:`box_check`.
 """
 
 from __future__ import annotations
@@ -29,20 +28,26 @@ from __future__ import annotations
 import functools
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .crystal import (
     LEFT_SUFFIX,
     RIGHT_SUFFIX,
+    S1,
     SCALAR,
     CrystalModel,
     action_program,
+    eps_scaling_row,
+    gamma_scaling_row,
+    group_law_row,
+    has_eps_clause,
     pack_pair,
-    product,
     product_split_exprs,
+    product_split_rows,
+    row_plan,
     split_pair,
+    word_side,
 )
 from .expr import (
     Add,
@@ -57,12 +62,23 @@ from .expr import (
     Var,
     certify_subtraction_free,
     compile_program,
-    free_variables,
+    output_witness,
+    prod,
     run_maxplus,
     tree_program,
+    var,
 )
 from .models import affine_a_model
-from .rmap import product_systems, r_images, unit_r_map
+from .rmap import (
+    braid_rows,
+    commutation_rows,
+    invariance_row,
+    level_swap_rows,
+    preserved_row,
+    r_images,
+    triple_names,
+    unit_r_map,
+)
 
 TropPoint = dict[str, int]
 
@@ -76,118 +92,40 @@ def trop_eval(e: RatExpr, point: TropPoint) -> int:
     return run_maxplus(tree_program(e), point)[0]
 
 
-# --- the reading spelled out as a tree -------------------------------------------------
+def tropicalize(e: RatExpr) -> str:
+    """The (max, +) reading of the subtraction-free ``e``, written out.
 
-
-@dataclass(frozen=True)
-class TropExpr:
-    def __str__(self):
-        return trop_pretty(self)
-
-
-@dataclass(frozen=True)
-class TVar(TropExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class TConst(TropExpr):
-    value: int
-
-
-@dataclass(frozen=True)
-class TMax(TropExpr):
-    left: TropExpr
-    right: TropExpr
-
-
-@dataclass(frozen=True)
-class TAdd(TropExpr):
-    left: TropExpr
-    right: TropExpr
-
-
-@dataclass(frozen=True)
-class TSub(TropExpr):
-    left: TropExpr
-    right: TropExpr
-
-
-def reference_trop_eval(t: TropExpr, point: TropPoint) -> int:
-    """Tree-walking evaluation; the test oracle for the compiled path."""
-    if isinstance(t, TVar):
-        return point[t.name]
-    if isinstance(t, TConst):
-        return t.value
-    if isinstance(t, TMax):
-        return max(reference_trop_eval(t.left, point), reference_trop_eval(t.right, point))
-    if isinstance(t, TAdd):
-        return reference_trop_eval(t.left, point) + reference_trop_eval(t.right, point)
-    if isinstance(t, TSub):
-        return reference_trop_eval(t.left, point) - reference_trop_eval(t.right, point)
-    raise TypeError(f"unknown tropical node {t!r}")
-
-
-def trop_pretty(t: TropExpr) -> str:
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TConst):
-        return str(t.value)
-    if isinstance(t, TMax):
-        return f"max({trop_pretty(t.left)}, {trop_pretty(t.right)})"
-    op = " + " if isinstance(t, TAdd) else " - "
-    left = trop_pretty(t.left)
-    right = trop_pretty(t.right)
-    if isinstance(t.left, (TAdd, TSub)):
-        left = f"({left})"
-    if isinstance(t.right, (TAdd, TSub, TMax)) and not isinstance(t.right, TMax):
-        right = f"({right})"
-    return f"{left}{op}{right}"
-
-
-def trop_to_json_obj(t: TropExpr):
-    if isinstance(t, TVar):
-        return {"op": "var", "name": t.name}
-    if isinstance(t, TConst):
-        return {"op": "int", "value": t.value}
-    kind = {TMax: "max", TAdd: "add", TSub: "sub"}[type(t)]
-    return {"op": kind, "args": [trop_to_json_obj(t.left), trop_to_json_obj(t.right)]}
-
-
-def tropicalize(e: RatExpr) -> TropExpr:
-    """The (max, +) reading of a subtraction-free rational expression as a tree."""
+    A sum reads ``max(a, b)``, a product ``a + b``, a quotient ``a - b``, a
+    power k of a base ``k*base`` and a constant ``0`` (with a
+    :class:`NonUnitConstantWarning` unless it is 1).  Raises
+    :class:`TropicalizationError` on an expression that is not
+    subtraction-free.
+    """
     cert = certify_subtraction_free(e)
     if not cert:
         raise TropicalizationError(cert.blocked_path)
+    return _reading(e)
 
-    def compile_(node: RatExpr) -> TropExpr:
-        if isinstance(node, Var):
-            return TVar(node.name)
-        if isinstance(node, Const):
-            if node.value != 1:
-                warnings.warn(
-                    f"constant {node.value} becomes tropical 0",
-                    NonUnitConstantWarning,
-                    stacklevel=3,
-                )
-            return TConst(0)
-        if isinstance(node, Add):
-            return TMax(compile_(node.left), compile_(node.right))
-        if isinstance(node, Mul):
-            return TAdd(compile_(node.left), compile_(node.right))
-        if isinstance(node, Div):
-            return TSub(compile_(node.left), compile_(node.right))
-        if isinstance(node, Pow):
-            if node.exponent == 0:
-                return TConst(0)
-            base = compile_(node.base)
-            acc = base
-            for _ in range(abs(node.exponent) - 1):
-                acc = TAdd(acc, base)
-            return acc if node.exponent > 0 else TSub(TConst(0), acc)
-        raise TypeError(f"unknown node {node!r}")
 
-    return compile_(e)
+def _reading(node: RatExpr) -> str:
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Const):
+        if node.value != 1:
+            warnings.warn(f"constant {node.value} becomes tropical 0", NonUnitConstantWarning, stacklevel=3)
+        return "0"
+    if isinstance(node, Add):
+        return f"max({_reading(node.left)}, {_reading(node.right)})"
+    if isinstance(node, Pow):
+        return f"{node.exponent}*{_operand(node.base)}"
+    op = " + " if isinstance(node, Mul) else " - "
+    return f"{_operand(node.left)}{op}{_operand(node.right)}"
+
+
+def _operand(node: RatExpr) -> str:
+    """The reading of an operand of a tropical sum, difference or multiple, a sum or difference in parentheses."""
+    text = _reading(node)
+    return f"({text})" if isinstance(node, (Mul, Div)) else text
 
 
 # --- integer boxes -------------------------------------------------------------------
@@ -220,22 +158,40 @@ def box_check(
     return CheckOutcome(True, samples)
 
 
-def check_tropical_identity(
-    e1: RatExpr,
-    e2: RatExpr,
-    lo: int = -50,
-    hi: int = 50,
-    samples: int = 1000,
-    seed: int = 0,
+def maxplus_side(names: tuple[str, ...], side, point: TropPoint) -> list[int]:
+    """A compiled side ``(step programs, tree program)`` of :func:`crystal.row_plan` at ``point``, in (max, +).
+
+    Each step's image replaces the coordinates ``names`` for the next one,
+    unreduced: integers need no lowest terms.
+    """
+    steps, trees = side
+    env = point
+    for step in steps:
+        env = {**env, **dict(zip(names, run_maxplus(step, env)))}
+    return run_maxplus(trees, env)
+
+
+def check_box_rows(
+    names: tuple[str, ...], rows, bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0
 ) -> CheckOutcome:
-    """Exact integer agreement of the (max, +) readings of two expressions on a sampled box."""
-    variables = sorted(free_variables(e1) | free_variables(e2))
+    """The identity ``rows`` of :func:`crystal.row_plan` over ``names``, read in (max, +) on the box ``bounds``.
+
+    The (max, +) reading of :func:`crystal.check_identity_rows`: the sides
+    agree when their outputs are equal integers.  A failing row's witness
+    is ``{**label, output, point, lhs, rhs}`` with integer values.
+    """
+    plan = row_plan(names, rows)
 
     def fn(point):
-        a, b = trop_eval(e1, point), trop_eval(e2, point)
-        return None if a == b else {"point": point, "lhs": a, "rhs": b}
+        for label, lhs, rhs, outputs in plan:
+            left, right = maxplus_side(names, lhs, point), maxplus_side(names, rhs, point)
+            if left != right:
+                k = next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
+                witness = {"point": point, "lhs": left[k], "rhs": right[k]}
+                return {**label, **output_witness(witness, k, len(left), outputs)}
+        return None
 
-    return box_check(fn, dict.fromkeys(variables, (lo, hi)), samples, seed)
+    return box_check(fn, bounds, samples, seed)
 
 
 # --- crystal shadows ---------------------------------------------------------------
@@ -290,100 +246,92 @@ def apply_combinatorial_r(n: int, l: TropPoint, m: TropPoint) -> tuple[TropPoint
     return r_images(unit_r_map(n), l, m, run_maxplus)
 
 
-# --- checks on integer boxes ---------------------------------------------------------
+# --- the ud checks -------------------------------------------------------------------
 #
-# Every check below samples the box [-box, box] through :func:`box_check`, one
-# coordinate after another: the coordinates of x, then those of y (then z),
-# then the parameter c, then the index i, drawn from [0, n].
+# Each row check reads its rational twin's rows on the torus model at level 1
+# (names l1..l{n+1}), its square (l1.x.., l1.y..) or a triple (l1.a.., l1.b..,
+# l1.c..).  A builder gives (coordinates, sampled scalars, rows); the box is
+# [-box, box] in every coordinate, then every scalar.  Outputs that share a
+# step sit in one row, so the step runs once per point.
 
 
 def _coords(n: int, suffix: str = "") -> tuple[str, ...]:
     return tuple(f"l{k}{suffix}" for k in range(1, n + 2))
 
 
-def _pair_bounds(n: int, box: int, *scalars: str) -> dict[str, tuple[int, int]]:
-    names = _coords(n, LEFT_SUFFIX) + _coords(n, RIGHT_SUFFIX) + scalars
-    return dict.fromkeys(names, (-box, box))
+def _pair_coords(n: int) -> tuple[str, ...]:
+    return _coords(n, LEFT_SUFFIX) + _coords(n, RIGHT_SUFFIX)
 
 
-def check_gamma_shadow(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """gamma_j after the C-shadow of e_i equals gamma_j + a_ij * C."""
+def _gamma_rows(n: int):
+    model = unit_torus(n)
+    labels = model.cartan.labels
+    return model.variables, ("s1",), [gamma_scaling_row(model, i, labels) for i in labels]
+
+
+def _eps_rows(n: int):
     model = unit_torus(n)
     cartan = model.cartan
-    labels = cartan.labels
-    names = model.variables
-
-    def fn(point):
-        c = point[SCALAR]
-        base = {k: point[k] for k in names}
-        for i in labels:
-            moved = shadow(n, i, base, c)
-            for j in labels:
-                gamma = model.gamma[j]
-                if trop_eval(gamma, moved) != trop_eval(gamma, base) + cartan.a(i, j) * c:
-                    return {"i": i, "j": j, "point": base, "c": c}
-        return None
-
-    return box_check(fn, dict.fromkeys(names + (SCALAR,), (-box, box)), samples, seed)
+    rows = []
+    for j in cartan.labels:
+        rows.append(eps_scaling_row(model, j, [i for i in cartan.labels if has_eps_clause(cartan, i, j)]))
+    return model.variables, ("s1",), rows
 
 
-def check_eps_shadow(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """eps_i drops by C under its own shadow; orthogonal shadows fix it."""
+def _operator_rows(n: int):
+    """The group law, and the coordinate product (the sum, in (max, +)) kept by e_i^{s1}."""
     model = unit_torus(n)
-    cartan = model.cartan
-    labels = cartan.labels
-    names = model.variables
-
-    def fn(point):
-        c = point[SCALAR]
-        base = {k: point[k] for k in names}
-        for i in labels:
-            for j in labels:
-                if i != j and not (cartan.a(i, j) == 0 and cartan.a(j, i) == 0):
-                    continue
-                moved = shadow(n, j, base, c)
-                eps = model.eps[i]
-                if trop_eval(eps, moved) != trop_eval(eps, base) - (c if i == j else 0):
-                    return {"i": i, "j": j, "point": base, "c": c}
-        return None
-
-    return box_check(fn, dict.fromkeys(names + (SCALAR,), (-box, box)), samples, seed)
+    level = (prod([var(v) for v in model.variables]),)
+    rows = []
+    for i in model.cartan.labels:
+        rows.append(group_law_row(model, i))
+        rows.append(({"i": i}, word_side(model, ((i, S1),), level), ((), level)))
+    return model.variables, ("s1", "s2"), rows
 
 
-def check_operator_sum(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """The shadow operator preserves the coordinate sum and is additive in C."""
-    names = _coords(n)
-
-    def fn(point):
-        base = {k: point[k] for k in names}
-        c1, c2, i = point["c1"], point["c2"], point["i"]
-        joint = shadow(n, i, base, c1 + c2)
-        if shadow(n, i, shadow(n, i, base, c2), c1) != joint or sum(joint.values()) != sum(base.values()):
-            return {"i": i, "point": base, "c": (c1, c2)}
-        return None
-
-    bounds = dict.fromkeys(names + ("c1", "c2"), (-box, box)) | {"i": (0, n)}
-    return box_check(fn, bounds, samples, seed)
+def _split_rows(n: int):
+    model = unit_torus(n)
+    return _pair_coords(n), (SCALAR,), product_split_rows(model, model, model.cartan.labels)
 
 
-def check_split(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """C1 + C2 = C for the tensor parameter split of every index."""
-    names = _coords(n)
+def _preserved_rows(which: str):
+    def build(n: int):
+        model = unit_torus(n)
+        return _pair_coords(n), (), [preserved_row(model, model, which, model.cartan.labels)]
 
-    def fn(point):
-        x, y = split_pair(point, names, names)
-        c = point[SCALAR]
-        for i in range(n + 1):
-            c1, c2 = split(n, i, x, y, c)
-            if c1 + c2 != c:
-                return {"i": i, "c": c, "x": x, "y": y, "split": (c1, c2)}
-        return None
+    return build
 
-    return box_check(fn, _pair_bounds(n, box, SCALAR), samples, seed)
+
+def _commutation_rows(n: int):
+    model = unit_torus(n)
+    return _pair_coords(n), ("s1",), commutation_rows(model, model, model.cartan.labels)
+
+
+ROWS = {
+    "ud-gamma-shadow": _gamma_rows,
+    "ud-eps-shadow": _eps_rows,
+    "ud-operator-sum": _operator_rows,
+    "ud-split": _split_rows,
+    "ud-levels": lambda n: (_pair_coords(n), (), level_swap_rows(n)),
+    "ud-r-eps": _preserved_rows("eps"),
+    "ud-r-gamma": _preserved_rows("gamma"),
+    "ud-r-commutation": _commutation_rows,
+    "ud-r-braid": lambda n: (sum(triple_names(n), ()), (), braid_rows(n)),
+    "ud-product-eps-shadow": lambda n: (_pair_coords(n), (), [invariance_row(n, Fraction(1), Fraction(1), False)]),
+}
+
+
+def check_rows(check: str, n: int, box: int, samples: int, seed: int) -> CheckOutcome:
+    """The rows of the ud check ``check`` at size ``n``, read in (max, +) on the box [-box, box]."""
+    names, scalars, rows = ROWS[check](n)
+    return check_box_rows(names, rows, dict.fromkeys(names + scalars, (-box, box)), samples, seed)
 
 
 def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """At C = +-1 exactly one tensor factor changes."""
+    """At C = +-1 exactly one tensor factor changes.
+
+    Samples the coordinates of x, then those of y, then the index i in [0, n].
+    """
     names = _coords(n)
 
     def fn(point):
@@ -398,85 +346,4 @@ def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
                 return {"i": i, "c": c, "x": x, "y": y}
         return None
 
-    return box_check(fn, _pair_bounds(n, box) | {"i": (0, n)}, samples, seed)
-
-
-def check_levels(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """The combinatorial R swaps the coordinate sums."""
-    names = _coords(n)
-
-    def fn(point):
-        l, m = split_pair(point, names, names)
-        l2, m2 = apply_combinatorial_r(n, l, m)
-        if sum(l2.values()) != sum(m.values()) or sum(m2.values()) != sum(l.values()):
-            return {"l": l, "m": m}
-        return None
-
-    return box_check(fn, _pair_bounds(n, box), samples, seed)
-
-
-def check_r_invariant(n: int, box: int, samples: int, seed: int, which: str = "eps") -> CheckOutcome:
-    """Tropical functions of a pair (x, y) agree before and after the combinatorial R.
-
-    ``which`` names the functions: ``"eps"`` or ``"gamma"`` are eps_i or
-    gamma_i of the product crystal, compared with themselves; ``"product-eps"``
-    compares the product eps table of (L, M) before with that of (M, L)
-    after, interval by interval.
-    """
-    if which == "product-eps":
-        sys_lm, sys_ml = product_systems(n, Fraction(1), Fraction(1))
-        key = "interval"
-        before = {J: sys_lm.eps_at(*J) for J in sys_lm.intervals()}
-        after = {J: sys_ml.eps_at(*J) for J in sys_ml.intervals()}
-    else:
-        model = unit_torus(n)
-        z = product(model, model)
-        key = "i"
-        before = after = {i: getattr(z, which)[i] for i in z.cartan.labels}
-    names = _coords(n)
-
-    def fn(point):
-        x, y = split_pair(point, names, names)
-        image = pack_pair(*apply_combinatorial_r(n, x, y))
-        for k in before:
-            if trop_eval(before[k], point) != trop_eval(after[k], image):
-                return {key: k, "x": x, "y": y}
-        return None
-
-    return box_check(fn, _pair_bounds(n, box), samples, seed)
-
-
-def check_r_commutation(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """The combinatorial R commutes with the tensor shadow operators."""
-    names = _coords(n)
-
-    def fn(point):
-        x, y = split_pair(point, names, names)
-        c, i = point[SCALAR], point["i"]
-        lhs = apply_combinatorial_r(n, *pair_shadow(n, i, x, y, c))
-        rhs = pair_shadow(n, i, *apply_combinatorial_r(n, x, y), c)
-        if lhs != rhs:
-            return {"i": i, "c": c, "x": x, "y": y}
-        return None
-
-    return box_check(fn, _pair_bounds(n, box, SCALAR) | {"i": (0, n)}, samples, seed)
-
-
-def check_r_braid(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """(12)(23)(12) = (23)(12)(23) for the combinatorial R on integer triples."""
-    names = _coords(n)
-    suffixes = (".a", ".b", ".c")
-
-    def act(triple, pos):
-        if pos == 0:
-            return (*apply_combinatorial_r(n, triple[0], triple[1]), triple[2])
-        return (triple[0], *apply_combinatorial_r(n, triple[1], triple[2]))
-
-    def fn(point):
-        triple = tuple({v: point[v + s] for v in names} for s in suffixes)
-        if act(act(act(triple, 0), 1), 0) != act(act(act(triple, 1), 0), 1):
-            return {"triple": triple}
-        return None
-
-    bounds = dict.fromkeys((v + s for s in suffixes for v in names), (-box, box))
-    return box_check(fn, bounds, samples, seed)
+    return box_check(fn, dict.fromkeys(_pair_coords(n), (-box, box)) | {"i": (0, n)}, samples, seed)

@@ -59,7 +59,7 @@ def test_criterion_4_product_oracle():
     # two independent routes to the epsilon data of matrix products:
     # product-table expressions vs entries/minors of exact matrix products,
     # 100 sampled pairs per size up to 4
-    results = _run(4, "product oracle", "borel-oracle", {"trials": 100}, 120.0, "6e6a5c083cbe7be4")
+    results = _run(4, "product oracle", "borel-oracle", {"trials": 100}, 120.0, "d035cd2ec1fdb8ac")
     checks = {r.check for r in results}
     assert "borel-product-eps" in checks and "borel-product-eps-star" in checks
 

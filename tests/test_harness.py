@@ -5,6 +5,7 @@ import pytest
 
 from gcrystal import cli
 from gcrystal import harness
+from gcrystal.expr import parse, to_json_obj
 from gcrystal.harness import (
     REGISTRY,
     SUITES,
@@ -148,7 +149,7 @@ def test_every_registered_check_runs_in_its_suite():
         "axioms": "454aa58dd4d1e033",
         "epsilon": "e0143b650a1f88f8",
         "product": "337069b2569b05a4",
-        "borel-oracle": "f436463365b8706a",
+        "borel-oracle": "9d8e75f3451b45cc",
         "rmap": "a4dda763fe06a7c8",
         "invariance": "fb55a31a404d85c3",
         "uniqueness": "6495295e518671d8",
@@ -172,7 +173,7 @@ def test_borel_oracle_report_at_the_largest_size():
     results = run_suite("borel-oracle", params, 3)
     assert all(r.verdict == "pass" for r in results)
     report = report_json("borel-oracle", params, 3, results)
-    assert hashlib.sha256(report.encode()).hexdigest()[:16] == "3ee485179d77fb3e"
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == "1fb1fc80b2d25cec"
 
 
 @pytest.mark.parametrize(
@@ -186,6 +187,16 @@ def test_r_map_reports_at_the_largest_size(suite, digest):
     assert all(r.verdict == "pass" for r in results)
     report = report_json(suite, params, 3, results)
     assert hashlib.sha256(report.encode()).hexdigest()[:16] == digest
+
+
+def test_ud_report_at_the_largest_size():
+    # n = 4 is the largest ud size, which the digests above never reach: it
+    # pins the rows read in (max, +) on the torus square and triple at n = 4
+    params = {"n": 4, "trials": 20}
+    results = run_suite("ud", params, 3)
+    assert all(r.verdict == "pass" for r in results)
+    report = report_json("ud", params, 3, results)
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == "7ede4138ca79165b"
 
 
 def test_rmap_fixed_point_is_checked_at_a_and_b(monkeypatch):
@@ -371,7 +382,21 @@ def test_cli_ud_trop(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["tropical"] == "max(l1 + l2, m1)"
-    assert payload["tree"]["op"] == "max"
+    assert payload["tree"] == to_json_obj(parse("l1*l2 + m1"))  # the tree the reading reads
+
+
+def test_cli_ud_trop_reads_powers_as_multiples(capsys):
+    # a power k is read as k times its base, not unrolled into k - 1 sums
+    code = cli.main(["ud", "trop", "--expr", "x^5000 + y^-2/(x*y)^3"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tropical"] == "max(5000*x, -2*y - 3*(x + y))"
+    assert payload["tree"]["args"][0] == {"op": "pow", "args": [{"op": "var", "name": "x"}], "exponent": 5000}
+
+
+def test_cli_ud_trop_readme_example(capsys):
+    assert cli.main(["ud", "trop", "--expr", "l1*l2 + m1/l1"]) == 0
+    assert json.loads(capsys.readouterr().out)["tropical"] == "max(l1 + l2, m1 - l1)"
 
 
 def test_cli_ud_trop_rejects_subtraction(capsys):

@@ -4,9 +4,12 @@ Each defect below is planted by monkeypatching one building block; the
 suite is then run and every check the defect should break must report
 ``fail`` with a real witness (not a crash).  The uniqueness rows are
 recorded by the suite rather than sampled, so their evidence is a note
-naming the broken step.  The two partial defects hold on only part of the
-integer box, so the first failing sample of each row depends on the
-sampled stream; their rows are pinned.
+naming the broken step.  The ud defects are planted where the ud rows
+read: the torus action trees, the product's parameter split and the R
+map's trees (only ``ud-dichotomy`` reads ``ud.shadow``).  Each bend adds a
+subtraction-free summand that wins the max on part of the integer box, so
+the first failing sample of each row depends on the sampled stream; the
+rows of the partial torus and R bends are pinned.
 """
 
 import dataclasses
@@ -25,8 +28,7 @@ from gcrystal.expr import const, div, mul, substitute, var
 from gcrystal.harness import REGISTRY, run_suite
 
 TRUE_SHADOW = ud.shadow
-TRUE_R = ud.apply_combinatorial_r
-TRUE_SPLIT = ud.split
+TRUE_UNIT_TORUS = ud.unit_torus
 TRUE_UNIT_R = rmap.unit_r_map
 TRUE_ACTION = models.borel_action
 TRUE_MATRIX_ACTION = models.borel_apply_e_matrix
@@ -41,36 +43,65 @@ TRUE_PRODUCT_EPSILON = harness.product_epsilon
 TRUE_EQUATIONS = rmap._invariance_equations
 
 
-def bent_operator(threshold):
-    """The shadow of e_i^C, except that l1 gains 1 whenever C > threshold."""
+def raised(e, by):
+    """``e`` plus the subtraction-free summand ``e * by``: in (max, +), max(e, e + by), which wins where by > 0."""
+    return e + mul(e, by)
+
+
+def shifted_shadow(mp):
+    """The shadow of e_i^C with 1 added to l1; only ud-dichotomy reads ``ud.shadow``."""
 
     def shadow(n, i, point, c):
         out = TRUE_SHADOW(n, i, point, c)
-        return {**out, "l1": out["l1"] + 1} if c > threshold else out
+        return {**out, "l1": out["l1"] + 1}
 
-    return lambda mp: mp.setattr(ud, "shadow", shadow)
-
-
-def bent_r(mp):
-    """The combinatorial R, except that l'1 gains 1 and m'2 loses 1 when l1 > 40."""
-
-    def r(n, l, m):
-        l2, m2 = TRUE_R(n, l, m)
-        if l["l1"] > 40:
-            l2, m2 = {**l2, "l1": l2["l1"] + 1}, {**m2, "l2": m2["l2"] - 1}
-        return l2, m2
-
-    mp.setattr(ud, "apply_combinatorial_r", r)
+    mp.setattr(ud, "shadow", shadow)
 
 
-def bent_split(only=None):
-    """The split shadow with C1 raised by 1 at index ``only`` (at every index if None)."""
+def bent_unit_torus(only_last=False):
+    """The level-1 torus model of the ud rows with l_{i+1} of e_i^c raised by itself times c.
 
-    def split(n, i, x, y, c):
-        c1, c2 = TRUE_SPLIT(n, i, x, y, c)
-        return (c1 + 1, c2) if only is None or i == only else (c1, c2)
+    In (max, +) the coordinate e_i^C lowers by C reads max(l - C, l), so the
+    bend shows wherever C > 0.  ``only_last`` bends the last index i = n
+    alone.
+    """
+    models_by_size = {}
 
-    return lambda mp: mp.setattr(ud, "split", split)
+    def unit_torus(n):
+        if n not in models_by_size:
+            model = TRUE_UNIT_TORUS(n)
+            bent = {
+                i: row[:i] + (raised(row[i], var(SCALAR)),) + row[i + 1 :] if i == n or not only_last else row
+                for i, row in model.actions.items()
+            }
+            models_by_size[n] = dataclasses.replace(model, actions=bent)
+        return models_by_size[n]
+
+    return lambda mp: mp.setattr(ud, "unit_torus", unit_torus)
+
+
+def bent_unit_r(mp):
+    """The R map's trees with l'_1 raised by itself times l1: in (max, +), l'_1 grows by l1 where l1 > 0."""
+
+    def unit_r_map(n):
+        true = TRUE_UNIT_R(n)
+        return dataclasses.replace(true, l_out=(raised(true.l_out[0], var("l1")),) + true.l_out[1:])
+
+    mp.setattr(rmap, "unit_r_map", unit_r_map)
+
+
+def bent_split_exprs(only=None):
+    """The parameter split with c1 raised by itself times c at index ``only`` (at every index if None).
+
+    In (max, +) C1 grows by C where C > 0, and C2 stays C - C1 of the true
+    split.
+    """
+
+    def split(x_model, y_model, i):
+        c1, c2 = TRUE_SPLIT_EXPRS(x_model, y_model, i)
+        return (raised(c1, var(SCALAR)), c2) if only is None or i == only else (c1, c2)
+
+    return lambda mp: mp.setattr(crystal, "product_split_exprs", split)
 
 
 def scaled_r(compensated):
@@ -218,18 +249,24 @@ UNIQUENESS = ("uniqueness", {})
 # defect name -> (plant, suite run, checks that must fail)
 DEFECTS = {
     "partial-operator": (
-        bent_operator(40),
+        bent_unit_torus(),
         UD,
         {"ud-gamma-shadow", "ud-eps-shadow", "ud-operator-sum", "ud-r-commutation"},
     ),
-    "operator": (bent_operator(-1000), UD, {"ud-dichotomy"}),
+    "operator-index-n": (
+        bent_unit_torus(only_last=True),
+        UD,
+        {"ud-gamma-shadow", "ud-eps-shadow", "ud-operator-sum", "ud-r-commutation"},
+    ),
+    "operator": (shifted_shadow, UD, {"ud-dichotomy"}),
     "partial-r": (
-        bent_r,
+        bent_unit_r,
         UD,
         {"ud-levels", "ud-r-eps", "ud-r-gamma", "ud-r-commutation", "ud-r-braid", "ud-product-eps-shadow"},
     ),
-    "split": (bent_split(), UD, {"ud-split"}),
-    "split-index-0": (bent_split(0), UD, {"ud-split"}),
+    # the split is also the product's, so the commutation rows see it
+    "split": (bent_split_exprs(), UD, {"ud-split", "ud-r-commutation"}),
+    "split-index-0": (bent_split_exprs(0), UD, {"ud-split", "ud-r-commutation"}),
     "residual": (bent_residual, BOREL, {"borel-residual"}),
     "borel-action": (bent_borel_action, BOREL, {"borel-display", "borel-matrix-action"}),
     "matrix-action": (bent_matrix_action, BOREL, {"borel-matrix-action"}),
@@ -268,27 +305,51 @@ BROKEN_STEP = {
     "levels-only-equations": "one satisfies every invariance equation",
 }
 
-# (check, subject, verdict, trials) of every row under the partial defects,
+# (check, subject, verdict, trials) of every row under the partial torus and R bends,
 # at ud {"trials": 200}: the trial count of a failing row is the index of
 # its first failing sample, so these pin the sampled stream of every check
 PINNED = {
     "partial-operator": [
         ("ud-dichotomy", "n=1", "pass", 200),
         ("ud-dichotomy", "n=2", "pass", 200),
-        ("ud-eps-shadow", "n=1", "fail", 5),
-        ("ud-eps-shadow", "n=2", "fail", 4),
-        ("ud-gamma-shadow", "n=1", "fail", 7),
-        ("ud-gamma-shadow", "n=2", "fail", 32),
+        ("ud-eps-shadow", "n=1", "fail", 1),
+        ("ud-eps-shadow", "n=2", "fail", 1),
+        ("ud-gamma-shadow", "n=1", "fail", 2),
+        ("ud-gamma-shadow", "n=2", "fail", 1),
         ("ud-levels", "n=1", "pass", 200),
         ("ud-levels", "n=2", "pass", 200),
-        ("ud-operator-sum", "n=1", "fail", 3),
-        ("ud-operator-sum", "n=2", "fail", 3),
+        ("ud-operator-sum", "n=1", "fail", 1),
+        ("ud-operator-sum", "n=2", "fail", 1),
         ("ud-product-eps-shadow", "n=1", "pass", 200),
         ("ud-product-eps-shadow", "n=2", "pass", 200),
         ("ud-r-braid", "n=1", "pass", 200),
         ("ud-r-braid", "n=2", "pass", 200),
-        ("ud-r-commutation", "n=1", "fail", 5),
-        ("ud-r-commutation", "n=2", "fail", 4),
+        ("ud-r-commutation", "n=1", "fail", 7),
+        ("ud-r-commutation", "n=2", "fail", 1),
+        ("ud-r-eps", "n=1", "pass", 200),
+        ("ud-r-eps", "n=2", "pass", 200),
+        ("ud-r-gamma", "n=1", "pass", 200),
+        ("ud-r-gamma", "n=2", "pass", 200),
+        ("ud-split", "n=1", "pass", 200),
+        ("ud-split", "n=2", "pass", 200),
+    ],
+    "operator-index-n": [
+        ("ud-dichotomy", "n=1", "pass", 200),
+        ("ud-dichotomy", "n=2", "pass", 200),
+        ("ud-eps-shadow", "n=1", "fail", 1),
+        ("ud-eps-shadow", "n=2", "fail", 1),
+        ("ud-gamma-shadow", "n=1", "fail", 2),
+        ("ud-gamma-shadow", "n=2", "fail", 1),
+        ("ud-levels", "n=1", "pass", 200),
+        ("ud-levels", "n=2", "pass", 200),
+        ("ud-operator-sum", "n=1", "fail", 1),
+        ("ud-operator-sum", "n=2", "fail", 1),
+        ("ud-product-eps-shadow", "n=1", "pass", 200),
+        ("ud-product-eps-shadow", "n=2", "pass", 200),
+        ("ud-r-braid", "n=1", "pass", 200),
+        ("ud-r-braid", "n=2", "pass", 200),
+        ("ud-r-commutation", "n=1", "fail", 7),
+        ("ud-r-commutation", "n=2", "fail", 1),
         ("ud-r-eps", "n=1", "pass", 200),
         ("ud-r-eps", "n=2", "pass", 200),
         ("ud-r-gamma", "n=1", "pass", 200),
@@ -303,23 +364,24 @@ PINNED = {
         ("ud-eps-shadow", "n=2", "pass", 200),
         ("ud-gamma-shadow", "n=1", "pass", 200),
         ("ud-gamma-shadow", "n=2", "pass", 200),
-        ("ud-levels", "n=1", "fail", 10),
+        ("ud-levels", "n=1", "fail", 2),
         ("ud-levels", "n=2", "fail", 3),
         ("ud-operator-sum", "n=1", "pass", 200),
         ("ud-operator-sum", "n=2", "pass", 200),
-        ("ud-product-eps-shadow", "n=1", "fail", 12),
-        ("ud-product-eps-shadow", "n=2", "fail", 63),
-        ("ud-r-braid", "n=1", "fail", 4),
+        ("ud-product-eps-shadow", "n=1", "fail", 4),
+        ("ud-product-eps-shadow", "n=2", "fail", 3),
+        ("ud-r-braid", "n=1", "fail", 1),
         ("ud-r-braid", "n=2", "fail", 1),
-        ("ud-r-commutation", "n=1", "fail", 4),
-        ("ud-r-commutation", "n=2", "fail", 17),
-        ("ud-r-eps", "n=1", "fail", 5),
-        ("ud-r-eps", "n=2", "fail", 4),
-        ("ud-r-gamma", "n=1", "fail", 5),
-        ("ud-r-gamma", "n=2", "fail", 14),
+        ("ud-r-commutation", "n=1", "fail", 3),
+        ("ud-r-commutation", "n=2", "fail", 2),
+        ("ud-r-eps", "n=1", "fail", 2),
+        ("ud-r-eps", "n=2", "fail", 1),
+        ("ud-r-gamma", "n=1", "fail", 4),
+        ("ud-r-gamma", "n=2", "fail", 2),
         ("ud-split", "n=1", "pass", 200),
         ("ud-split", "n=2", "pass", 200),
     ],
+
 }
 
 
@@ -342,6 +404,20 @@ def test_planted_defect_fails_with_witness(defect, monkeypatch):
             assert all(r.counterexample and "error" not in r.counterexample for r in rows), check
     if defect in PINNED:
         assert [(r.check, r.subject, r.verdict, r.trials) for r in results] == PINNED[defect]
+
+
+def test_a_bend_at_the_last_index_fails_as_early_as_one_at_every_index(monkeypatch):
+    # the rows check every index at each point (the point loops they replace
+    # drew one index per point), so the bend at i = n alone fails each row at
+    # the same sample as the bend at every index, and names i = n
+    bent_unit_torus(only_last=True)(monkeypatch)
+    results = run_suite(*UD)
+    everywhere = {(c, s): t for c, s, v, t in PINNED["partial-operator"] if v == "fail"}
+    failed = [r for r in results if r.verdict == "fail"]
+    assert {(r.check, r.subject): r.trials for r in failed} == everywhere
+    for r in failed:
+        n = int(r.subject.removeprefix("n="))
+        assert r.counterexample.get("i", r.counterexample.get("j")) == n, r.check
 
 
 def _row_spec(suite, params, model_of, extra):

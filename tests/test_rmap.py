@@ -266,7 +266,7 @@ def test_row_steps_match_apply_e_and_apply_r(n):
         return pack_pair(*apply_r(inst, *split_pair(x, coords, coords)))
 
     for i in range(n + 1):
-        [(_, (lhs, _), (rhs, _))] = commutation_rows(n, ll, lr, i)
+        [(_, (lhs, _), (rhs, _))] = commutation_rows(affine_a_model(n, ll), affine_a_model(n, lr), (i,))
         for point in sample_points(z_lm.domain_spec(n + i, extra=("s1",)), 5):
             x, c = {v: point[v] for v in z_lm.variables}, point["s1"]
             e = apply_e(z_lm, i, c, x)

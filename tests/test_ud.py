@@ -4,66 +4,79 @@ from fractions import Fraction
 
 import pytest
 
-from gcrystal.crystal import pack_pair, product, product_split_exprs
-from gcrystal.expr import mul, parse, pow_, substitute, var
+from gcrystal.crystal import pack_pair, product, product_split_exprs, row_plan, split_pair, tree_row
+from gcrystal.expr import Add, Const, Div, Mul, Pow, Var, add, mul, parse, pow_, substitute, var
+from gcrystal.harness import REGISTRY
 from gcrystal.rmap import product_systems, unit_r_map
 from gcrystal.ud import (
+    ROWS,
     NonUnitConstantWarning,
-    TAdd,
-    TConst,
-    TMax,
-    TSub,
-    TVar,
     TropicalizationError,
     apply_combinatorial_r,
-    check_tropical_identity,
+    check_box_rows,
+    maxplus_side,
     pair_shadow,
-    reference_trop_eval,
+    sample_box,
     shadow,
     split,
     trop_eval,
-    trop_pretty,
-    trop_to_json_obj,
     tropicalize,
     unit_torus,
 )
 
 
-# --- compilation -----------------------------------------------------------------
+def _walk(e, point):
+    """The (max, +) reading of a subtraction-free tree, walked node by node: the oracle of the programs."""
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, Const):
+        return 0
+    if isinstance(e, Pow):
+        return e.exponent * _walk(e.base, point)
+    left, right = _walk(e.left, point), _walk(e.right, point)
+    return {Add: max(left, right), Mul: left + right, Div: left - right}[type(e)]
+
+
+def _box(names, lo=-50, hi=50):
+    return dict.fromkeys(names, (lo, hi))
+
+
+# --- the reading written out ------------------------------------------------------
 
 
 def test_quotient_compiles_to_difference():
-    assert tropicalize(parse("l1/l2")) == TSub(TVar("l1"), TVar("l2"))
+    assert tropicalize(parse("l1/l2")) == "l1 - l2"
+    assert trop_eval(parse("l1/l2"), {"l1": 3, "l2": 8}) == -5
 
 
 def test_sum_compiles_to_max_idempotently():
     e = parse("x + x")
-    assert tropicalize(e) == TMax(TVar("x"), TVar("x"))
+    assert tropicalize(e) == "max(x, x)"
     assert trop_eval(e, {"x": 9}) == 9
 
 
 def test_two_term_window_sum_compiles_to_max_of_sums():
     # the n = 1 window polynomial: l1 l2 m1 + l2 m1 m2
-    t = tropicalize(parse("l1*l2*m1 + l2*m1*m2"))
-    expected = TMax(
-        TAdd(TAdd(TVar("l1"), TVar("l2")), TVar("m1")),
-        TAdd(TAdd(TVar("l2"), TVar("m1")), TVar("m2")),
-    )
-    assert t == expected
+    e = parse("l1*l2*m1 + l2*m1*m2")
+    assert tropicalize(e) == "max((l1 + l2) + m1, (l2 + m1) + m2)"
+    assert trop_eval(e, {"l1": 1, "l2": 2, "m1": 3, "m2": -9}) == 6
 
 
 def test_structural_homomorphism():
-    from gcrystal.expr import add, mul, parse
-
     a, b = parse("x*y"), parse("z + w")
-    assert tropicalize(mul(a, b)) == TAdd(tropicalize(a), tropicalize(b))
-    assert tropicalize(add(a, b)) == TMax(tropicalize(a), tropicalize(b))
+    assert tropicalize(mul(a, b)) == f"({tropicalize(a)}) + {tropicalize(b)}"
+    assert tropicalize(add(a, b)) == f"max({tropicalize(a)}, {tropicalize(b)})"
+    point = {"x": 4, "y": -7, "z": 2, "w": 5}
+    assert trop_eval(mul(a, b), point) == trop_eval(a, point) + trop_eval(b, point)
+    assert trop_eval(add(a, b), point) == max(trop_eval(a, point), trop_eval(b, point))
 
 
-def test_powers_unroll():
-    assert tropicalize(parse("x^3")) == TAdd(TAdd(TVar("x"), TVar("x")), TVar("x"))
-    assert tropicalize(parse("x^0")) == TConst(0)
-    assert tropicalize(parse("x^-2")) == TSub(TConst(0), TAdd(TVar("x"), TVar("x")))
+def test_powers_read_as_multiples():
+    assert tropicalize(parse("x^3")) == "3*x"
+    assert tropicalize(parse("x^0")) == "0*x"
+    assert tropicalize(parse("x^-2")) == "-2*x"
+    assert tropicalize(parse("(x*y)^2/z^5000")) == "2*(x + y) - 5000*z"
+    assert trop_eval(parse("(x*y)^2/z^5000"), {"x": 1, "y": 2, "z": -1}) == 5006
 
 
 def test_subtraction_refused_with_path():
@@ -77,27 +90,38 @@ def test_unit_constant_silent_other_constants_warn():
         warnings.simplefilter("error")
         tropicalize(parse("x + 1"))  # no warning
     with pytest.warns(NonUnitConstantWarning):
-        assert tropicalize(parse("2*x")) == TAdd(TConst(0), TVar("x"))
+        assert tropicalize(parse("2*x")) == "0 + x"
 
 
 def test_trop_json_and_pretty():
-    t = tropicalize(parse("l1/l2 + l3"))
-    assert trop_pretty(t) == "max(l1 - l2, l3)"
-    assert trop_to_json_obj(t)["op"] == "max"
+    assert tropicalize(parse("l1/l2 + l3")) == "max(l1 - l2, l3)"
+    assert tropicalize(parse("l1*l2 + m1/l1")) == "max(l1 + l2, m1 - l1)"
 
 
-# --- identity checking ----------------------------------------------------------------
+# --- identity rows read in (max, +) ---------------------------------------------------
 
 
 def test_translation_invariance_of_max():
-    assert check_tropical_identity(parse("(x + y)*z"), parse("x*z + y*z"), samples=300).ok
+    rows = [tree_row({}, parse("(x + y)*z"), parse("x*z + y*z"))]
+    assert check_box_rows(("x", "y", "z"), rows, _box("xyz"), 300).ok
 
 
 def test_distinct_programs_detected():
-    verdict = check_tropical_identity(parse("x + y"), parse("x*y"), samples=100)
+    verdict = check_box_rows(("x", "y"), [tree_row({}, parse("x + y"), parse("x*y"))], _box("xy"), 100)
     assert not verdict.ok
     point, lhs, rhs = (verdict.witness[k] for k in ("point", "lhs", "rhs"))
+    assert set(verdict.witness) == {"point", "lhs", "rhs"}
     assert max(point["x"], point["y"]) == lhs and point["x"] + point["y"] == rhs
+
+
+def test_failing_row_witness_names_its_label_and_output():
+    # the first point of this stream is x = -20, y = -12, where max(x, y) != x + y
+    rows = [({"row": 1}, ((), {"a": var("x"), "b": parse("x + y")}), ((), {"a": var("x"), "b": parse("x*y")}))]
+    verdict = check_box_rows(("x", "y"), rows, _box("xy"), 10, seed=4)
+    point = next(sample_box(_box("xy"), 1, 4))
+    assert verdict.trials == 1
+    lhs, rhs = max(point.values()), sum(point.values())
+    assert verdict.witness == {"row": 1, "output": "b", "point": point, "lhs": lhs, "rhs": rhs}
 
 
 # --- shadow operators -----------------------------------------------------------------
@@ -129,12 +153,14 @@ def test_gamma_shadow_scaling_as_composed_programs():
     # UD(gamma_j) + a_ij * C, as piecewise-linear programs
     n = 2
     model = unit_torus(n)
+    rows = []
     for i in range(n + 1):
         action = dict(zip(model.variables, model.actions[i]))
         for j in range(n + 1):
             composed = substitute(model.gamma[j], action)
             shifted = mul(model.gamma[j], pow_(var("c"), model.cartan.a(i, j)))
-            assert check_tropical_identity(composed, shifted, samples=200).ok
+            rows.append(tree_row({"i": i, "j": j}, composed, shifted))
+    assert check_box_rows(model.variables, rows, _box(model.variables + ("c",)), 200).ok
 
 
 def test_gamma_shadow_scaling():
@@ -168,9 +194,9 @@ def test_eps_shadow_drop():
 
 def test_split_sums_to_c():
     model = unit_torus(2)
-    for i in range(3):
-        c1, c2 = product_split_exprs(model, model, i)
-        assert check_tropical_identity(mul(c1, c2), var("c"), samples=500).ok
+    names = product(model, model).variables
+    rows = [tree_row({"i": i}, mul(*product_split_exprs(model, model, i)), var("c")) for i in range(3)]
+    assert check_box_rows(names, rows, _box(names + ("c",)), 500).ok
 
 
 def test_split_case_analysis():
@@ -261,10 +287,8 @@ def test_combinatorial_r_commutes_with_shadows():
 
 
 def _reference(exprs, point):
-    """reference_trop_eval(tropicalize(e)) of each expression, as a list."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonUnitConstantWarning)
-        return [reference_trop_eval(tropicalize(e), point) for e in exprs]
+    """The (max, +) tree walk of each expression, as a list."""
+    return [_walk(e, point) for e in exprs]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -298,3 +322,77 @@ def test_readings_match_the_reference_walker(n):
             dict(zip(names, expected[: n + 1])),
             dict(zip(names, expected[n + 1 :])),
         )
+
+
+# --- the ud rows against the shadow route ---------------------------------------------
+
+
+def _shadow_route(check, n, point, label, outputs):
+    """The sides of one ud row at ``point``, computed through shadow, split and apply_combinatorial_r."""
+    model = unit_torus(n)
+    names, labels, a = model.variables, model.cartan.labels, model.cartan.a
+    x, y = split_pair(point, names, names) if "l1.x" in point else (None, None)
+    c = point.get("s1", point.get("c"))
+    i = label.get("i")
+    if check == "ud-gamma-shadow":
+        moved = shadow(n, i, point, c)
+        lhs = [trop_eval(model.gamma[j], moved) for j in labels]
+        return lhs, [trop_eval(model.gamma[j], point) + a(i, j) * c for j in labels]
+    if check == "ud-eps-shadow":
+        j = label["j"]
+        moved = shadow(n, j, point, c)
+        lhs = [trop_eval(model.eps[k], moved) for k in outputs]
+        return lhs, [trop_eval(model.eps[k], point) - c * (k == j) for k in outputs]
+    if check == "ud-operator-sum" and outputs is None:  # the coordinate sum
+        return [sum(shadow(n, i, point, c).values())], [sum(point[v] for v in names)]
+    if check == "ud-operator-sum":  # the group law
+        twice = shadow(n, i, shadow(n, i, point, point["s2"]), c)
+        return list(twice.values()), list(shadow(n, i, point, c + point["s2"]).values())
+    if check == "ud-split":
+        return [sum(split(n, i, x, y, c))], [c]
+    if check == "ud-levels":
+        l2, m2 = apply_combinatorial_r(n, x, y)
+        return [sum(l2.values()), sum(m2.values())], [sum(y.values()), sum(x.values())]
+    if check in ("ud-r-eps", "ud-r-gamma"):
+        table = getattr(product(model, model), check.removeprefix("ud-r-"))
+        image = pack_pair(*apply_combinatorial_r(n, x, y))
+        return [trop_eval(table[k], point) for k in labels], [trop_eval(table[k], image) for k in labels]
+    if check == "ud-r-commutation":
+        lhs = pack_pair(*apply_combinatorial_r(n, *pair_shadow(n, i, x, y, c)))
+        rhs = pack_pair(*pair_shadow(n, i, *apply_combinatorial_r(n, x, y), c))
+        return list(lhs.values()), list(rhs.values())
+    if check == "ud-r-braid":
+        def act(triple, pos):
+            if pos == 0:
+                return (*apply_combinatorial_r(n, triple[0], triple[1]), triple[2])
+            return (triple[0], *apply_combinatorial_r(n, triple[1], triple[2]))
+
+        sides = []
+        for order in ((0, 1, 0), (1, 0, 1)):
+            triple = tuple({v: point[f"{v}.{t}"] for v in names} for t in "abc")
+            for pos in order:
+                triple = act(triple, pos)
+            sides.append([value for part in triple for value in part.values()])
+        return tuple(sides)
+    assert check == "ud-product-eps-shadow"
+    sys_lm, sys_ml = product_systems(n, Fraction(1), Fraction(1))
+    image = pack_pair(*apply_combinatorial_r(n, x, y))
+    lhs = [trop_eval(sys_lm.eps_at(*J), point) for J in outputs]
+    return lhs, [trop_eval(sys_ml.eps_at(*J), image) for J in outputs]
+
+
+def test_rows_cover_the_ud_checks():
+    assert set(ROWS) | {"ud-dichotomy"} == {c for c, info in REGISTRY.items() if info.suite == "ud"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("check", list(ROWS))
+def test_rows_match_the_shadow_route(check, n):
+    # every ud row's (max, +) sides against the same quantities computed the
+    # way the hand-written point loops computed them
+    names, scalars, rows = ROWS[check](n)
+    plan = row_plan(names, rows)
+    for point in sample_box(_box(names + scalars), 200, seed=n):
+        for label, lhs, rhs, outputs in plan:
+            route = _shadow_route(check, n, point, label, outputs)
+            assert (maxplus_side(names, lhs, point), maxplus_side(names, rhs, point)) == route, (label, point)
