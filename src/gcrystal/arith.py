@@ -12,11 +12,12 @@ variables must equal this value" constraints.  Constrained subsets are
 sampled by choosing all but one variable freely and solving for the last
 one, so the constraint holds exactly, not approximately.
 
-:func:`draw_pairs` is the one draw: it gives every variable as an
-unreduced (numerator, denominator) pair of ints, the form in which the
-compiled programs of :mod:`gcrystal.expr` read and compare values, so a
-sampled check builds no ``Fraction`` until it reports a witness.
-:func:`sample_point` is the same draw as ``Fraction`` values.
+:func:`draw_columns` is the one draw: it gives a batch of points as one
+column per variable, each value an unreduced (numerator, denominator)
+pair of ints, the form in which the compiled programs of
+:mod:`gcrystal.expr` read and compare values, so a sampled check builds
+no ``Fraction`` until it reports a witness.  :func:`draw_pairs` is one
+point of it, and :func:`sample_point` that point as ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 ExactScalar = Fraction
 
@@ -33,6 +35,10 @@ Assignment = dict[str, Fraction]
 # a drawn point: every variable as an unreduced (numerator, denominator)
 # pair of ints, the denominator nonzero and possibly negative
 PairPoint = dict[str, tuple[int, int]]
+
+# a drawn batch of points: every variable as a column of numerators and a
+# column of denominators, entry j belonging to point j
+Columns = dict[str, tuple[list[int], list[int]]]
 
 
 class ConstraintConflictError(ValueError):
@@ -120,32 +126,52 @@ class SampleSpec:
         return free, solves
 
 
-def draw_pairs(spec: SampleSpec, rng: random.Random) -> PairPoint:
-    """Draw one point of ``spec`` as unreduced int pairs, keyed in ``spec.variables`` order.
+def draw_columns(spec: SampleSpec, rng: random.Random, width: int) -> Columns:
+    """Draw ``width`` points of ``spec`` as columns of unreduced int pairs, keyed in ``spec.variables`` order.
 
-    Each free variable is ``randrange(m) + 1`` over ``randrange(m) + 1``
-    (the stream of ``randint(1, m)``), negated when ``rng.random() < 0.5``
-    on a signed spec.  The last variable of each constrained subset is
-    solved as target·∏dens / ∏nums of the others, so the product holds
-    exactly.
+    The points are drawn one after another, each variable in turn: a free
+    one is ``randrange(m) + 1`` over ``randrange(m) + 1`` (the stream of
+    ``randint(1, m)``), negated when ``rng.random() < 0.5`` on a signed
+    spec.  The last variable of each constrained subset is solved as
+    target·∏dens / ∏nums of the others, so the product holds exactly.
+    ``randrange(m)`` is written out as the rejection ``random.Random`` runs
+    for it: draw ``m.bit_length()`` random bits until the value is below m.
     """
     free, solves = spec._plan
     m, signed = spec.magnitude, not spec.positive
-    randrange = rng.randrange
-    nums = [0] * len(spec.variables)
-    dens = nums[:]
-    for k in free:
-        num = randrange(m) + 1
-        dens[k] = randrange(m) + 1
-        nums[k] = -num if signed and rng.random() < 0.5 else num
+    bits = m.bit_length()
+    getrandbits, random_ = rng.getrandbits, rng.random
+    nums = [[] for _ in spec.variables]
+    dens = [[] for _ in spec.variables]
+    appends = [(nums[k].append, dens[k].append) for k in free]
+    for _ in range(width):
+        for push_num, push_den in appends:
+            num = getrandbits(bits)
+            while num >= m:
+                num = getrandbits(bits)
+            den = getrandbits(bits)
+            while den >= m:
+                den = getrandbits(bits)
+            push_den(den + 1)
+            push_num(-num - 1 if signed and random_() < 0.5 else num + 1)
     for k, rest, target in solves:
-        num, den = target.numerator, target.denominator
+        num, den = [target.numerator] * width, [target.denominator] * width
         for r in rest:
-            num *= dens[r]
-            den *= nums[r]
+            num = list(map(mul, num, dens[r]))
+            den = list(map(mul, den, nums[r]))
         nums[k] = num
         dens[k] = den
     return dict(zip(spec.variables, zip(nums, dens)))
+
+
+def point_at(columns: Columns, j: int) -> PairPoint:
+    """Point ``j`` of a drawn batch, as int pairs in the columns' key order."""
+    return {name: (nums[j], dens[j]) for name, (nums, dens) in columns.items()}
+
+
+def draw_pairs(spec: SampleSpec, rng: random.Random) -> PairPoint:
+    """Draw one point of ``spec`` as unreduced int pairs: the batch of one of :func:`draw_columns`."""
+    return point_at(draw_columns(spec, rng, 1), 0)
 
 
 def fraction_point(point: PairPoint) -> Assignment:

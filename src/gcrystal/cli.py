@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import harness
 from .crystal import model_manifest
-from .expr import EvalDomainError, parse, pretty, to_json_obj
+from .expr import EvalDomainError, parse, pretty, to_json
 from .models import build_named_model
 from .rmap import apply_r, build_r_map, window_sums
 from .ud import tropicalize
@@ -190,8 +190,10 @@ def _cmd_ud_trop(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    # ``tree`` is the expression tree that the (max, +) reading reads
-    print(json.dumps({"input": pretty(expr), "tropical": tropical, "tree": to_json_obj(expr)}, indent=2))
+    # ``tree`` is the expression tree that the (max, +) reading reads, on one
+    # line: indenting it would grow as the square of its depth
+    fields = {"input": json.dumps(pretty(expr)), "tropical": json.dumps(tropical), "tree": to_json(expr)}
+    print("{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}")
     return 0
 
 

@@ -18,10 +18,13 @@ and the plan has two readings, chosen by the domain a check samples: at
 exact rational points of a :class:`SampleSpec`, :func:`check_identity_rows`
 runs it through :func:`pointwise_check` (the one sampled-check loop,
 defined in :mod:`gcrystal.expr` and re-exported here); on an integer box,
-:func:`gcrystal.ud.check_box_rows` reads it in (max, +).  Both return a
-:class:`CheckOutcome`.  Row builders such as :func:`gamma_scaling_row`
-take the indices they cover, so the ud checks read the same rows as the
-rational ones, with the outputs that share a step in one row.
+:func:`gcrystal.ud.check_box_rows` reads it in (max, +).  Both run a
+batch of points at a time, each step and tree program once per batch
+(one register loop per reading and width), and both return the
+:class:`CheckOutcome` that a walk over single points gives.  Row
+builders such as :func:`gamma_scaling_row` take the indices they cover,
+so the ud checks read the same rows as the rational ones, with the
+outputs that share a step in one row.
 """
 
 from __future__ import annotations
@@ -40,15 +43,16 @@ from .expr import (  # CheckOutcome and pointwise_check are re-exported
     const,
     div,
     mul,
-    pair_witness,
+    each_point,
     pointwise_check,
     pow_,
     prod,
     program_for,
     rename_variables,
     run,
-    run_pairs,
-    run_reduced,
+    run_columns,
+    run_reduced_columns,
+    settle_row,
     substitute,
     var,
 )
@@ -263,29 +267,33 @@ def row_plan(names: tuple[str, ...], rows) -> list:
 def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: int) -> CheckOutcome:
     """Run the identity ``rows`` (see :func:`row_plan`) over ``names`` at ``trials`` points of ``spec``.
 
-    This is the rational reading of the plan.  The drawn int pairs go
-    straight into the programs; the steps run in order, each to
-    coordinates in lowest terms (:func:`run_reduced`) that the next one
-    reads, and the trees run to unreduced pairs compared output by output
-    with :func:`pair_witness`.  A failing row's witness is ``{**label,
-    output, point, lhs, rhs}``, the only place a ``Fraction`` is built.
-    The (max, +) reading of the same plan is
+    This is the rational reading of the plan, run a batch of points at a
+    time through :func:`pointwise_check`.  The drawn columns of int pairs
+    go straight into the programs; the steps run in order, each to
+    coordinate columns in lowest terms (:func:`run_reduced_columns`) that
+    the next one reads, and the trees run to unreduced columns compared
+    output by output (:func:`settle_row`).  At each point the first row
+    that poles or differs there settles it; a failing row's witness is
+    ``{**label, output, point, lhs, rhs}``, the only place a ``Fraction``
+    is built.  The (max, +) reading of the same plan is
     :func:`gcrystal.ud.check_box_rows`.
     """
     plan = row_plan(names, rows)
 
-    def side(steps, trees, point):
-        env = point
+    def side(steps, trees, columns, width):
+        env, poles = columns, set()
         for step in steps:
-            env = {**env, **dict(zip(names, run_reduced(step, env)))}
-        return run_pairs(trees, env)
+            image, hit = run_reduced_columns(step, env, width)
+            env = {**env, **dict(zip(names, image))}
+            poles |= hit
+        nums, dens, hit = run_columns(trees, env, width)
+        return nums, dens, poles | hit
 
-    def fn(point):
+    def fn(columns, width):
+        outcomes = [None] * width
         for label, lhs, rhs, outputs in plan:
-            witness = pair_witness(point, side(*lhs, point), side(*rhs, point), outputs)
-            if witness is not None:
-                return {**label, **witness}
-        return None
+            settle_row(outcomes, columns, label, side(*lhs, columns, width), side(*rhs, columns, width), outputs)
+        return outcomes
 
     return pointwise_check(fn, spec, trials)
 
@@ -326,7 +334,7 @@ def check_domain_preserved(model: CrystalModel, i: int, trials: int = 100, seed:
             return {"i": i, "c": c, "x": x, "zero coordinate in": y}
         return None
 
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
+    return pointwise_check(each_point(fn), model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def gamma_scaling_row(model: CrystalModel, i: int, js):

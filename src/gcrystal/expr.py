@@ -31,15 +31,21 @@ check of the library, identity tests included, runs through the one loop
 :func:`pointwise_check` and returns a :class:`CheckOutcome`.
 
 Evaluation does not walk trees: :func:`compile_program` value-numbers
-trees into a straight-line :class:`Program`, which :func:`run_pairs`
-evaluates exactly from and to unreduced (numerator, denominator) pairs
-and :func:`run_maxplus` reads in (max, +).  Sampled points are drawn as
-such pairs (:func:`gcrystal.arith.draw_pairs`) and stay pairs through
-the comparison: :func:`run_reduced` gives the outputs in lowest terms,
-:func:`pair_witness` compares two sides' pairs by cross-multiplication,
-and a ``Fraction`` is built only for a witness.  :func:`run` reads and
-returns ``Fraction`` values.  The tree walker :func:`reference_evaluate`
-is kept as the oracle of the tests.
+trees into a straight-line :class:`Program`.  A program has one register
+loop per reading and width.  At one point, :func:`run_pairs` evaluates it
+exactly from and to unreduced (numerator, denominator) pairs and
+:func:`run_maxplus` reads it in (max, +) on integers; these serve the
+callers that hold one point (an action, the R map, the CLI, the checks
+that stay bodies).  Over a batch of points, :func:`run_columns` and
+:func:`run_maxplus_columns` run each instruction once for every point,
+each register a column, and flag a pole per point instead of raising.
+Sampled points are drawn as such columns
+(:func:`gcrystal.arith.draw_columns`) and stay int pairs through the
+comparison: :func:`reduce_columns` puts outputs in lowest terms,
+:func:`settle_row` compares two sides' pairs by cross-multiplication,
+and a ``Fraction`` is built only for a witness (:func:`pair_witness`).
+:func:`run` reads and returns ``Fraction`` values.  The tree walker
+:func:`reference_evaluate` is kept as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -49,9 +55,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add as add_, floordiv, mul as mul_, sub as sub_
 from typing import Callable
 
-from .arith import Assignment, DomainTooThinError, PairPoint, SampleSpec, draw_pairs, fraction_point
+from .arith import Assignment, DomainTooThinError, PairPoint, SampleSpec, draw_columns, fraction_point, point_at
 
 
 class ExprError(ValueError):
@@ -328,14 +335,18 @@ class Program:
     and the result of each instruction of ``code``.  An instruction
     ``(op, a, b)`` combines registers ``a`` and ``b``; for ``POW``, ``b`` is
     the integer exponent.  ``outputs`` holds the register of each root.
+    ``releases[i]`` lists the registers that instruction ``i`` reads for
+    the last time and that are not outputs, so a column run can drop them
+    (:func:`releases`).
     """
 
-    __slots__ = ("names", "code", "outputs", "roots", "const_nums", "const_dens", "maxplus_consts")
+    __slots__ = ("names", "code", "outputs", "releases", "roots", "const_nums", "const_dens", "maxplus_consts")
 
     def __init__(self, names, code, outputs, roots, const_nums, const_dens, maxplus_consts):
         self.names = names
         self.code = code
         self.outputs = outputs
+        self.releases = None  # built by the first column run
         self.roots = roots
         # exact constants as numerators and denominators
         self.const_nums = const_nums
@@ -437,8 +448,8 @@ def run_pairs(program: Program, point: PairPoint) -> tuple[list[int], list[int]]
     never zero (it may be negative), so a divisor or a base is zero
     exactly when its numerator is.  Raises :class:`UnboundVariableError`
     before any arithmetic when an input is missing, and
-    :class:`EvalDomainError` at a pole.  This is the one exact register
-    loop.
+    :class:`EvalDomainError` at a pole.  This is the exact register loop
+    at one point; :func:`run_columns` is the same loop over a batch.
     """
     pairs = _inputs(program, point)
     nums = [num for num, _ in pairs] + program.const_nums
@@ -493,6 +504,18 @@ def run(program: Program, point: Assignment) -> list[Fraction]:
     return [Fraction(n, d) for n, d in zip(*run_pairs(program, pairs))]
 
 
+def _maxplus_consts(program: Program) -> list[int]:
+    """The constants of ``program`` read in (max, +); a refusal when it is not certified subtraction-free."""
+    consts = program.maxplus_consts
+    if consts is None:
+        for k, root in enumerate(program.roots):
+            verdict = certify_subtraction_free(root)
+            if not verdict:
+                raise TropicalizationError((k,) + verdict.blocked_path)
+        raise AssertionError("uncertified program without an offending node")
+    return consts
+
+
 def run_maxplus(program: Program, point: dict[str, int]) -> list[int]:
     """Every output of ``program`` at an integer point, read in (max, +).
 
@@ -502,14 +525,7 @@ def run_maxplus(program: Program, point: dict[str, int]) -> list[int]:
     subtraction-free with :class:`TropicalizationError`, whose path starts
     with the index of the offending output.
     """
-    consts = program.maxplus_consts
-    if consts is None:
-        for k, root in enumerate(program.roots):
-            verdict = certify_subtraction_free(root)
-            if not verdict:
-                raise TropicalizationError((k,) + verdict.blocked_path)
-        raise AssertionError("uncertified program without an offending node")
-    regs = _inputs(program, point) + consts
+    regs = _inputs(program, point) + _maxplus_consts(program)
     push = regs.append
     for op, a, b in program.code:
         if op == MUL:
@@ -522,6 +538,130 @@ def run_maxplus(program: Program, point: dict[str, int]) -> list[int]:
             push(regs[a] - regs[b])
         else:  # POW
             push(b * regs[a])
+    return [regs[r] for r in program.outputs]
+
+
+# --- column runs -----------------------------------------------------------------
+#
+# A batch of points runs through a program once: each register holds a
+# column, entry j belonging to point j, and each instruction is one pass
+# over its operand columns.  A register is dropped after its last read
+# (``Program.releases``), so a long program holds only its live columns.
+
+
+def releases(program: Program) -> list[tuple[int, ...]]:
+    """The last-use table of ``program`` (``Program.releases``), built on first use and kept on it.
+
+    Only column runs read it, so a program run at single points (an R map
+    of thousands of instructions under ``rmap apply``) never pays for it.
+    """
+    if program.releases is None:
+        last_read = {}
+        for i, (op, a, b) in enumerate(program.code):
+            last_read[a] = i
+            if op != POW:
+                last_read[b] = i
+        for r in program.outputs:
+            last_read.pop(r, None)
+        dead: dict[int, list[int]] = {}
+        for r, i in last_read.items():
+            dead.setdefault(i, []).append(r)
+        program.releases = [tuple(dead.get(i, ())) for i in range(len(program.code))]
+    return program.releases
+
+
+def _flag_zeros(column: list[int], poles: set[int]) -> list[int]:
+    """Add the points where ``column`` is 0 to ``poles``; the column with those entries set to 1."""
+    poles.update(j for j, value in enumerate(column) if not value)
+    return [value or 1 for value in column]
+
+
+def run_columns(program: Program, columns, width: int) -> tuple[list[list[int]], list[list[int]], set[int]]:
+    """:func:`run_pairs` at the ``width`` points of the batch ``columns``, one pass per instruction.
+
+    ``columns`` maps each input name to a column of numerators and a column
+    of denominators.  Returns the numerator column and the denominator
+    column of every output, and the set of points that hit a pole: where
+    :func:`run_pairs` raises, the point is flagged instead, its divisor
+    (or base) read as 1 so the run goes on, and its outputs mean nothing.
+    At every other point, entry j is exactly the pair :func:`run_pairs`
+    gives there, the ``da == db`` shortcut taken entry by entry.
+    """
+    inputs = _inputs(program, columns)
+    nums = [num for num, _ in inputs] + [[value] * width for value in program.const_nums]
+    dens = [den for _, den in inputs] + [[value] * width for value in program.const_dens]
+    poles: set[int] = set()
+    push_num = nums.append
+    push_den = dens.append
+    for (op, a, b), dead in zip(program.code, releases(program)):
+        if op == MUL:
+            push_num(list(map(mul_, nums[a], nums[b])))
+            push_den(list(map(mul_, dens[a], dens[b])))
+        elif op == ADD or op == SUB:
+            da = dens[a]
+            db = dens[b]
+            if da == db:  # every entry takes the shortcut
+                push_num(list(map(add_ if op == ADD else sub_, nums[a], nums[b])))
+                push_den(da)
+            elif op == ADD:
+                push_num([x + y if p == q else x * q + y * p for x, y, p, q in zip(nums[a], nums[b], da, db)])
+                push_den([p if p == q else p * q for p, q in zip(da, db)])
+            else:
+                push_num([x - y if p == q else x * q - y * p for x, y, p, q in zip(nums[a], nums[b], da, db)])
+                push_den([p if p == q else p * q for p, q in zip(da, db)])
+        elif op == DIV:
+            nb = nums[b]
+            if 0 in nb:
+                nb = _flag_zeros(nb, poles)
+            push_num(list(map(mul_, nums[a], dens[b])))
+            push_den(list(map(mul_, dens[a], nb)))
+        elif b >= 0:  # POW
+            push_num([x**b for x in nums[a]])
+            push_den([x**b for x in dens[a]])
+        else:
+            na = nums[a]
+            if 0 in na:
+                na = _flag_zeros(na, poles)
+            push_num([x**-b for x in dens[a]])
+            push_den([x**-b for x in na])
+        for r in dead:
+            nums[r] = dens[r] = None
+    outputs = program.outputs
+    return [nums[r] for r in outputs], [dens[r] for r in outputs], poles
+
+
+def reduce_columns(nums: list[list[int]], dens: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Each (numerator, denominator) column pair in lowest terms, denominators positive, as in :func:`run_reduced`."""
+    out = []
+    for num, den in zip(nums, dens):
+        g = list(map(gcd, num, den))
+        if min(den) < 0:
+            g = [h if d > 0 else -h for h, d in zip(g, den)]
+        out.append((list(map(floordiv, num, g)), list(map(floordiv, den, g))))
+    return out
+
+
+def run_reduced_columns(program: Program, columns, width: int) -> tuple[list[tuple[list[int], list[int]]], set[int]]:
+    """The :func:`run_columns` outputs in lowest terms (:func:`reduce_columns`), and the points that hit a pole."""
+    nums, dens, poles = run_columns(program, columns, width)
+    return reduce_columns(nums, dens), poles
+
+
+def run_maxplus_columns(program: Program, columns: dict[str, list[int]], width: int) -> list[list[int]]:
+    """:func:`run_maxplus` at the ``width`` integer points of the batch ``columns``, one pass per instruction."""
+    regs = _inputs(program, columns) + [[0] * width for _ in _maxplus_consts(program)]
+    push = regs.append
+    for (op, a, b), dead in zip(program.code, releases(program)):
+        if op == MUL:
+            push(list(map(add_, regs[a], regs[b])))
+        elif op == ADD:
+            push(list(map(max, regs[a], regs[b])))
+        elif op == DIV:
+            push(list(map(sub_, regs[a], regs[b])))
+        else:  # POW
+            push([b * x for x in regs[a]])
+        for r in dead:
+            regs[r] = None
     return [regs[r] for r in program.outputs]
 
 
@@ -572,49 +712,96 @@ class CheckOutcome:
 
 MAX_POLE_RETRIES = 100
 
-
-def pole_free_points(spec: SampleSpec, attempt):
-    """Yield ``(point, attempt(point))`` at the points drawn from ``spec``.
-
-    Points are :func:`gcrystal.arith.draw_pairs` pairs.  A point where
-    ``attempt`` raises :class:`EvalDomainError` is discarded and redrawn;
-    after :data:`MAX_POLE_RETRIES` consecutive discards the domain is
-    declared too thin.  The stream never ends by itself, and it draws a
-    point only when the next one is asked for.
-    """
-    rng = random.Random(spec.seed)
-    failures = 0
-    while True:
-        point = draw_pairs(spec, rng)
-        try:
-            result = attempt(point)
-        except EvalDomainError:
-            failures += 1
-            if failures > MAX_POLE_RETRIES:
-                raise DomainTooThinError(
-                    f"no pole-free point found after {MAX_POLE_RETRIES} resamples"
-                ) from None
-            continue
-        failures = 0
-        yield point, result
+# Points per batch: the most points a column run of the rows carries at
+# once.  Chosen by measurement (README "Evaluation"): wider batches spread
+# each instruction's dispatch over more points but keep more live columns.
+BATCH_WIDTH = 32
 
 
-def pointwise_check(fn: Callable[[PairPoint], dict | None], spec: SampleSpec, trials: int) -> CheckOutcome:
-    """Run ``fn`` at ``trials`` pole-free points drawn from ``spec``.
+# the outcome of a point where a check hit a pole; the point is redrawn
+POLE = object()
 
-    ``fn`` reads the point as int pairs (a check that needs ``Fraction``
-    values converts it with :func:`gcrystal.arith.fraction_point`); it
-    returns ``None`` on success and a witness dict on failure, and may
-    raise :class:`EvalDomainError` to request a fresh point.  This is the
-    one sampling loop of every rational check.
+
+def pointwise_check(fn: Callable, spec: SampleSpec, trials: int) -> CheckOutcome:
+    """Run ``fn`` over batches of points drawn from ``spec`` until ``trials`` pole-free points pass or one fails.
+
+    ``fn(columns, width)`` reads a batch of ``width`` points drawn by
+    :func:`gcrystal.arith.draw_columns` and gives one outcome per point,
+    in stream order, as a list or lazily: ``None`` on success,
+    :data:`POLE` to discard the point, or a witness dict (:func:`each_point`
+    runs a check written for one point at a time).  This is the one
+    sampling loop of every rational check: it walks the outcomes in order,
+    numbers the pole-free points and declares the domain too thin after
+    :data:`MAX_POLE_RETRIES` consecutive poles.  A batch holds at most
+    the points still needed, so a check that passes runs ``fn`` at exactly
+    the points it counts and the poles among them.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    for done, (_point, witness) in enumerate(pole_free_points(spec, fn), start=1):
-        if witness is not None:
-            return CheckOutcome(False, done, witness)
+    rng = random.Random(spec.seed)
+    done = poles = 0
+    while True:
+        width = min(BATCH_WIDTH, trials - done)
+        for outcome in fn(draw_columns(spec, rng, width), width):
+            if outcome is POLE:
+                poles += 1
+                if poles > MAX_POLE_RETRIES:
+                    raise DomainTooThinError(f"no pole-free point found after {MAX_POLE_RETRIES} resamples")
+                continue
+            poles = 0
+            done += 1
+            if outcome is not None:
+                return CheckOutcome(False, done, outcome)
         if done == trials:
             return CheckOutcome(True, trials)
+
+
+def each_point(fn: Callable[[PairPoint], dict | None]) -> Callable:
+    """The batch function of :func:`pointwise_check` that runs ``fn`` at one point of a batch after another.
+
+    ``fn`` reads a point as int pairs (a check that needs ``Fraction``
+    values converts it with :func:`gcrystal.arith.fraction_point`); it
+    returns ``None`` on success and a witness dict on failure, and raises
+    :class:`EvalDomainError` at a pole.  Points are run only as their
+    outcomes are asked for, so nothing runs after the first failure.
+    """
+
+    def run(columns, width):
+        for j in range(width):
+            try:
+                outcome = fn(point_at(columns, j))
+            except EvalDomainError:
+                outcome = POLE
+            yield outcome
+
+    return run
+
+
+def settle_row(outcomes: list, columns, label: dict, lhs, rhs, names=None) -> None:
+    """Settle the points of a batch where the sides of one row pole or differ.
+
+    ``lhs`` and ``rhs`` are :func:`run_columns` results with equally many
+    outputs, and ``outcomes`` holds one entry per point, ``None`` until an
+    earlier row settled it.  A point still open becomes :data:`POLE` if
+    either side poled there, else ``{**label, **witness}`` where
+    :func:`pair_witness` finds the sides' pairs differ.
+    """
+    (lnums, ldens, lpoles), (rnums, rdens, rpoles) = lhs, rhs
+    for j in lpoles | rpoles:
+        if outcomes[j] is None:
+            outcomes[j] = POLE
+    for ln, ld, rn, rd in zip(lnums, ldens, rnums, rdens):
+        if list(map(mul_, ln, rd)) != list(map(mul_, rn, ld)):
+            break
+    else:
+        return
+    for j, outcome in enumerate(outcomes):
+        if outcome is None:
+            left = [c[j] for c in lnums], [c[j] for c in ldens]
+            right = [c[j] for c in rnums], [c[j] for c in rdens]
+            witness = pair_witness(point_at(columns, j), left, right, names)
+            if witness is not None:
+                outcomes[j] = {**label, **witness}
 
 
 def pair_witness(point: PairPoint, lhs, rhs, names=None) -> dict | None:
@@ -645,13 +832,26 @@ def output_witness(witness: dict, k: int, count: int, names=None) -> dict:
 def identical_on_domain(e1: RatExpr, e2: RatExpr, spec: SampleSpec, trials: int = 100) -> CheckOutcome:
     """Exact-evaluation equality test; the witness is ``{point, lhs, rhs}``."""
     p1, p2 = tree_program(e1), tree_program(e2)
-    return pointwise_check(lambda x: pair_witness(x, run_pairs(p1, x), run_pairs(p2, x)), spec, trials)
+
+    def fn(columns, width):
+        outcomes = [None] * width
+        settle_row(outcomes, columns, {}, run_columns(p1, columns, width), run_columns(p2, columns, width))
+        return outcomes
+
+    return pointwise_check(fn, spec, trials)
 
 
 def vanishes_on_domain(e: RatExpr, spec: SampleSpec, trials: int = 100) -> CheckOutcome:
     """Check that ``e`` evaluates to exactly zero at every sampled point."""
     program = tree_program(e)
-    return pointwise_check(lambda x: pair_witness(x, run_pairs(program, x), ([0], [1])), spec, trials)
+
+    def fn(columns, width):
+        outcomes = [None] * width
+        zero = ([[0] * width], [[1] * width], set())
+        settle_row(outcomes, columns, {}, run_columns(program, columns, width), zero)
+        return outcomes
+
+    return pointwise_check(fn, spec, trials)
 
 
 # --- subtraction-freeness ------------------------------------------------------
@@ -679,24 +879,43 @@ def certify_subtraction_free(e: RatExpr) -> PositivityVerdict:
 
     Subtraction-freeness is the precondition for tropicalization; the
     verdict carries the path (child indices from the root) of the first
-    offending node.
+    offending node in left-to-right preorder.  The walk keeps its own
+    stack, so a tree of any depth is certified, and visits a shared
+    subtree once.
     """
+    seen: set[int] = set()
+    stack = [(e, None)]  # (node, its path as (last index, parent's path) links)
+    while stack:
+        node, link = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Sub) or (isinstance(node, Const) and node.value < 0):
+            path = []
+            while link is not None:
+                k, link = link
+                path.append(k)
+            return PositivityVerdict(False, tuple(reversed(path)))
+        below = children(node)
+        stack.extend((below[k], (k, link)) for k in reversed(range(len(below))))
+    return PositivityVerdict(True)
 
-    def walk(node: RatExpr, path: tuple[int, ...]) -> tuple[int, ...] | None:
-        if isinstance(node, Sub):
-            return path
-        if isinstance(node, Const) and node.value < 0:
-            return path
-        for k, child in enumerate(children(node)):
-            hit = walk(child, path + (k,))
-            if hit is not None:
-                return hit
-        return None
 
-    blocked = walk(e, ())
-    if blocked is None:
-        return PositivityVerdict(True)
-    return PositivityVerdict(False, blocked)
+def render(e: RatExpr, parts: Callable[[RatExpr], list]) -> str:
+    """Text of ``e`` from ``parts(node)``, its pieces in order: strings and nodes to render in their place.
+
+    Works from its own stack, so a tree of any depth renders; the nodes
+    are expanded in text order.
+    """
+    out = []
+    stack = [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(parts(item)))
+    return "".join(out)
 
 
 # --- parser --------------------------------------------------------------------
@@ -847,28 +1066,31 @@ def _prec(e: RatExpr) -> int:
     return _PREC_ATOM
 
 
-def _wrap(child: RatExpr, limit: int) -> str:
-    text = pretty(child)
-    return f"({text})" if _prec(child) < limit else text
+def _wrap(child: RatExpr, limit: int) -> list:
+    return ["(", child, ")"] if _prec(child) < limit else [child]
+
+
+def _pretty_parts(e: RatExpr) -> list:
+    if isinstance(e, Var):
+        return [e.name]
+    if isinstance(e, Const):
+        return [str(e.value)]
+    if isinstance(e, Add):
+        return [*_wrap(e.left, _PREC_ADD), " + ", *_wrap(e.right, _PREC_ADD + 1)]
+    if isinstance(e, Sub):
+        return [*_wrap(e.left, _PREC_ADD), " - ", *_wrap(e.right, _PREC_ADD + 1)]
+    if isinstance(e, Mul):
+        return [*_wrap(e.left, _PREC_MUL), "*", *_wrap(e.right, _PREC_MUL + 1)]
+    if isinstance(e, Div):
+        return [*_wrap(e.left, _PREC_MUL), "/", *_wrap(e.right, _PREC_MUL + 1)]
+    if isinstance(e, Pow):
+        return [*_wrap(e.base, _PREC_ATOM), f"^{e.exponent}"]
+    raise TypeError(f"unknown node {e!r}")
 
 
 def pretty(e: RatExpr) -> str:
     """Render with the fewest parentheses that still round-trip structurally."""
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
-    raise TypeError(f"unknown node {e!r}")
+    return render(e, _pretty_parts)
 
 
 # --- JSON tree form --------------------------------------------------------------
@@ -901,8 +1123,19 @@ def from_json_obj(obj) -> RatExpr:
     raise ExprError(f"unknown op {op!r} in JSON expression")
 
 
+def _json_parts(e: RatExpr) -> list:
+    if isinstance(e, Var):
+        return ['{"op": "var", "name": ', json.dumps(e.name), "}"]
+    if isinstance(e, Const):
+        return ['{"op": "const", "value": ', json.dumps(str(e.value)), "}"]
+    if isinstance(e, Pow):
+        return ['{"op": "pow", "args": [', e.base, f'], "exponent": {e.exponent}}}']
+    return [f'{{"op": "{_OPS[type(e)]}", "args": [', e.left, ", ", e.right, "]}"]
+
+
 def to_json(e: RatExpr) -> str:
-    return json.dumps(to_json_obj(e))
+    """``json.dumps(to_json_obj(e))``, written from its own stack (:func:`render`), so a tree of any depth converts."""
+    return render(e, _json_parts)
 
 
 def from_json(text: str) -> RatExpr:

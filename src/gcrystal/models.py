@@ -62,6 +62,7 @@ from .expr import (
     add,
     const,
     div,
+    each_point,
     evaluate,
     mul,
     pointwise_check,
@@ -673,7 +674,7 @@ def check_borel_matrix_action(model: CrystalModel, i: int, trials: int = 100, se
             return {"i": i, "c": c, "x": x, "matrix": via_matrix, "exprs": via_exprs}
         return None
 
-    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
+    return pointwise_check(each_point(fn), model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def check_borel_display(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -730,7 +731,7 @@ def check_borel_table(
                 return {"interval": (a, b), "starred": starred, "table": Fraction(num, den), "matrix": mat_val}
         return None
 
-    return pointwise_check(fn, (product(model, model) if pair else model).domain_spec(seed), trials)
+    return pointwise_check(each_point(fn), (product(model, model) if pair else model).domain_spec(seed), trials)
 
 
 def check_borel_mult_eps(model: CrystalModel, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -747,7 +748,7 @@ def check_borel_mult_eps(model: CrystalModel, trials: int = 100, seed: int = 0) 
                 return {"i": i, "lhs": lhs, "rhs": rhs}
         return None
 
-    return pointwise_check(fn, product(model, model).domain_spec(seed), trials)
+    return pointwise_check(each_point(fn), product(model, model).domain_spec(seed), trials)
 
 
 # --- model registry for the CLI ------------------------------------------------------

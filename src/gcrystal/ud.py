@@ -6,13 +6,15 @@ becomes k times its base.  Named parameters stay variables.  Only
 subtraction-free programs are read; anything containing a difference or
 a negative constant is refused with the path of the offending node.
 
-There is one evaluator, :func:`expr.run_maxplus`, and it runs the programs
-the model layer already compiles.  Every ud check but one is the
-rational layer's identity rows read in (max, +): :data:`ROWS` maps each
-check id to the row builder of its rational twin on :func:`unit_torus`
-or its square, and :func:`check_box_rows` runs the same
-:func:`crystal.row_plan` as :func:`crystal.check_identity_rows`, at the
-points of an integer box, steps unreduced, sides compared with ``==``.
+There is one (max, +) register loop per width, :func:`expr.run_maxplus`
+at one point and :func:`expr.run_maxplus_columns` over a batch, and both
+run the programs the model layer already compiles.  Every ud check but
+one is the rational layer's identity rows read in (max, +): :data:`ROWS`
+maps each check id to the row builder of its rational twin on
+:func:`unit_torus` or its square, and :func:`check_box_rows` runs the
+same :func:`crystal.row_plan` as :func:`crystal.check_identity_rows`, a
+batch of integer box points at a time (:func:`draw_box_columns`, the
+``randint`` stream), steps unreduced, sides compared with ``==``.
 So a shadow cannot drift from the identity it reads.  ``ud-dichotomy``
 is not an identity; it stays a body over :func:`shadow` (the torus
 action program), :func:`split` (:func:`crystal.product_split_exprs`) and
@@ -50,6 +52,7 @@ from .crystal import (
     word_side,
 )
 from .expr import (
+    BATCH_WIDTH,
     Add,
     CheckOutcome,
     Const,
@@ -64,7 +67,9 @@ from .expr import (
     compile_program,
     output_witness,
     prod,
+    render,
     run_maxplus,
+    run_maxplus_columns,
     tree_program,
     var,
 )
@@ -107,54 +112,82 @@ def tropicalize(e: RatExpr) -> str:
     return _reading(e)
 
 
-def _reading(node: RatExpr) -> str:
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Const):
-        if node.value != 1:
-            warnings.warn(f"constant {node.value} becomes tropical 0", NonUnitConstantWarning, stacklevel=3)
-        return "0"
-    if isinstance(node, Add):
-        return f"max({_reading(node.left)}, {_reading(node.right)})"
-    if isinstance(node, Pow):
-        return f"{node.exponent}*{_operand(node.base)}"
-    op = " + " if isinstance(node, Mul) else " - "
-    return f"{_operand(node.left)}{op}{_operand(node.right)}"
+def _reading(e: RatExpr) -> str:
+    def parts(node: RatExpr) -> list:
+        if isinstance(node, Var):
+            return [node.name]
+        if isinstance(node, Const):
+            if node.value != 1:
+                warnings.warn(f"constant {node.value} becomes tropical 0", NonUnitConstantWarning, stacklevel=5)
+            return ["0"]
+        if isinstance(node, Add):
+            return ["max(", node.left, ", ", node.right, ")"]
+        if isinstance(node, Pow):
+            return [f"{node.exponent}*", *_operand(node.base)]
+        return [*_operand(node.left), " + " if isinstance(node, Mul) else " - ", *_operand(node.right)]
+
+    return render(e, parts)
 
 
-def _operand(node: RatExpr) -> str:
-    """The reading of an operand of a tropical sum, difference or multiple, a sum or difference in parentheses."""
-    text = _reading(node)
-    return f"({text})" if isinstance(node, (Mul, Div)) else text
+def _operand(node: RatExpr) -> list:
+    """An operand of a tropical sum, difference or multiple: a sum or difference goes in parentheses."""
+    return ["(", node, ")"] if isinstance(node, (Mul, Div)) else [node]
 
 
 # --- integer boxes -------------------------------------------------------------------
 
 
+BoxColumns = dict[str, list[int]]
+
+
+def draw_box_columns(bounds: dict[str, tuple[int, int]], rng: random.Random, width: int) -> BoxColumns:
+    """Draw ``width`` points of the integer box ``bounds`` as one column per coordinate, in key order.
+
+    Each point is drawn in turn, each coordinate by the stream of
+    ``randint(lo, hi)``: ``lo`` plus ``randrange(hi - lo + 1)``, written
+    out as the rejection ``random.Random`` runs for it.
+    """
+    getrandbits = rng.getrandbits
+    plans = [(lo, hi - lo + 1, (hi - lo + 1).bit_length(), []) for lo, hi in bounds.values()]
+    for _ in range(width):
+        for lo, size, bits, column in plans:
+            value = getrandbits(bits)
+            while value >= size:
+                value = getrandbits(bits)
+            column.append(lo + value)
+    return {v: plan[3] for v, plan in zip(bounds, plans)}
+
+
+def box_point(columns: BoxColumns, j: int) -> TropPoint:
+    """Point ``j`` of a drawn batch of box points."""
+    return {v: column[j] for v, column in columns.items()}
+
+
 def sample_box(bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0):
-    """Integer points; each coordinate is drawn by ``randint(lo, hi)`` in key order."""
-    rng = random.Random(seed)
-    for _ in range(samples):
-        yield {v: rng.randint(lo, hi) for v, (lo, hi) in bounds.items()}
+    """The points of :func:`draw_box_columns` one at a time, ``samples`` of them from ``seed``."""
+    columns = draw_box_columns(bounds, random.Random(seed), samples)
+    for j in range(samples):
+        yield box_point(columns, j)
 
 
-def box_check(
-    fn: Callable[[TropPoint], dict | None],
-    bounds: dict[str, tuple[int, int]],
-    samples: int,
-    seed: int = 0,
-) -> CheckOutcome:
-    """Run ``fn`` at ``samples`` points of the integer box ``bounds``.
+def box_check(fn: Callable, bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0) -> CheckOutcome:
+    """Run ``fn`` over batches of ``samples`` points of the integer box ``bounds``.
 
-    ``fn`` returns ``None`` on success and a witness dict on failure; the
-    first failure ends the check and counts the points drawn up to it.
+    ``fn(columns, width)`` reads a batch of :func:`draw_box_columns` and
+    gives one outcome per point, in order, as a list or lazily: ``None``
+    on success and a witness dict on failure.  The first failure ends the
+    check and counts the points up to it.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    for done, point in enumerate(sample_box(bounds, samples, seed), start=1):
-        witness = fn(point)
-        if witness is not None:
-            return CheckOutcome(False, done, witness)
+    rng = random.Random(seed)
+    done = 0
+    while done < samples:
+        width = min(BATCH_WIDTH, samples - done)
+        for witness in fn(draw_box_columns(bounds, rng, width), width):
+            done += 1
+            if witness is not None:
+                return CheckOutcome(False, done, witness)
     return CheckOutcome(True, samples)
 
 
@@ -171,25 +204,40 @@ def maxplus_side(names: tuple[str, ...], side, point: TropPoint) -> list[int]:
     return run_maxplus(trees, env)
 
 
+def maxplus_columns(names: tuple[str, ...], side, columns: BoxColumns, width: int) -> list[list[int]]:
+    """:func:`maxplus_side` at every point of a batch: one column run per step and one for the trees."""
+    steps, trees = side
+    env = columns
+    for step in steps:
+        env = {**env, **dict(zip(names, run_maxplus_columns(step, env, width)))}
+    return run_maxplus_columns(trees, env, width)
+
+
 def check_box_rows(
     names: tuple[str, ...], rows, bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0
 ) -> CheckOutcome:
     """The identity ``rows`` of :func:`crystal.row_plan` over ``names``, read in (max, +) on the box ``bounds``.
 
-    The (max, +) reading of :func:`crystal.check_identity_rows`: the sides
-    agree when their outputs are equal integers.  A failing row's witness
-    is ``{**label, output, point, lhs, rhs}`` with integer values.
+    The (max, +) reading of :func:`crystal.check_identity_rows`, a batch
+    of points at a time: the sides agree when their outputs are equal
+    integers.  At each point the first row that differs there fails; its
+    witness is ``{**label, output, point, lhs, rhs}`` with integer values.
     """
     plan = row_plan(names, rows)
 
-    def fn(point):
+    def fn(columns, width):
+        outcomes = [None] * width
         for label, lhs, rhs, outputs in plan:
-            left, right = maxplus_side(names, lhs, point), maxplus_side(names, rhs, point)
-            if left != right:
-                k = next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
-                witness = {"point": point, "lhs": left[k], "rhs": right[k]}
-                return {**label, **output_witness(witness, k, len(left), outputs)}
-        return None
+            left, right = maxplus_columns(names, lhs, columns, width), maxplus_columns(names, rhs, columns, width)
+            if left == right:
+                continue
+            for j, outcome in enumerate(outcomes):
+                if outcome is None:
+                    k = next((k for k, (a, b) in enumerate(zip(left, right)) if a[j] != b[j]), None)
+                    if k is not None:
+                        witness = {"point": box_point(columns, j), "lhs": left[k][j], "rhs": right[k][j]}
+                        outcomes[j] = {**label, **output_witness(witness, k, len(left), outputs)}
+        return outcomes
 
     return box_check(fn, bounds, samples, seed)
 
@@ -346,4 +394,7 @@ def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
                 return {"i": i, "c": c, "x": x, "y": y}
         return None
 
-    return box_check(fn, dict.fromkeys(_pair_coords(n), (-box, box)) | {"i": (0, n)}, samples, seed)
+    def batch(columns, width):
+        return (fn(box_point(columns, j)) for j in range(width))
+
+    return box_check(batch, dict.fromkeys(_pair_coords(n), (-box, box)) | {"i": (0, n)}, samples, seed)

@@ -1,0 +1,407 @@
+"""Batched evaluation against the per-point routes it replaced.
+
+A sampled check runs its programs once per batch of points
+(``expr.run_columns``, ``expr.run_maxplus_columns``) on points drawn as
+columns (``arith.draw_columns``, ``ud.draw_box_columns``).  The per-point
+loops stay here as oracles: every column must equal the point's own run,
+exactly, and every check must give the same ``CheckOutcome`` (verdict,
+trials, witness) as the walk that ran one point at a time.
+"""
+
+import json
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gcrystal import cli
+from gcrystal.arith import DomainTooThinError, SampleSpec, draw_columns, draw_pairs, point_at, rat
+from gcrystal.crystal import check_identity_rows, row_plan, tree_row
+from gcrystal.expr import (
+    BATCH_WIDTH,
+    MAX_POLE_RETRIES,
+    CheckOutcome,
+    EvalDomainError,
+    add,
+    certify_subtraction_free,
+    compile_program,
+    const,
+    div,
+    each_point,
+    mul,
+    pair_witness,
+    parse,
+    pointwise_check,
+    pow_,
+    pretty,
+    reduce_columns,
+    reference_evaluate,
+    run_columns,
+    run_maxplus,
+    run_maxplus_columns,
+    run_pairs,
+    run_reduced,
+    sub,
+    to_json,
+    to_json_obj,
+    var,
+)
+from gcrystal.ud import box_point, check_box_rows, draw_box_columns, maxplus_side, sample_box, tropicalize
+
+# --- programs: the column run against the point run ------------------------------------
+
+_NAMES = ("x", "y", "z")
+_consts = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(lambda q: q != 0)
+
+
+def _exprs(depth, ops=(add, sub, mul, div), consts=_consts, exponents=st.integers(-3, 3)):
+    if depth == 0:
+        return st.one_of(st.sampled_from(_NAMES).map(var), consts.map(const))
+    smaller = _exprs(depth - 1, ops, consts, exponents)
+    binary = st.tuples(st.sampled_from(ops), smaller, smaller).map(lambda t: t[0](t[1], t[2]))
+    power = st.tuples(smaller, exponents).map(lambda t: pow_(t[0], t[1]))
+    return st.one_of(smaller, binary, power)
+
+
+# differences, quotients and negative powers, so zero divisors are common
+_programs = st.lists(_exprs(4), min_size=1, max_size=4).map(compile_program)
+_subtraction_free = st.lists(
+    _exprs(4, (add, mul, div), st.fractions(min_value=1, max_value=9, max_denominator=4)), min_size=1, max_size=4
+).map(compile_program)
+
+# numerators include 0; denominators are nonzero and may be negative, and
+# unreduced pairs such as (2, -2) occur
+_pair_values = st.tuples(st.integers(-3, 3), st.sampled_from((1, 2, 3, -1, -2)))
+
+
+def _batch(data, width):
+    points = [{name: data.draw(_pair_values) for name in _NAMES} for _ in range(width)]
+    columns = {name: ([p[name][0] for p in points], [p[name][1] for p in points]) for name in _NAMES}
+    return points, columns
+
+
+def _point_run(program, point):
+    try:
+        return run_pairs(program, point)
+    except EvalDomainError:
+        return None
+
+
+@pytest.mark.parametrize("width", [1, 7, 100])
+@settings(max_examples=60, deadline=None)
+@given(program=_programs, data=st.data())
+def test_columns_are_the_point_runs(width, program, data):
+    points, columns = _batch(data, width)
+    nums, dens, poles = run_columns(program, columns, width)
+    for j, point in enumerate(points):
+        expected = _point_run(program, point)
+        assert (j in poles) == (expected is None)
+        if expected is not None:
+            # the same ints, not only the same values
+            assert ([c[j] for c in nums], [c[j] for c in dens]) == expected
+            fractions = {name: Fraction(*pair) for name, pair in point.items()}
+            assert [Fraction(c[j], d[j]) for c, d in zip(nums, dens)] == [
+                reference_evaluate(root, fractions) for root in program.roots
+            ]
+    if poles != set(range(width)):
+        live = [j for j in range(width) if j not in poles]
+        reduced = reduce_columns(nums, dens)
+        for j in live:
+            assert [(n[j], d[j]) for n, d in reduced] == run_reduced(program, points[j])
+
+
+@pytest.mark.parametrize("width", [1, 7, 100])
+@settings(max_examples=60, deadline=None)
+@given(program=_subtraction_free, data=st.data())
+def test_maxplus_columns_are_the_point_runs(width, program, data):
+    points = [{name: data.draw(st.integers(-50, 50)) for name in _NAMES} for _ in range(width)]
+    columns = {name: [p[name] for p in points] for name in _NAMES}
+    out = run_maxplus_columns(program, columns, width)
+    assert [[c[j] for c in out] for j in range(width)] == [run_maxplus(program, p) for p in points]
+
+
+def test_maxplus_columns_refuse_what_is_not_subtraction_free():
+    program = compile_program([parse("x + y"), parse("x - y")])
+    with pytest.raises(ValueError) as err:
+        run_maxplus_columns(program, {"x": [1], "y": [2]}, 1)
+    assert err.value.path == (1,)
+
+
+def test_a_long_chain_releases_its_registers():
+    # 2,000 sums in a chain: kept alive, their columns of 100 entries would
+    # take several MB; released after their last read, a few columns live
+    e = var("x")
+    for _ in range(2000):
+        e = add(e, var("x"))
+    program = compile_program([e])
+    width = 100
+    columns = {"x": ([1000 + j for j in range(width)], [7] * width)}
+    tracemalloc.start()
+    try:
+        nums, dens, poles = run_columns(program, columns, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not poles
+    assert nums == [[2001 * (1000 + j) for j in range(width)]] and dens == [[7] * width]
+    assert peak < 1_000_000
+
+
+# --- draws: the columns against the per-point stream ------------------------------------
+
+_SPECS = {
+    "positive": dict(variables=("x", "y", "z"), positive=True),
+    "signed": dict(variables=("x", "y")),
+    "constrained": dict(
+        variables=("a", "b", "c", "d", "s1"),
+        constraints=((("b", "c", "a"), rat(-7, 3)), (("d",), rat(5, 2))),
+    ),
+}
+
+
+@pytest.mark.parametrize("magnitude", [1, 2, 1000, 1024, 1025])
+@pytest.mark.parametrize("kind", list(_SPECS))
+@pytest.mark.parametrize("width", [1, 7, 100])
+def test_column_draws_are_the_point_draws(kind, magnitude, width):
+    spec = SampleSpec(**_SPECS[kind], magnitude=magnitude, seed=23)
+    batched, single = random.Random(spec.seed), random.Random(spec.seed)
+    for _ in range(3):
+        columns = draw_columns(spec, batched, width)
+        assert list(columns) == list(spec.variables)
+        assert [point_at(columns, j) for j in range(width)] == [draw_pairs(spec, single) for _ in range(width)]
+    assert batched.random() == single.random()
+
+
+@pytest.mark.parametrize("width", [1, 7, 100])
+def test_box_columns_are_the_randint_stream(width):
+    bounds = {"x": (-50, 50), "y": (0, 0), "z": (3, 10), "w": (-1024, 1023)}
+    batched, single = random.Random(5), random.Random(5)
+    for _ in range(3):
+        columns = draw_box_columns(bounds, batched, width)
+        expected = [{v: single.randint(lo, hi) for v, (lo, hi) in bounds.items()} for _ in range(width)]
+        assert [box_point(columns, j) for j in range(width)] == expected
+    assert batched.random() == single.random()
+    drawn = draw_box_columns(bounds, random.Random(9), 4)
+    assert list(sample_box(bounds, 4, seed=9)) == [box_point(drawn, j) for j in range(4)]
+
+
+# --- checks: the batched walk against the per-point walk ----------------------------------
+
+
+def _point_walk(fn, spec, trials, log):
+    """The sampling loop as it ran one point at a time: the oracle of ``pointwise_check``.
+
+    Appends True (pole) or False to ``log`` for every point it runs.
+    """
+    rng = random.Random(spec.seed)
+    poles = done = 0
+    while True:
+        point = draw_pairs(spec, rng)
+        try:
+            witness = fn(point)
+        except EvalDomainError:
+            log.append(True)
+            poles += 1
+            if poles > MAX_POLE_RETRIES:
+                raise DomainTooThinError("too thin") from None
+            continue
+        log.append(False)
+        poles = 0
+        done += 1
+        if witness is not None:
+            return CheckOutcome(False, done, witness)
+        if done == trials:
+            return CheckOutcome(True, trials)
+
+
+def _point_identity_rows(names, rows, spec, trials, log):
+    """``check_identity_rows`` one point at a time: each step reduced, each side compared by ``pair_witness``."""
+    plan = row_plan(names, rows)
+
+    def side(steps, trees, point):
+        env = point
+        for step in steps:
+            env = {**env, **dict(zip(names, run_reduced(step, env)))}
+        return run_pairs(trees, env)
+
+    def fn(point):
+        for label, lhs, rhs, outputs in plan:
+            witness = pair_witness(point, side(*lhs, point), side(*rhs, point), outputs)
+            if witness is not None:
+                return {**label, **witness}
+        return None
+
+    return _point_walk(fn, spec, trials, log)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except DomainTooThinError:
+        return "too thin"
+
+
+def _pole_runs_cross_a_batch(log, trials):
+    """Whether a run of poles in ``log`` goes on from one batch of the batched walk into the next."""
+    start = done = 0
+    while start < len(log):
+        end = start + min(BATCH_WIDTH, trials - done)
+        if end < len(log) and log[end - 1] and log[end]:
+            return True
+        done += log[start:end].count(False)
+        start = end
+    return False
+
+
+X, Y = var("x"), var("y")
+A, B, C, D, F = (var(v) for v in "abcdf")
+
+
+def _mixed_rows():
+    """Two-coordinate rows: a pole where x = y, then a step row whose output "d" differs unless x = +-y."""
+    swap = (Y, X)
+    return [
+        tree_row({"row": 1}, div(const(1), sub(X, Y)), div(const(1), sub(X, Y))),
+        ({"row": 2}, ((swap,), {"s": mul(X, Y), "d": div(X, Y)}), ((), {"s": mul(X, Y), "d": div(X, Y)})),
+    ]
+
+
+def _sparse_rows(with_mismatch):
+    """Coordinates of +-1: a pole unless a..d are all -1 (1 point in 16), then f = 1 if asked."""
+    guard = mul(mul(sub(A, const(1)), sub(B, const(1))), mul(sub(C, const(1)), sub(D, const(1))))
+    rows = [tree_row({"row": 1}, div(A, guard), div(A, guard))]
+    if with_mismatch:
+        rows.append(tree_row({"row": 2}, F, const(1)))
+    return rows
+
+
+_CASES = {
+    "mixed": (("x", "y"), _mixed_rows(), dict(magnitude=2)),
+    "sparse": (tuple("abcdf"), _sparse_rows(False), dict(magnitude=1)),
+    "sparse-mismatch": (tuple("abcdf"), _sparse_rows(True), dict(magnitude=1)),
+    "all-poles": (("x",), [tree_row({}, div(const(1), sub(X, X)), X)], dict(magnitude=5)),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100, 101])
+@pytest.mark.parametrize("case", list(_CASES))
+def test_identity_rows_walk_as_one_point_at_a_time(case, trials):
+    names, rows, spec_args = _CASES[case]
+    kinds = set()
+    crossing = False
+    for seed in range(12):
+        spec = SampleSpec(names, seed=seed, **spec_args)
+        log = []
+        expected = _outcome(_point_identity_rows, names, rows, spec, trials, log)
+        assert _outcome(check_identity_rows, names, rows, spec, trials) == expected, seed
+        kinds.add(expected if isinstance(expected, str) else (expected.ok, any(log), expected.trials))
+        crossing |= _pole_runs_cross_a_batch(log, trials)
+    # what each case is built to reach, over its seeds
+    outcomes = {kind for kind in kinds if kind != "too thin"}
+    if case == "all-poles":
+        assert kinds == {"too thin"}
+    if case in ("mixed", "sparse-mismatch") and trials > 1:
+        assert any(not ok and poled and done > 1 for ok, poled, done in outcomes)  # fails after poles and passes
+    if case == "sparse" and trials > 1:
+        assert crossing and any(ok and poled for ok, poled, _ in outcomes)  # passes across pole runs
+    if case == "sparse" and trials >= 100:
+        assert "too thin" in kinds  # 101 poles in a row, somewhere among the seeds
+
+
+def test_domain_too_thin_after_exactly_the_retry_budget():
+    # poles at every point: the 101st consecutive pole ends the check
+    spec = SampleSpec(("x",), seed=0)
+    drawn = []
+
+    def fn(point):
+        drawn.append(point)
+        raise EvalDomainError("pole")
+
+    with pytest.raises(DomainTooThinError):
+        pointwise_check(each_point(fn), spec, 100)
+    assert len(drawn) == MAX_POLE_RETRIES + 1
+
+
+def _point_box_rows(names, rows, bounds, samples, seed):
+    """``check_box_rows`` one ``randint`` point at a time: the oracle of the batched box walk."""
+    plan = row_plan(names, rows)
+    rng = random.Random(seed)
+    for done in range(1, samples + 1):
+        point = {v: rng.randint(lo, hi) for v, (lo, hi) in bounds.items()}
+        for label, lhs, rhs, outputs in plan:
+            left, right = maxplus_side(names, lhs, point), maxplus_side(names, rhs, point)
+            if left != right:
+                k = next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
+                witness = {"point": point, "lhs": left[k], "rhs": right[k]}
+                if len(left) > 1:
+                    witness = {"output": outputs[k] if outputs else k, **witness}
+                return CheckOutcome(False, done, {**label, **witness})
+    return CheckOutcome(True, samples)
+
+
+def _box_rows():
+    """Rows that differ where t > x (row 1, and output "p" of row 2 behind a swap step) or t > y (its output "m")."""
+    swap = (Y, X)
+    t = var("t")
+    return [
+        tree_row({"row": 1}, add(X, t), X),
+        ({"row": 2}, ((swap,), {"p": add(Y, t), "m": add(X, t)}), ((), {"p": X, "m": Y})),
+    ]
+
+
+@pytest.mark.parametrize("samples", [1, 7, 100, 101])
+def test_box_rows_walk_as_one_point_at_a_time(samples):
+    names = ("x", "y")
+    bounds = {"x": (-50, 50), "y": (-50, 50), "t": (-50, -45)}  # t > x at about 3 points in 100
+    outcomes = set()
+    for seed in range(12):
+        expected = _point_box_rows(names, _box_rows(), bounds, samples, seed)
+        assert check_box_rows(names, _box_rows(), bounds, samples, seed) == expected, seed
+        outcomes.add((expected.ok, expected.trials, expected.witness and expected.witness["row"]))
+    if samples <= 7:
+        assert (True, samples, None) in outcomes
+    else:  # failures of each row, some in a later batch than the first
+        assert {row for ok, _, row in outcomes if not ok} == {1, 2}
+        assert any(not ok and done > BATCH_WIDTH for ok, done, _ in outcomes)
+
+
+# --- deep trees ------------------------------------------------------------------------------
+
+
+def _left_sum(terms):
+    e = var("x")
+    for _ in range(terms - 1):
+        e = add(e, var("x"))
+    return e
+
+
+def test_a_5000_term_sum_prints_its_reading(capsys):
+    terms = 5000
+    assert cli.main(["ud", "trop", "--expr", "+".join(["x"] * terms)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reading = "max(" * (terms - 1) + "x" + ", x)" * (terms - 1)
+    assert lines[2] == f'  "tropical": {json.dumps(reading)},'
+    assert lines[1] == f'  "input": {json.dumps(" + ".join(["x"] * terms))},'
+    assert lines[3] == f'  "tree": {to_json(_left_sum(terms))}'
+
+
+def test_deep_trees_certify_print_and_convert():
+    e = sub(_left_sum(5000), var("y"))
+    assert certify_subtraction_free(e).blocked_path == ()
+    blocked = add(sub(var("x"), var("y")), var("z"))
+    for _ in range(4999):
+        blocked = add(blocked, var("z"))
+    assert certify_subtraction_free(blocked).blocked_path == (0,) * 5000
+    assert pretty(_left_sum(5000)) == " + ".join(["x"] * 5000)
+    assert tropicalize(_left_sum(3)) == "max(max(x, x), x)"
+    # the first offending node in preorder, left before right
+    assert certify_subtraction_free(parse("(x - y)*(z - 1) + -2*y")).blocked_path == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(4))
+def test_json_text_is_the_json_of_the_tree(e):
+    assert to_json(e) == json.dumps(to_json_obj(e))

@@ -344,19 +344,20 @@ def test_reduced_pair_steps_match_fraction_run(rows_of, n):
 def test_braid_word_runs_as_three_reduced_steps(monkeypatch):
     # a braid side composed into one program takes about 20 s at n = 3
     # against 0.08 s as three reduced steps (README "Evaluation"), so each
-    # side must run its three R steps, each a program of 3(n+1) outputs
+    # side must run its three R steps, each a program of 3(n+1) outputs;
+    # the 7 points fit one batch, so each step runs once for all of them
     import gcrystal.crystal as crystal
 
-    true_step, calls = crystal.run_reduced, []
+    true_step, calls = crystal.run_reduced_columns, []
 
-    def counting(program, point):
-        calls.append(len(program.outputs))
-        return true_step(program, point)
+    def counting(program, columns, width):
+        calls.append((len(program.outputs), width))
+        return true_step(program, columns, width)
 
-    monkeypatch.setattr(crystal, "run_reduced", counting)
+    monkeypatch.setattr(crystal, "run_reduced_columns", counting)
     trials = 7
     assert check_braid(2, (rat(4), rat(9), rat(25)), trials).ok
-    assert calls == [9] * (6 * trials)
+    assert calls == [(9, trials)] * 6
 
 
 @pytest.mark.parametrize("n", [2, 3])
