@@ -13,7 +13,9 @@ Everything is an immutable expression tree, so the same data feeds exact
 pointwise checking here and the tropicalization pass elsewhere.  Every
 identity check here is a list of rows ``(label, lhs, rhs)``, each side a
 list of coordinate-map steps (a word of actions is one step) and the
-trees read at the last image.  :func:`row_plan` compiles the rows once,
+trees read at the last image, or, on the right, an exact side: a
+function of the rational point, such as the matrix twin of
+:mod:`gcrystal.models`.  :func:`row_plan` compiles the rows once,
 and the plan has two readings, chosen by the domain a check samples: at
 exact rational points of a :class:`SampleSpec`, :func:`check_identity_rows`
 runs it through :func:`pointwise_check` (the one sampled-check loop,
@@ -31,11 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod as prod_
 from typing import Mapping
 
-from .arith import Assignment, SampleSpec, fraction_point, product as fraction_product, sample_point
+from .arith import Assignment, SampleSpec, fraction_point, point_at, sample_point
 from .expr import (  # CheckOutcome and pointwise_check are re-exported
+    POLE,
     CheckOutcome,
+    EvalDomainError,
     Program,
     RatExpr,
     add,
@@ -43,7 +48,6 @@ from .expr import (  # CheckOutcome and pointwise_check are re-exported
     const,
     div,
     mul,
-    each_point,
     pointwise_check,
     pow_,
     prod,
@@ -204,12 +208,6 @@ def apply_word(model: CrystalModel, word, x: Assignment) -> Assignment:
 # --- identity rows ---------------------------------------------------------------
 
 
-def _split_scalars(point: Assignment, names: tuple[str, ...]) -> tuple[Assignment, list[Fraction]]:
-    scalars = [point[s] for s in names]
-    x = {k: v for k, v in point.items() if k not in names}
-    return x, scalars
-
-
 def compose_word(model: CrystalModel, word) -> tuple[RatExpr, ...]:
     """The coordinates of the image of ``word`` as trees over the coordinates and the parameters' scalars."""
     coords = tuple(var(v) for v in model.variables)
@@ -220,9 +218,14 @@ def compose_word(model: CrystalModel, word) -> tuple[RatExpr, ...]:
     return coords
 
 
+def word_step(model: CrystalModel, word) -> Program:
+    """The step that acts with ``word`` on ``model``: :func:`compose_word`'s program, compiled once per model and word."""
+    return program_for(model, ("word", word), lambda: compose_word(model, word))
+
+
 def word_side(model: CrystalModel, word, trees=None):
     """The side that acts with ``word`` on ``model`` as one step, then reads ``trees``."""
-    return (compose_word(model, word),), trees
+    return (word_step(model, word),), trees
 
 
 def row_plan(names: tuple[str, ...], rows) -> list:
@@ -230,13 +233,15 @@ def row_plan(names: tuple[str, ...], rows) -> list:
 
     A row is ``(label, lhs, rhs)`` and a side is ``(steps, trees)``.  A
     step is a coordinate map, one tree per name over the coordinates and
-    the sampled scalars: a word of actions composed by :func:`compose_word`,
-    or the R map.  ``trees`` are read at the last image; they are a tuple,
-    a mapping from output names to trees, a :class:`Program`, or ``None``
-    for the coordinates.  Each entry of the plan is ``(label, lhs, rhs,
-    outputs)`` with a side ``(step programs, tree program)``; the outputs
-    take the lhs's names (``names`` for ``None``, else ``None``).  Every
-    distinct step and tree object is compiled once per plan.
+    the sampled scalars: a word of actions (:func:`word_step`), or the R
+    map.  ``trees`` are read at the last image; they are a tuple, a
+    mapping from output names to trees, a :class:`Program`, or ``None``
+    for the coordinates.  The rhs may instead be an exact side (see
+    :func:`exact_columns`), kept as it is in the plan.  Each entry of the
+    plan is ``(label, lhs, rhs, outputs)`` with a side ``(step programs,
+    tree program)``; the outputs take the lhs's names (``names`` for
+    ``None``, else ``None``).  Every distinct step and tree object is
+    compiled once per plan.
     """
     coords = tuple(var(v) for v in names)
     programs: dict[int, Program] = {}
@@ -257,11 +262,34 @@ def row_plan(names: tuple[str, ...], rows) -> list:
 
     plan = []
     for label, lhs, rhs in rows:
-        left, right = compiled(lhs), compiled(rhs)
-        if len(left[1].outputs) != len(right[1].outputs):
+        left, right = compiled(lhs), rhs if callable(rhs) else compiled(rhs)
+        if not callable(right) and len(left[1].outputs) != len(right[1].outputs):
             raise ValueError(f"the sides have {len(left[1].outputs)} and {len(right[1].outputs)} outputs")
         plan.append((label, left, right, output_names(lhs[1])))
     return plan
+
+
+def exact_columns(fn, count: int, columns, width: int, outcomes: list):
+    """The ``count`` outputs of the exact side ``fn``, as :func:`run_columns` gives them, at the points still open.
+
+    ``fn`` reads a point as ``Fraction`` values and returns one value per
+    output; a ``ZeroDivisionError`` or :class:`EvalDomainError` marks a
+    pole.  It runs where ``outcomes`` is ``None``; elsewhere the entries
+    are 0/1 and mean nothing.
+    """
+    values, poles = [], set()
+    for j, outcome in enumerate(outcomes):
+        value = [0] * count
+        if outcome is None:
+            try:
+                value = fn(fraction_point(point_at(columns, j)))
+            except (ZeroDivisionError, EvalDomainError):
+                poles.add(j)
+        if len(value) != count:
+            raise ValueError(f"the exact side gave {len(value)} values for {count} outputs")
+        values.append(value)
+    outputs = list(zip(*values))
+    return [[v.numerator for v in out] for out in outputs], [[v.denominator for v in out] for out in outputs], poles
 
 
 def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: int) -> CheckOutcome:
@@ -274,9 +302,9 @@ def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: 
     the next one reads, and the trees run to unreduced columns compared
     output by output (:func:`settle_row`).  At each point the first row
     that poles or differs there settles it; a failing row's witness is
-    ``{**label, output, point, lhs, rhs}``, the only place a ``Fraction``
-    is built.  The (max, +) reading of the same plan is
-    :func:`gcrystal.ud.check_box_rows`.
+    ``{**label, output, point, lhs, rhs}``.  ``Fraction`` values are built
+    only for a witness and for an exact side.  The (max, +) reading of the
+    same plan is :func:`gcrystal.ud.check_box_rows`.
     """
     plan = row_plan(names, rows)
 
@@ -292,7 +320,12 @@ def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: 
     def fn(columns, width):
         outcomes = [None] * width
         for label, lhs, rhs, outputs in plan:
-            settle_row(outcomes, columns, label, side(*lhs, columns, width), side(*rhs, columns, width), outputs)
+            left = side(*lhs, columns, width)
+            if callable(rhs):
+                right = exact_columns(rhs, len(left[0]), columns, width, outcomes)
+            else:
+                right = side(*rhs, columns, width)
+            settle_row(outcomes, columns, label, left, right, outputs)
         return outcomes
 
     return pointwise_check(fn, spec, trials)
@@ -321,20 +354,34 @@ def check_group_law(model: CrystalModel, i: int, trials: int = 100, seed: int = 
 
 
 def check_domain_preserved(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """Every product constraint of the domain survives e_i^c exactly."""
+    """Every product constraint of the domain survives e_i^c exactly (c = s1), and no image coordinate is 0.
 
-    def fn(pairs):
-        x, (c,) = _split_scalars(fraction_point(pairs), ("s1",))
-        y = apply_e(model, i, c, x)
-        for subset, target in model.constraints:
-            got = fraction_product(y[v] for v in subset)
-            if got != target:
-                return {"i": i, "c": c, "constraint": subset, "expected": target, "got": got}
-        if any(v == 0 for v in y.values()):
-            return {"i": i, "c": c, "x": x, "zero coordinate in": y}
-        return None
+    No identity, for the nonzero clause: e_i's program runs once per batch,
+    and both clauses read the reduced image pairs.
+    """
+    program = action_program(model, i)
 
-    return pointwise_check(each_point(fn), model.domain_spec(seed, extra=("s1",)), trials)
+    def fn(columns, width):
+        image, poles = run_reduced_columns(program, {**columns, SCALAR: columns["s1"]}, width)
+
+        def outcome(j):
+            if j in poles:
+                return POLE
+            y = {v: (num[j], den[j]) for v, (num, den) in zip(model.variables, image)}
+            for subset, target in model.constraints:
+                num, den = prod_(y[v][0] for v in subset), prod_(y[v][1] for v in subset)
+                if num * target.denominator != target.numerator * den:
+                    c = Fraction(*point_at(columns, j)["s1"])
+                    return {"i": i, "c": c, "constraint": subset, "expected": target, "got": Fraction(num, den)}
+            if all(num for num, _ in y.values()):
+                return None
+            x = fraction_point(point_at(columns, j))
+            c = x.pop("s1")
+            return {"i": i, "c": c, "x": x, "zero coordinate in": fraction_point(y)}
+
+        return map(outcome, range(width))
+
+    return pointwise_check(fn, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def gamma_scaling_row(model: CrystalModel, i: int, js):

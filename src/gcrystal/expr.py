@@ -35,15 +35,16 @@ trees into a straight-line :class:`Program`.  A program has one register
 loop per reading and width.  At one point, :func:`run_pairs` evaluates it
 exactly from and to unreduced (numerator, denominator) pairs and
 :func:`run_maxplus` reads it in (max, +) on integers; these serve the
-callers that hold one point (an action, the R map, the CLI, the checks
-that stay bodies).  Over a batch of points, :func:`run_columns` and
-:func:`run_maxplus_columns` run each instruction once for every point,
-each register a column, and flag a pole per point instead of raising.
+callers that hold one point (an action, the R map, the CLI).  Over a
+batch of points, :func:`run_columns` and :func:`run_maxplus_columns`
+run each instruction once for every point, each register a column, and
+flag a pole per point instead of raising.
 Sampled points are drawn as such columns
 (:func:`gcrystal.arith.draw_columns`) and stay int pairs through the
 comparison: :func:`reduce_columns` puts outputs in lowest terms,
 :func:`settle_row` compares two sides' pairs by cross-multiplication,
-and a ``Fraction`` is built only for a witness (:func:`pair_witness`).
+and a ``Fraction`` is built only for a witness (:func:`pair_witness`)
+and for the exact side of a row (:func:`gcrystal.crystal.row_plan`).
 :func:`run` reads and returns ``Fraction`` values.  The tree walker
 :func:`reference_evaluate` is kept as the oracle of the tests.
 """
@@ -262,32 +263,59 @@ def children(e: RatExpr) -> tuple[RatExpr, ...]:
     return ()
 
 
+def fold(e: RatExpr, leaf: Callable, build: Callable):
+    """The image of ``e`` from the leaves up: ``leaf(node)`` of a leaf, ``build(node, images of its children)`` above.
+
+    Works from its own stack, so a tree of any depth is folded, and builds
+    a shared subtree once.  No image may be ``None``.
+    """
+    if e._op <= CONST:
+        return leaf(e)
+    done: dict[int, object] = {}  # id(node) -> its image
+    get = done.get
+    stack = [e]
+    push = stack.append
+    while stack:
+        node = stack[-1]
+        x, y = (node.base, node.base) if node._op == POW else (node.left, node.right)
+        a = leaf(x) if x._op <= CONST else get(id(x))
+        b = leaf(y) if y._op <= CONST else get(id(y))
+        if a is None or b is None:
+            if a is None:
+                push(x)
+            if b is None and y is not x:
+                push(y)
+            continue
+        stack.pop()
+        done[id(node)] = build(node, (a,) if node._op == POW else (a, b))
+    return done[id(e)]
+
+
 def free_variables(e: RatExpr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    out: set[str] = set()
-    for c in children(e):
-        out |= free_variables(c)
-    return out
+    """The names ``e`` reads, from a walk with its own stack, so a tree of any depth is read."""
+    names: set[str] = set()
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Var):
+                names.add(node.name)
+            stack.extend(children(node))
+    return names
+
+
+_BUILD = {ADD: add, SUB: sub, MUL: mul, DIV: div}
 
 
 def substitute(e: RatExpr, mapping: dict[str, RatExpr]) -> RatExpr:
-    """Replace variables by expressions, rebuilding through the constructors."""
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return add(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Sub):
-        return sub(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Mul):
-        return mul(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Div):
-        return div(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, mapping), e.exponent)
-    raise TypeError(f"unknown node {e!r}")
+    """Replace variables by expressions, rebuilding through the constructors (:func:`fold`, so a tree of any depth)."""
+
+    def build(node, args):
+        return pow_(args[0], node.exponent) if node._op == POW else _BUILD[node._op](*args)
+
+    return fold(e, lambda node: mapping.get(node.name, node) if node._op == VAR else node, build)
 
 
 def rename_variables(e: RatExpr, mapping: dict[str, str]) -> RatExpr:
@@ -671,13 +699,14 @@ def program_for(owner, key, roots) -> Program:
     ``owner`` is the object holding the expressions (a model, a map, ...),
     so a program lives exactly as long as what it computes; frozen
     dataclasses included, since the cache sits in the instance dict.
+    ``roots`` may be a function giving the trees, called only to compile.
     """
     cache = owner.__dict__.get("_programs")
     if cache is None:
         cache = owner.__dict__["_programs"] = {}
     program = cache.get(key)
     if program is None:
-        program = cache[key] = compile_program(roots)
+        program = cache[key] = compile_program(roots() if callable(roots) else roots)
     return program
 
 
@@ -727,11 +756,10 @@ def pointwise_check(fn: Callable, spec: SampleSpec, trials: int) -> CheckOutcome
 
     ``fn(columns, width)`` reads a batch of ``width`` points drawn by
     :func:`gcrystal.arith.draw_columns` and gives one outcome per point,
-    in stream order, as a list or lazily: ``None`` on success,
-    :data:`POLE` to discard the point, or a witness dict (:func:`each_point`
-    runs a check written for one point at a time).  This is the one
-    sampling loop of every rational check: it walks the outcomes in order,
-    numbers the pole-free points and declares the domain too thin after
+    in stream order: ``None`` on success, :data:`POLE` to discard the
+    point, or a witness dict.  This is the one sampling loop of every
+    rational check: it walks the outcomes in order, numbers the pole-free
+    points and declares the domain too thin after
     :data:`MAX_POLE_RETRIES` consecutive poles.  A batch holds at most
     the points still needed, so a check that passes runs ``fn`` at exactly
     the points it counts and the poles among them.
@@ -756,31 +784,11 @@ def pointwise_check(fn: Callable, spec: SampleSpec, trials: int) -> CheckOutcome
             return CheckOutcome(True, trials)
 
 
-def each_point(fn: Callable[[PairPoint], dict | None]) -> Callable:
-    """The batch function of :func:`pointwise_check` that runs ``fn`` at one point of a batch after another.
-
-    ``fn`` reads a point as int pairs (a check that needs ``Fraction``
-    values converts it with :func:`gcrystal.arith.fraction_point`); it
-    returns ``None`` on success and a witness dict on failure, and raises
-    :class:`EvalDomainError` at a pole.  Points are run only as their
-    outcomes are asked for, so nothing runs after the first failure.
-    """
-
-    def run(columns, width):
-        for j in range(width):
-            try:
-                outcome = fn(point_at(columns, j))
-            except EvalDomainError:
-                outcome = POLE
-            yield outcome
-
-    return run
-
-
 def settle_row(outcomes: list, columns, label: dict, lhs, rhs, names=None) -> None:
     """Settle the points of a batch where the sides of one row pole or differ.
 
-    ``lhs`` and ``rhs`` are :func:`run_columns` results with equally many
+    ``lhs`` and ``rhs`` are :func:`run_columns` results (or an exact
+    side's, :func:`gcrystal.crystal.exact_columns`) with equally many
     outputs, and ``outcomes`` holds one entry per point, ``None`` until an
     earlier row settled it.  A point still open becomes :data:`POLE` if
     either side poled there, else ``{**label, **witness}`` where
@@ -1100,13 +1108,17 @@ _OPS_INV = {"add": add, "sub": sub, "mul": mul, "div": div}
 
 
 def to_json_obj(e: RatExpr):
-    if isinstance(e, Var):
-        return {"op": "var", "name": e.name}
-    if isinstance(e, Const):
-        return {"op": "const", "value": str(e.value)}
-    if isinstance(e, Pow):
-        return {"op": "pow", "args": [to_json_obj(e.base)], "exponent": e.exponent}
-    return {"op": _OPS[type(e)], "args": [to_json_obj(e.left), to_json_obj(e.right)]}
+    """The JSON tree of ``e`` (:func:`fold`, so a tree of any depth)."""
+
+    def leaf(node):
+        return {"op": "var", "name": node.name} if node._op == VAR else {"op": "const", "value": str(node.value)}
+
+    def build(node, args):
+        if node._op == POW:
+            return {"op": "pow", "args": list(args), "exponent": node.exponent}
+        return {"op": _OPS[type(node)], "args": list(args)}
+
+    return fold(e, leaf, build)
 
 
 def from_json_obj(obj) -> RatExpr:

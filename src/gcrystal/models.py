@@ -28,9 +28,11 @@ c <= k <= r, and a minor determinant is computed by Gaussian elimination
 with row swaps, not by the first-column expansion the eps* table is
 written in.  This is the independent computation path (entries and
 minor determinants of actual products) against which the
-expression-level epsilon tables are checked; the ``check_borel_*``
+expression-level epsilon tables are checked.  The ``check_borel_*``
 functions of the borel-oracle suite compare the two routes at sampled
-points.
+points as identity rows (:func:`gcrystal.crystal.check_identity_rows`):
+the expression side runs a batch of points at a time, and the twin is
+the row's exact side, run at each point on its ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -39,13 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import Assignment, SampleSpec, fraction_point, sample_point
+from .arith import Assignment, SampleSpec, sample_point
 from .crystal import (
     S1,
     SCALAR,
     CrystalModel,
-    _split_scalars,
-    apply_e,
     cartan_affine_a,
     cartan_affine_d5,
     cartan_finite_a,
@@ -57,18 +57,13 @@ from .crystal import (
 from .epsilon import EpsilonSystem, Interval, system_from_eps
 from .expr import (
     CheckOutcome,
-    EvalDomainError,
     RatExpr,
     add,
     const,
     div,
-    each_point,
-    evaluate,
     mul,
-    pointwise_check,
     prod,
     program_for,
-    run_pairs,
     sub,
     vanishes_on_domain,
     var,
@@ -660,21 +655,19 @@ def check_borel_residual(model: CrystalModel, i: int, trials: int = 100, seed: i
 
 
 def check_borel_matrix_action(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """The expression-level action equals the numeric elementary-matrix conjugation."""
+    """The expression-level action equals the numeric elementary-matrix conjugation (c = s1).
+
+    One row over the coordinates: the e_i step against the exact side
+    :func:`borel_apply_e_matrix`, whose ``ZeroDivisionError`` is a pole.
+    """
     n = len(model.cartan.labels)
 
-    def fn(pairs):
-        x, (c,) = _split_scalars(fraction_point(pairs), ("s1",))
-        try:
-            via_matrix = borel_apply_e_matrix(borel_from_point(x, n), i, c).to_point()
-        except ZeroDivisionError:
-            raise EvalDomainError("action undefined at sample")
-        via_exprs = apply_e(model, i, c, x)
-        if via_matrix != via_exprs:
-            return {"i": i, "c": c, "x": x, "matrix": via_matrix, "exprs": via_exprs}
-        return None
+    def via_matrix(point):
+        image = borel_apply_e_matrix(borel_from_point(point, n), i, point["s1"]).to_point()
+        return [image[v] for v in model.variables]
 
-    return pointwise_check(each_point(fn), model.domain_spec(seed, extra=("s1",)), trials)
+    rows = [({"i": i}, word_side(model, ((i, S1),)), via_matrix)]
+    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
 
 
 def check_borel_display(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -709,46 +702,45 @@ def check_borel_table(
     eps_[s,t] must equal the unipotent entry u_{s,t} and eps*_[s,t] the
     minor determinant.  With ``pair`` the points are pairs (x, y) of the
     product crystal and the matrix is the exact product of their elements.
-    The intervals' trees run as one program per table and ``starred``.
+    One row: the intervals' program, cached on the table per ``starred``,
+    against the exact side that reads the matrix; a failing ``output`` is
+    the interval's place in :meth:`EpsilonSystem.intervals`.
     """
     n = len(model.cartan.labels)
     names = model.variables
     intervals = table.intervals()
     entry = table.star_at if starred else table.eps_at
-    program = program_for(table, ("intervals", starred), [entry(a, b) for a, b in intervals])
+    program = program_for(table, ("intervals", starred), lambda: [entry(a, b) for a, b in intervals])
 
-    def fn(pairs):
-        point = fraction_point(pairs)
+    def via_matrix(point):
         if pair:
             x, y = split_pair(point, names, names)
             element = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
         else:
             element = borel_from_point(point, n)
-        nums, dens = run_pairs(program, pairs)
-        for (a, b), num, den in zip(intervals, nums, dens):
-            mat_val = element.minor(a + 1, b + 1) if starred else element.eps_entry(a + 1, b + 1)
-            if num * mat_val.denominator != mat_val.numerator * den:
-                return {"interval": (a, b), "starred": starred, "table": Fraction(num, den), "matrix": mat_val}
-        return None
+        value = element.minor if starred else element.eps_entry
+        return [value(a + 1, b + 1) for a, b in intervals]
 
-    return pointwise_check(each_point(fn), (product(model, model) if pair else model).domain_spec(seed), trials)
+    space = product(model, model) if pair else model
+    return check_identity_rows(space.variables, [({}, ((), program), via_matrix)], space.domain_spec(seed), trials)
 
 
 def check_borel_mult_eps(model: CrystalModel, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """eps_i(x y) = eps_i(x) + eps_i(y)/gamma_i(x) for exact matrix products."""
+    """eps_i(x y) = eps_i(x) + eps_i(y)/gamma_i(x) for exact matrix products.
+
+    One row over i: the product crystal's eps_i against the exact side,
+    the entry u_i of the product matrix.
+    """
     n = len(model.cartan.labels)
+    z = product(model, model)
 
-    def fn(pairs):
-        x, y = split_pair(fraction_point(pairs), model.variables, model.variables)
-        prod_el = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
-        for i in range(1, n + 1):
-            lhs = prod_el.eps_entry(i, i)
-            rhs = evaluate(model.eps[i], x) + evaluate(model.eps[i], y) / evaluate(model.gamma[i], x)
-            if lhs != rhs:
-                return {"i": i, "lhs": lhs, "rhs": rhs}
-        return None
+    def via_matrix(point):
+        x, y = split_pair(point, model.variables, model.variables)
+        element = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
+        return [element.eps_entry(i, i) for i in z.cartan.labels]
 
-    return pointwise_check(each_point(fn), product(model, model).domain_spec(seed), trials)
+    rows = [({}, ((), {i: z.eps[i] for i in z.cartan.labels}), via_matrix)]
+    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
 
 
 # --- model registry for the CLI ------------------------------------------------------

@@ -47,8 +47,8 @@ from .crystal import (
     CheckOutcome,
     CrystalModel,
     check_identity_rows,
-    compose_word,
     product,
+    word_step,
 )
 from .epsilon import EpsilonSystem, product_epsilon
 from .expr import Program, RatExpr, div, mul, prod, program_for, rename_variables, run, var
@@ -197,7 +197,7 @@ def commutation_rows(x_model: CrystalModel, y_model: CrystalModel, indices) -> l
     r = r_step(_size(x_model))
     z_lm, z_ml = product(x_model, y_model), product(y_model, x_model)
     return [
-        ({"i": i}, ((compose_word(z_lm, ((i, S1),)), r), None), ((r, compose_word(z_ml, ((i, S1),))), None))
+        ({"i": i}, ((word_step(z_lm, ((i, S1),)), r), None), ((r, word_step(z_ml, ((i, S1),))), None))
         for i in indices
     ]
 

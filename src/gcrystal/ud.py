@@ -222,8 +222,12 @@ def check_box_rows(
     of points at a time: the sides agree when their outputs are equal
     integers.  At each point the first row that differs there fails; its
     witness is ``{**label, output, point, lhs, rhs}`` with integer values.
+    An exact side (a function of a rational point) has no (max, +)
+    reading and is refused with ``ValueError``.
     """
     plan = row_plan(names, rows)
+    if any(callable(rhs) for _, _, rhs, _ in plan):
+        raise ValueError("an exact side has no (max, +) reading")
 
     def fn(columns, width):
         outcomes = [None] * width

@@ -18,19 +18,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcrystal import cli
-from gcrystal.arith import DomainTooThinError, SampleSpec, draw_columns, draw_pairs, point_at, rat
+from gcrystal.arith import DomainTooThinError, SampleSpec, draw_columns, draw_pairs, fraction_point, point_at, rat
 from gcrystal.crystal import check_identity_rows, row_plan, tree_row
 from gcrystal.expr import (
     BATCH_WIDTH,
     MAX_POLE_RETRIES,
+    POLE,
+    Add,
     CheckOutcome,
+    Const,
+    Div,
     EvalDomainError,
+    Mul,
+    Pow,
+    Sub,
+    Var,
     add,
     certify_subtraction_free,
+    children,
     compile_program,
     const,
     div,
-    each_point,
+    free_variables,
     mul,
     pair_witness,
     parse,
@@ -45,6 +54,7 @@ from gcrystal.expr import (
     run_pairs,
     run_reduced,
     sub,
+    substitute,
     to_json,
     to_json_obj,
     var,
@@ -218,18 +228,28 @@ def _point_walk(fn, spec, trials, log):
 
 
 def _point_identity_rows(names, rows, spec, trials, log):
-    """``check_identity_rows`` one point at a time: each step reduced, each side compared by ``pair_witness``."""
+    """``check_identity_rows`` one point at a time: each step reduced, each side compared by ``pair_witness``.
+
+    An exact side of ``rows`` runs on the point's ``Fraction`` values, a ``ZeroDivisionError`` a pole.
+    """
     plan = row_plan(names, rows)
 
-    def side(steps, trees, point):
+    def side(planned, written, point):
+        if callable(written):  # an exact side
+            try:
+                values = written(fraction_point(point))
+            except ZeroDivisionError:
+                raise EvalDomainError("pole of the exact side") from None
+            return [v.numerator for v in values], [v.denominator for v in values]
+        steps, trees = planned
         env = point
         for step in steps:
             env = {**env, **dict(zip(names, run_reduced(step, env)))}
         return run_pairs(trees, env)
 
     def fn(point):
-        for label, lhs, rhs, outputs in plan:
-            witness = pair_witness(point, side(*lhs, point), side(*rhs, point), outputs)
+        for (label, lhs, rhs, outputs), (_, written_lhs, written_rhs) in zip(plan, rows):
+            witness = pair_witness(point, side(lhs, written_lhs, point), side(rhs, written_rhs, point), outputs)
             if witness is not None:
                 return {**label, **witness}
         return None
@@ -269,6 +289,21 @@ def _mixed_rows():
     ]
 
 
+def _exact_rows():
+    """The mixed rows with exact sides: a pole where x = y, then output "d" off by 1 where x = -y."""
+
+    def poled_at_the_diagonal(p):
+        return [p["x"] * p["y"] + 0 * (1 / (p["x"] - p["y"]))]
+
+    def off_where_opposite(p):
+        return [p["x"] * p["y"], p["x"] / p["y"] + (p["x"] == -p["y"])]
+
+    return [
+        ({"row": 1}, ((), (mul(X, Y),)), poled_at_the_diagonal),
+        ({"row": 2}, ((), {"s": mul(X, Y), "d": div(X, Y)}), off_where_opposite),
+    ]
+
+
 def _sparse_rows(with_mismatch):
     """Coordinates of +-1: a pole unless a..d are all -1 (1 point in 16), then f = 1 if asked."""
     guard = mul(mul(sub(A, const(1)), sub(B, const(1))), mul(sub(C, const(1)), sub(D, const(1))))
@@ -280,6 +315,7 @@ def _sparse_rows(with_mismatch):
 
 _CASES = {
     "mixed": (("x", "y"), _mixed_rows(), dict(magnitude=2)),
+    "exact": (("x", "y"), _exact_rows(), dict(magnitude=2)),
     "sparse": (tuple("abcdf"), _sparse_rows(False), dict(magnitude=1)),
     "sparse-mismatch": (tuple("abcdf"), _sparse_rows(True), dict(magnitude=1)),
     "all-poles": (("x",), [tree_row({}, div(const(1), sub(X, X)), X)], dict(magnitude=5)),
@@ -303,7 +339,7 @@ def test_identity_rows_walk_as_one_point_at_a_time(case, trials):
     outcomes = {kind for kind in kinds if kind != "too thin"}
     if case == "all-poles":
         assert kinds == {"too thin"}
-    if case in ("mixed", "sparse-mismatch") and trials > 1:
+    if case in ("mixed", "exact", "sparse-mismatch") and trials > 1:
         assert any(not ok and poled and done > 1 for ok, poled, done in outcomes)  # fails after poles and passes
     if case == "sparse" and trials > 1:
         assert crossing and any(ok and poled for ok, poled, _ in outcomes)  # passes across pole runs
@@ -314,15 +350,16 @@ def test_identity_rows_walk_as_one_point_at_a_time(case, trials):
 def test_domain_too_thin_after_exactly_the_retry_budget():
     # poles at every point: the 101st consecutive pole ends the check
     spec = SampleSpec(("x",), seed=0)
-    drawn = []
+    walked = []
 
-    def fn(point):
-        drawn.append(point)
-        raise EvalDomainError("pole")
+    def fn(columns, width):
+        for j in range(width):
+            walked.append(point_at(columns, j))
+            yield POLE
 
     with pytest.raises(DomainTooThinError):
-        pointwise_check(each_point(fn), spec, 100)
-    assert len(drawn) == MAX_POLE_RETRIES + 1
+        pointwise_check(fn, spec, 100)
+    assert len(walked) == MAX_POLE_RETRIES + 1
 
 
 def _point_box_rows(names, rows, bounds, samples, seed):
@@ -368,6 +405,18 @@ def test_box_rows_walk_as_one_point_at_a_time(samples):
         assert any(not ok and done > BATCH_WIDTH for ok, done, _ in outcomes)
 
 
+def test_an_exact_side_gives_one_value_per_output():
+    rows = [({}, ((), {"s": mul(X, Y), "d": div(X, Y)}), lambda p: [p["x"] * p["y"]])]
+    with pytest.raises(ValueError, match="1 values for 2 outputs"):
+        check_identity_rows(("x", "y"), rows, SampleSpec(("x", "y"), seed=0), 10)
+
+
+def test_box_rows_refuse_an_exact_side():
+    rows = [({}, ((), (X,)), lambda p: [p["x"]])]
+    with pytest.raises(ValueError, match="exact side"):
+        check_box_rows(("x",), rows, {"x": (-5, 5)}, 10)
+
+
 # --- deep trees ------------------------------------------------------------------------------
 
 
@@ -399,6 +448,48 @@ def test_deep_trees_certify_print_and_convert():
     assert tropicalize(_left_sum(3)) == "max(max(x, x), x)"
     # the first offending node in preorder, left before right
     assert certify_subtraction_free(parse("(x - y)*(z - 1) + -2*y")).blocked_path == (0, 0)
+
+
+def test_deep_trees_substitute_list_their_variables_and_convert():
+    names = [f"x{k}" for k in range(5000)]
+    e = var(names[0])
+    for name in names[1:]:
+        e = add(e, var(name))
+    assert free_variables(e) == set(names)
+    doubled = mul(var("y"), const(2))
+    image = substitute(e, {"x0": doubled, "x4999": var("z")})
+    assert free_variables(image) == set(names[1:-1]) | {"y", "z"}
+    assert pretty(image) == " + ".join(["y*2", *names[1:-1], "z"])
+    obj, depth = to_json_obj(image), 0
+    while obj["op"] == "add":
+        assert obj["args"][1] == {"op": "var", "name": "z" if depth == 0 else names[-1 - depth]}
+        obj, depth = obj["args"][0], depth + 1
+    assert depth == 4999 and obj == to_json_obj(doubled)
+
+
+def _substitute_walk(e, mapping):
+    """``substitute`` node by node, recursively: the oracle of the folded one."""
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Pow):
+        return pow_(_substitute_walk(e.base, mapping), e.exponent)
+    build = {Add: add, Sub: sub, Mul: mul, Div: div}[type(e)]
+    return build(_substitute_walk(e.left, mapping), _substitute_walk(e.right, mapping))
+
+
+def _names_walk(e):
+    return {e.name} if isinstance(e, Var) else set().union(*map(_names_walk, children(e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(4), _exprs(2))
+def test_substitute_is_the_substitution_node_by_node(e, image):
+    # shared subtrees and powers included; the constructors fold constants, so images may collapse
+    for tree in (e, add(e, e), pow_(mul(e, image), 2)):
+        assert substitute(tree, {"x": image}) == _substitute_walk(tree, {"x": image})
+        assert free_variables(tree) == _names_walk(tree)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from gcrystal.arith import rat
+from gcrystal.arith import DomainTooThinError, rat
 from gcrystal.crystal import (
     CartanData,
     CartanError,
+    CrystalModel,
     UnsupportedCartanPattern,
     applicable_pairs,
     apply_e,
@@ -25,7 +26,7 @@ from gcrystal.crystal import (
     product_split_exprs,
     split_pair,
 )
-from gcrystal.expr import evaluate, identical_on_domain, mul, parse, var
+from gcrystal.expr import const, evaluate, identical_on_domain, mul, parse, var
 from gcrystal.models import affine_a_model, affine_d5_model, borel_model
 
 TRIALS = 100
@@ -113,6 +114,44 @@ def test_domain_preserved():
     for model in (affine_a_model(2, rat(4)), affine_d5_model(rat(6)), borel_model(3)):
         for i in model.cartan.labels:
             assert check_domain_preserved(model, i, 25).ok
+
+
+def _two_coordinate_model(a_image, b_image):
+    """Coordinates a (its product fixed at 3) and b, unconstrained, with e_1 acting by the given images."""
+    a, b = var("a"), var("b")
+    return CrystalModel(
+        name="two-coordinates",
+        cartan=cartan_finite_a(1),
+        variables=("a", "b"),
+        constraints=((("a",), rat(3)),),
+        positive=True,
+        gamma={1: a},
+        eps={1: b},
+        actions={1: (a_image, b_image)},
+    )
+
+
+def test_domain_check_fails_on_a_zero_image_coordinate():
+    a, b = var("a"), var("b")
+    outcome = check_domain_preserved(_two_coordinate_model(a, b - b), 1, 25, seed=4)
+    assert not outcome.ok and outcome.trials == 1
+    witness = outcome.witness
+    assert set(witness) == {"i", "c", "x", "zero coordinate in"}
+    assert witness["zero coordinate in"] == {"a": 3, "b": 0}
+    assert witness["x"]["a"] == 3 and witness["c"] > 0
+
+
+def test_domain_check_resamples_where_the_action_poles():
+    a, b = var("a"), var("b")
+    with pytest.raises(DomainTooThinError):  # a pole at every point
+        check_domain_preserved(_two_coordinate_model(a, b / (a - a)), 1, 25, seed=4)
+
+
+def test_domain_check_fails_on_a_broken_constraint():
+    a, b = var("a"), var("b")
+    outcome = check_domain_preserved(_two_coordinate_model(mul(const(2), a), b), 1, 25, seed=4)
+    assert not outcome.ok and outcome.trials == 1
+    assert outcome.witness == {"i": 1, "c": outcome.witness["c"], "constraint": ("a",), "expected": 3, "got": 6}
 
 
 # --- axiom checkers -------------------------------------------------------------------

@@ -445,6 +445,24 @@ WITNESSES = {
         set(),
         _row_spec(*BOREL, lambda p, subject: models.borel_model(2), (SCALAR,)),
     ),
+    "borel-matrix-action": (
+        "matrix-action",
+        "borel-matrix-action",
+        {"i", "output"},
+        _row_spec(*BOREL, lambda p, subject: models.borel_model(2), ("s1",)),
+    ),
+    "borel-minor": (
+        "minor",
+        "borel-minor",
+        {"output"},
+        _row_spec(*BOREL, lambda p, subject: models.borel_model(2), ()),
+    ),
+    "borel-mult-eps": (
+        "multiply",
+        "borel-mult-eps",
+        {"output"},
+        _row_spec(*BOREL, lambda p, subject: TRUE_PRODUCT(models.borel_model(2), models.borel_model(2)), ()),
+    ),
     "eps-action-table": (
         "local-eps",
         "eps-action-table",

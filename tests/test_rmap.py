@@ -240,13 +240,20 @@ def test_double_application_returns_to_start():
 # --- the R map as steps of identity rows ------------------------------------------------
 
 
+def _program(step):
+    """A step as a program: a word step comes compiled (cached on its model), the R step as trees."""
+    from gcrystal.expr import Program, compile_program
+
+    return step if isinstance(step, Program) else compile_program(step)
+
+
 def _step_images(steps, names, point):
     """The image after each step, each step run to reduced coordinates that the next one reads."""
-    from gcrystal.expr import compile_program, run
+    from gcrystal.expr import run
 
     images, env = [], dict(point)
     for step in steps:
-        env.update(zip(names, run(compile_program(step), env)))
+        env.update(zip(names, run(_program(step), env)))
         images.append({v: env[v] for v in names})
     return images
 
@@ -326,7 +333,7 @@ def test_reduced_pair_steps_match_fraction_run(rows_of, n):
     # outputs with gcd; every image must be the lowest-terms pair of the
     # Fraction route run step by step
     from gcrystal.arith import draw_pairs, fraction_point
-    from gcrystal.expr import compile_program, run_reduced
+    from gcrystal.expr import run_reduced
 
     names, rows, spec = rows_of(n)
     rng = random.Random(spec.seed)
@@ -337,7 +344,7 @@ def test_reduced_pair_steps_match_fraction_run(rows_of, n):
                 expected = _step_images(steps, names, fraction_point(pairs))
                 env = pairs
                 for step, image in zip(steps, expected):
-                    env = {**env, **dict(zip(names, run_reduced(compile_program(step), env)))}
+                    env = {**env, **dict(zip(names, run_reduced(_program(step), env)))}
                     assert {v: env[v] for v in names} == {v: (f.numerator, f.denominator) for v, f in image.items()}
 
 
