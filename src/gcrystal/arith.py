@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and constrained random sampling.
+"""Exact rational arithmetic and the sampling domains of the checks.
 
 Every numeric value in this package is an exact rational: ``ExactScalar``
 is the standard-library ``fractions.Fraction``, which is always kept in
@@ -6,18 +6,19 @@ lowest terms with a positive denominator and never rounds.  All identity
 testing downstream relies on this exactness; nothing in the package ever
 touches a float.
 
-Sampling of evaluation points is driven by a :class:`SampleSpec`: a list
-of variables, an optional positivity flag, and "the product of these
+A sampled check draws its points from one of two domains, each with one
+draw, ``draw(rng, width)``, giving a batch of points as one column per
+variable.  A :class:`SampleSpec` gives exact rational points: a list of
+variables, an optional positivity flag, and "the product of these
 variables must equal this value" constraints.  Constrained subsets are
 sampled by choosing all but one variable freely and solving for the last
-one, so the constraint holds exactly, not approximately.
-
-:func:`draw_columns` is the one draw: it gives a batch of points as one
-column per variable, each value an unreduced (numerator, denominator)
-pair of ints, the form in which the compiled programs of
-:mod:`gcrystal.expr` read and compare values, so a sampled check builds
-no ``Fraction`` until it reports a witness.  :func:`draw_pairs` is one
-point of it, and :func:`sample_point` that point as ``Fraction`` values.
+one, so the constraint holds exactly, not approximately.  Its columns
+hold unreduced (numerator, denominator) pairs of ints, the form in which
+the compiled programs of :mod:`gcrystal.expr` read and compare values, so
+a sampled check builds no ``Fraction`` until it reports a witness.
+:func:`draw_pairs` is one point of a batch, and :func:`sample_point` that
+point as ``Fraction`` values.  A :class:`Box` gives the integer points of
+a box, where the tropical shadows are read in (max, +), as int columns.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import Mapping
 
 ExactScalar = Fraction
 
@@ -39,6 +41,9 @@ PairPoint = dict[str, tuple[int, int]]
 # a drawn batch of points: every variable as a column of numerators and a
 # column of denominators, entry j belonging to point j
 Columns = dict[str, tuple[list[int], list[int]]]
+
+# a drawn batch of integer box points: one column of ints per coordinate
+BoxColumns = dict[str, list[int]]
 
 
 class ConstraintConflictError(ValueError):
@@ -125,43 +130,73 @@ class SampleSpec:
         solves = [(where[last], [where[v] for v in subset[:-1]], target) for last, (subset, target) in solved.items()]
         return free, solves
 
+    def draw(self, rng: random.Random, width: int) -> Columns:
+        """Draw ``width`` points as columns of unreduced int pairs, keyed in ``variables`` order.
 
-def draw_columns(spec: SampleSpec, rng: random.Random, width: int) -> Columns:
-    """Draw ``width`` points of ``spec`` as columns of unreduced int pairs, keyed in ``spec.variables`` order.
-
-    The points are drawn one after another, each variable in turn: a free
-    one is ``randrange(m) + 1`` over ``randrange(m) + 1`` (the stream of
-    ``randint(1, m)``), negated when ``rng.random() < 0.5`` on a signed
-    spec.  The last variable of each constrained subset is solved as
-    target·∏dens / ∏nums of the others, so the product holds exactly.
-    ``randrange(m)`` is written out as the rejection ``random.Random`` runs
-    for it: draw ``m.bit_length()`` random bits until the value is below m.
-    """
-    free, solves = spec._plan
-    m, signed = spec.magnitude, not spec.positive
-    bits = m.bit_length()
-    getrandbits, random_ = rng.getrandbits, rng.random
-    nums = [[] for _ in spec.variables]
-    dens = [[] for _ in spec.variables]
-    appends = [(nums[k].append, dens[k].append) for k in free]
-    for _ in range(width):
-        for push_num, push_den in appends:
-            num = getrandbits(bits)
-            while num >= m:
+        The points are drawn one after another, each variable in turn: a
+        free one is ``randrange(m) + 1`` over ``randrange(m) + 1`` (the
+        stream of ``randint(1, m)``), negated when ``rng.random() < 0.5``
+        on a signed spec.  The last variable of each constrained subset is
+        solved as target·∏dens / ∏nums of the others, so the product holds
+        exactly.  ``randrange(m)`` is written out as the rejection
+        ``random.Random`` runs for it: draw ``m.bit_length()`` random bits
+        until the value is below m.
+        """
+        free, solves = self._plan
+        m, signed = self.magnitude, not self.positive
+        bits = m.bit_length()
+        getrandbits, random_ = rng.getrandbits, rng.random
+        nums = [[] for _ in self.variables]
+        dens = [[] for _ in self.variables]
+        appends = [(nums[k].append, dens[k].append) for k in free]
+        for _ in range(width):
+            for push_num, push_den in appends:
                 num = getrandbits(bits)
-            den = getrandbits(bits)
-            while den >= m:
+                while num >= m:
+                    num = getrandbits(bits)
                 den = getrandbits(bits)
-            push_den(den + 1)
-            push_num(-num - 1 if signed and random_() < 0.5 else num + 1)
-    for k, rest, target in solves:
-        num, den = [target.numerator] * width, [target.denominator] * width
-        for r in rest:
-            num = list(map(mul, num, dens[r]))
-            den = list(map(mul, den, nums[r]))
-        nums[k] = num
-        dens[k] = den
-    return dict(zip(spec.variables, zip(nums, dens)))
+                while den >= m:
+                    den = getrandbits(bits)
+                push_den(den + 1)
+                push_num(-num - 1 if signed and random_() < 0.5 else num + 1)
+        for k, rest, target in solves:
+            num, den = [target.numerator] * width, [target.denominator] * width
+            for r in rest:
+                num = list(map(mul, num, dens[r]))
+                den = list(map(mul, den, nums[r]))
+            nums[k] = num
+            dens[k] = den
+        return dict(zip(self.variables, zip(nums, dens)))
+
+
+@dataclass(frozen=True)
+class Box:
+    """The integer points of a box: the sampling domain of the (max, +) checks.
+
+    bounds: the closed range ``(lo, hi)`` of each coordinate, ``lo <= hi``,
+            in draw order.
+    seed:   as for :class:`SampleSpec`.
+    """
+
+    bounds: Mapping[str, tuple[int, int]]
+    seed: int = 0
+
+    def draw(self, rng: random.Random, width: int) -> BoxColumns:
+        """Draw ``width`` points as one column per coordinate, in ``bounds`` order.
+
+        Each point is drawn in turn, each coordinate by the stream of
+        ``randint(lo, hi)``: ``lo`` plus ``randrange(hi - lo + 1)``, written
+        out as the rejection ``random.Random`` runs for it.
+        """
+        getrandbits = rng.getrandbits
+        plans = [(lo, hi - lo + 1, (hi - lo + 1).bit_length(), []) for lo, hi in self.bounds.values()]
+        for _ in range(width):
+            for lo, size, bits, column in plans:
+                value = getrandbits(bits)
+                while value >= size:
+                    value = getrandbits(bits)
+                column.append(lo + value)
+        return {v: plan[3] for v, plan in zip(self.bounds, plans)}
 
 
 def point_at(columns: Columns, j: int) -> PairPoint:
@@ -169,9 +204,14 @@ def point_at(columns: Columns, j: int) -> PairPoint:
     return {name: (nums[j], dens[j]) for name, (nums, dens) in columns.items()}
 
 
+def box_point(columns: BoxColumns, j: int) -> dict[str, int]:
+    """Point ``j`` of a drawn batch of box points, in the columns' key order."""
+    return {v: column[j] for v, column in columns.items()}
+
+
 def draw_pairs(spec: SampleSpec, rng: random.Random) -> PairPoint:
-    """Draw one point of ``spec`` as unreduced int pairs: the batch of one of :func:`draw_columns`."""
-    return point_at(draw_columns(spec, rng, 1), 0)
+    """Draw one point of ``spec`` as unreduced int pairs: the batch of one of :meth:`SampleSpec.draw`."""
+    return point_at(spec.draw(rng, 1), 0)
 
 
 def fraction_point(point: PairPoint) -> Assignment:

@@ -15,7 +15,8 @@ Points for `rmap apply` are JSON arrays of nonzero rationals, either
 numbers or "p/q" strings, and for `ud rmap` JSON arrays of integers; the
 output is JSON on stdout.  A malformed point, or a point at a pole of R
 (some window sum P_i vanishes), exits 2 with the error on stderr and
-nothing on stdout.
+nothing on stdout; so does a number too long for Python to write out,
+in a point or in the image.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _reject(message: str):
 def _json_array(text: str, n: int, what: str, kind: str) -> list:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed, or an integer past the digit limit of int parsing
         _reject(f"{what} is not valid JSON: {err}")
     if not isinstance(raw, list) or len(raw) != n + 1:
         _reject(f"{what} must be a JSON array of {n + 1} {kind}")
@@ -148,6 +149,10 @@ def _parse_point(text: str, n: int, what: str) -> dict[str, Fraction]:
             _reject(f"{what}[{k - 1}] = {value!r} is not a rational")
         if out[f"l{k}"] == 0:
             _reject(f"{what}[{k - 1}] must be nonzero")
+        try:
+            str(out[f"l{k}"])
+        except ValueError:  # past the digit limit of int printing
+            _reject(f"{what}[{k - 1}] has too many digits to write out")
     return out
 
 
@@ -170,16 +175,23 @@ def _cmd_rmap_apply(args) -> int:
         zero = " = ".join(f"P_{i}" for i, p in enumerate(window_sums(inst, l, m)) if p == 0)
         print(f"error: the point is a pole of R: window sum {zero} = 0", file=sys.stderr)
         return 2
-    print(
-        json.dumps(
-            {
-                "l": [str(l2[f"l{k}"]) for k in range(1, args.n + 2)],
-                "m": [str(m2[f"l{k}"]) for k in range(1, args.n + 2)],
-                "levels": [str(inst.level_right), str(inst.level_left)],
-            },
-            indent=2,
-        )
+    return _print_json(
+        lambda: {
+            "l": [str(l2[f"l{k}"]) for k in range(1, args.n + 2)],
+            "m": [str(m2[f"l{k}"]) for k in range(1, args.n + 2)],
+            "levels": [str(inst.level_right), str(inst.level_left)],
+        }
     )
+
+
+def _print_json(result) -> int:
+    """Print ``result()`` as JSON; exit status 2, the error on stderr, if a number is too long to write out."""
+    try:
+        text = json.dumps(result(), indent=2)
+    except ValueError as err:  # an int past the digit limit of int printing
+        print(f"error: the result cannot be written out: {err}", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 
@@ -203,16 +215,9 @@ def _cmd_ud_rmap(args) -> int:
     l = _parse_int_point(args.l, args.n, "--l")
     m = _parse_int_point(args.m, args.n, "--m")
     l2, m2 = apply_combinatorial_r(args.n, l, m)
-    print(
-        json.dumps(
-            {
-                "l": [l2[f"l{k}"] for k in range(1, args.n + 2)],
-                "m": [m2[f"l{k}"] for k in range(1, args.n + 2)],
-            },
-            indent=2,
-        )
+    return _print_json(
+        lambda: {"l": [l2[f"l{k}"] for k in range(1, args.n + 2)], "m": [m2[f"l{k}"] for k in range(1, args.n + 2)]}
     )
-    return 0
 
 
 def _cmd_model_show(args) -> int:

@@ -16,14 +16,14 @@ list of coordinate-map steps (a word of actions is one step) and the
 trees read at the last image, or, on the right, an exact side: a
 function of the rational point, such as the matrix twin of
 :mod:`gcrystal.models`.  :func:`row_plan` compiles the rows once,
-and the plan has two readings, chosen by the domain a check samples: at
-exact rational points of a :class:`SampleSpec`, :func:`check_identity_rows`
-runs it through :func:`pointwise_check` (the one sampled-check loop,
-defined in :mod:`gcrystal.expr` and re-exported here); on an integer box,
-:func:`gcrystal.ud.check_box_rows` reads it in (max, +).  Both run a
-batch of points at a time, each step and tree program once per batch
-(one register loop per reading and width), and both return the
-:class:`CheckOutcome` that a walk over single points gives.  Row
+and :func:`check_identity_rows`, the one row runner, reads the plan as
+the domain it samples says: exactly at the rational points of a
+:class:`SampleSpec`, in (max, +) at the integer points of a
+:class:`Box` (the ud checks).  Either reading runs a batch of points at
+a time through :func:`pointwise_check` (the one sampled-check loop,
+defined in :mod:`gcrystal.expr` and re-exported here), each step and
+tree program once per batch, and returns the :class:`CheckOutcome` that
+a walk over single points gives.  Row
 builders such as :func:`gamma_scaling_row` take the indices they cover,
 so the ud checks read the same rows as the rational ones, with the
 outputs that share a step in one row.
@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import prod as prod_
 from typing import Mapping
 
-from .arith import Assignment, SampleSpec, fraction_point, point_at, sample_point
+from .arith import Assignment, Box, SampleSpec, fraction_point, point_at, sample_point
 from .expr import (  # CheckOutcome and pointwise_check are re-exported
     POLE,
     CheckOutcome,
@@ -55,7 +55,9 @@ from .expr import (  # CheckOutcome and pointwise_check are re-exported
     rename_variables,
     run,
     run_columns,
+    run_maxplus_columns,
     run_reduced_columns,
+    settle_maxplus_row,
     settle_row,
     substitute,
     var,
@@ -292,23 +294,26 @@ def exact_columns(fn, count: int, columns, width: int, outcomes: list):
     return [[v.numerator for v in out] for out in outputs], [[v.denominator for v in out] for out in outputs], poles
 
 
-def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: int) -> CheckOutcome:
-    """Run the identity ``rows`` (see :func:`row_plan`) over ``names`` at ``trials`` points of ``spec``.
+def check_identity_rows(names: tuple[str, ...], rows, domain: SampleSpec | Box, trials: int) -> CheckOutcome:
+    """Run the identity ``rows`` (see :func:`row_plan`) over ``names`` at ``trials`` points of ``domain``.
 
-    This is the rational reading of the plan, run a batch of points at a
-    time through :func:`pointwise_check`.  The drawn columns of int pairs
-    go straight into the programs; the steps run in order, each to
-    coordinate columns in lowest terms (:func:`run_reduced_columns`) that
-    the next one reads, and the trees run to unreduced columns compared
-    output by output (:func:`settle_row`).  At each point the first row
-    that poles or differs there settles it; a failing row's witness is
-    ``{**label, output, point, lhs, rhs}``.  ``Fraction`` values are built
-    only for a witness and for an exact side.  The (max, +) reading of the
-    same plan is :func:`gcrystal.ud.check_box_rows`.
+    The plan runs a batch of points at a time through
+    :func:`pointwise_check`, each program once per batch, in the reading
+    the domain picks.  At the rational points of a :class:`SampleSpec`
+    each step runs to coordinate columns in lowest terms
+    (:func:`run_reduced_columns`) that the next one reads, and the trees
+    to unreduced columns that :func:`settle_row` compares; ``Fraction``
+    values are built only for a witness and for an exact side.  At the
+    integer points of a :class:`Box` every program runs unreduced in
+    (max, +) (:func:`run_maxplus_columns`), :func:`settle_maxplus_row`
+    compares, and an exact side, which has no (max, +) reading, is refused
+    with ``ValueError``.  At each point the first row that poles or
+    differs there settles it; a failing row's witness is
+    ``{**label, output, point, lhs, rhs}``.
     """
     plan = row_plan(names, rows)
 
-    def side(steps, trees, columns, width):
+    def rational_side(steps, trees, columns, width):
         env, poles = columns, set()
         for step in steps:
             image, hit = run_reduced_columns(step, env, width)
@@ -316,6 +321,19 @@ def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: 
             poles |= hit
         nums, dens, hit = run_columns(trees, env, width)
         return nums, dens, poles | hit
+
+    def maxplus_side(steps, trees, columns, width):
+        env = columns
+        for step in steps:
+            env = {**env, **dict(zip(names, run_maxplus_columns(step, env, width)))}
+        return run_maxplus_columns(trees, env, width)
+
+    if isinstance(domain, Box):
+        if any(callable(rhs) for _, _, rhs, _ in plan):
+            raise ValueError("an exact side has no (max, +) reading")
+        side, settle = maxplus_side, settle_maxplus_row
+    else:
+        side, settle = rational_side, settle_row
 
     def fn(columns, width):
         outcomes = [None] * width
@@ -325,10 +343,10 @@ def check_identity_rows(names: tuple[str, ...], rows, spec: SampleSpec, trials: 
                 right = exact_columns(rhs, len(left[0]), columns, width, outcomes)
             else:
                 right = side(*rhs, columns, width)
-            settle_row(outcomes, columns, label, left, right, outputs)
+            settle(outcomes, columns, label, left, right, outputs)
         return outcomes
 
-    return pointwise_check(fn, spec, trials)
+    return pointwise_check(fn, domain, trials)
 
 
 def tree_row(label: dict, lhs: RatExpr, rhs: RatExpr):
@@ -576,11 +594,13 @@ def product_split_exprs(x_model: CrystalModel, y_model: CrystalModel, i: int):
 def check_product_formula(
     z: CrystalModel, x_model: CrystalModel, y_model: CrystalModel, which: str, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
-    """The product's gamma_i or eps_i against the factors' own, read at the split point.
+    """The product's gamma_i or eps_i against the formula rebuilt from the factors' renamed trees.
 
     ``z`` is ``product(x_model, y_model)``.  ``which="gamma"`` checks
     gamma_i(x,y) = gamma_i(x) gamma_i(y); ``which="eps"`` checks
-    eps_i(x,y) = eps_i(x) + eps_i(y)/gamma_i(x).
+    eps_i(x,y) = eps_i(x) + eps_i(y)/gamma_i(x).  The formula is the
+    product's definition, so the sides agree as trees when :func:`product`
+    is right; the check catches a bent :func:`product`.
     """
     left = _rename_map(x_model.variables, LEFT_SUFFIX)
     right = _rename_map(y_model.variables, RIGHT_SUFFIX)

@@ -36,7 +36,9 @@ from .crystal import (
     LEFT_SUFFIX,
     RIGHT_SUFFIX,
     S1,
+    CartanData,
     CrystalModel,
+    cartan_finite_a,
     check_identity_rows,
     composition_sides,
     tree_row,
@@ -345,26 +347,16 @@ def restrict_model(model: CrystalModel, chain: tuple[int, ...]) -> CrystalModel:
     The chain's own labels are kept, so positions in an attached epsilon
     system translate directly to indices of the restricted model.
     """
-    from .crystal import CartanData
-
+    rows = cartan_finite_a(len(chain)).rows
     for p, i in enumerate(chain):
         for q, j in enumerate(chain):
-            expected = 2 if p == q else (-1 if abs(p - q) == 1 else 0)
-            if model.cartan.a(i, j) != expected:
+            if model.cartan.a(i, j) != rows[p][q]:
                 raise ValueError(
                     f"labels {chain} do not span a type-A chain: a({i},{j}) = {model.cartan.a(i, j)}"
                 )
-    k = len(chain)
-    sub = CartanData(
-        chain,
-        tuple(
-            tuple(2 if p == q else (-1 if abs(p - q) == 1 else 0) for q in range(k))
-            for p in range(k)
-        ),
-    )
     return CrystalModel(
         name=f"{model.name}|{','.join(map(str, chain))}",
-        cartan=sub,
+        cartan=CartanData(chain, rows),
         variables=model.variables,
         constraints=model.constraints,
         positive=model.positive,

@@ -27,7 +27,7 @@ Identity testing is exact evaluation at random rational points: two
 expressions are declared equal on a domain when they agree exactly at
 every sampled point, and a single exact mismatch is a counterexample.
 There is no simplifier; exactness does all the work.  Every sampled
-check of the library, identity tests included, runs through the one loop
+check of the library, rational or (max, +), runs through the one loop
 :func:`pointwise_check` and returns a :class:`CheckOutcome`.
 
 Evaluation does not walk trees: :func:`compile_program` value-numbers
@@ -38,13 +38,14 @@ exactly from and to unreduced (numerator, denominator) pairs and
 callers that hold one point (an action, the R map, the CLI).  Over a
 batch of points, :func:`run_columns` and :func:`run_maxplus_columns`
 run each instruction once for every point, each register a column, and
-flag a pole per point instead of raising.
-Sampled points are drawn as such columns
-(:func:`gcrystal.arith.draw_columns`) and stay int pairs through the
-comparison: :func:`reduce_columns` puts outputs in lowest terms,
-:func:`settle_row` compares two sides' pairs by cross-multiplication,
-and a ``Fraction`` is built only for a witness (:func:`pair_witness`)
-and for the exact side of a row (:func:`gcrystal.crystal.row_plan`).
+:func:`run_columns` flags a pole per point instead of raising.  Sampled
+points are drawn as such columns (the ``draw`` of a domain of
+:mod:`gcrystal.arith`) and stay ints through the comparison:
+:func:`reduce_columns` puts outputs in lowest terms, :func:`settle_row`
+compares two sides' pairs by cross-multiplication and
+:func:`settle_maxplus_row` two (max, +) sides by ``==``, and a
+``Fraction`` is built only for a witness (:func:`pair_witness`) and for
+the exact side of a row (:func:`gcrystal.crystal.row_plan`).
 :func:`run` reads and returns ``Fraction`` values.  The tree walker
 :func:`reference_evaluate` is kept as the oracle of the tests.
 """
@@ -59,7 +60,7 @@ from math import gcd
 from operator import add as add_, floordiv, mul as mul_, sub as sub_
 from typing import Callable
 
-from .arith import Assignment, DomainTooThinError, PairPoint, SampleSpec, draw_columns, fraction_point, point_at
+from .arith import Assignment, Box, DomainTooThinError, PairPoint, SampleSpec, box_point, fraction_point, point_at
 
 
 class ExprError(ValueError):
@@ -751,14 +752,16 @@ BATCH_WIDTH = 32
 POLE = object()
 
 
-def pointwise_check(fn: Callable, spec: SampleSpec, trials: int) -> CheckOutcome:
-    """Run ``fn`` over batches of points drawn from ``spec`` until ``trials`` pole-free points pass or one fails.
+def pointwise_check(fn: Callable, domain: SampleSpec | Box, trials: int) -> CheckOutcome:
+    """Run ``fn`` over batches of points drawn from ``domain`` until ``trials`` pole-free points pass or one fails.
 
     ``fn(columns, width)`` reads a batch of ``width`` points drawn by
-    :func:`gcrystal.arith.draw_columns` and gives one outcome per point,
-    in stream order: ``None`` on success, :data:`POLE` to discard the
-    point, or a witness dict.  This is the one sampling loop of every
-    rational check: it walks the outcomes in order, numbers the pole-free
+    ``domain.draw`` (:meth:`gcrystal.arith.SampleSpec.draw` or
+    :meth:`gcrystal.arith.Box.draw`) and gives one outcome per point, in
+    stream order, as a list or lazily: ``None`` on success, :data:`POLE`
+    to discard the point, or a witness dict.  This is the one sampling
+    loop of every check, rational or (max, +): it seeds the stream from
+    ``domain.seed``, walks the outcomes in order, numbers the pole-free
     points and declares the domain too thin after
     :data:`MAX_POLE_RETRIES` consecutive poles.  A batch holds at most
     the points still needed, so a check that passes runs ``fn`` at exactly
@@ -766,11 +769,11 @@ def pointwise_check(fn: Callable, spec: SampleSpec, trials: int) -> CheckOutcome
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = random.Random(spec.seed)
+    rng = random.Random(domain.seed)
     done = poles = 0
     while True:
         width = min(BATCH_WIDTH, trials - done)
-        for outcome in fn(draw_columns(spec, rng, width), width):
+        for outcome in fn(domain.draw(rng, width), width):
             if outcome is POLE:
                 poles += 1
                 if poles > MAX_POLE_RETRIES:
@@ -810,6 +813,24 @@ def settle_row(outcomes: list, columns, label: dict, lhs, rhs, names=None) -> No
             witness = pair_witness(point_at(columns, j), left, right, names)
             if witness is not None:
                 outcomes[j] = {**label, **witness}
+
+
+def settle_maxplus_row(outcomes: list, columns, label: dict, lhs, rhs, names=None) -> None:
+    """:func:`settle_row` for the (max, +) reading: the sides agree where their outputs are equal integers.
+
+    ``lhs`` and ``rhs`` are :func:`run_maxplus_columns` results over the
+    box columns ``columns``; nothing poles.  A point still open where an
+    output differs becomes ``{**label, output, point, lhs, rhs}`` with
+    integer values, the output as in :func:`output_witness`.
+    """
+    if lhs == rhs:
+        return
+    for j, outcome in enumerate(outcomes):
+        if outcome is None:
+            k = next((k for k, (a, b) in enumerate(zip(lhs, rhs)) if a[j] != b[j]), None)
+            if k is not None:
+                witness = {"point": box_point(columns, j), "lhs": lhs[k][j], "rhs": rhs[k][j]}
+                outcomes[j] = {**label, **output_witness(witness, k, len(lhs), names)}
 
 
 def pair_witness(point: PairPoint, lhs, rhs, names=None) -> dict | None:

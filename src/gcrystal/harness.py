@@ -395,13 +395,23 @@ class Params:
     model: str | None
 
 
+def _writable(key: str, number):
+    """``number``, if Python can write it out: an int of more than 4,300 digits it cannot, by default."""
+    try:
+        str(number)
+    except ValueError:
+        raise SuiteError(f"{key} has too many digits to write out") from None
+    return number
+
+
 def _integer(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SuiteError(f"{key} must be an integer, got {value!r}")
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise SuiteError(f"{key} must be an integer, got {value!r}") from None
+    return _writable(key, number)
 
 
 def _positive_int(key: str, value) -> int:
@@ -418,6 +428,7 @@ def _positive_rational(key: str, value) -> Fraction:
         number = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise SuiteError(f"{key} must be an exact rational, got {value!r}") from None
+    _writable(key, number)
     if number <= 0:
         raise SuiteError(f"{key} must be positive, got {number}")
     return number

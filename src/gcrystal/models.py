@@ -77,6 +77,11 @@ def _l(k: int) -> RatExpr:
     return var(f"l{k}")
 
 
+def wrap(k: int, n: int) -> int:
+    """The index k of l1..l{n+1} read cyclically: l_{n+2} is l_1 and l_0 is l_{n+1}."""
+    return (k - 1) % (n + 1) + 1
+
+
 def affine_a_model(n: int, level: Fraction) -> CrystalModel:
     """Coordinates l1..l{n+1} with exact product ``level``; cyclic actions.
 
@@ -90,16 +95,13 @@ def affine_a_model(n: int, level: Fraction) -> CrystalModel:
         raise ValueError("the level must be positive")
     names = tuple(f"l{k}" for k in range(1, n + 2))
 
-    def wrap(k: int) -> int:
-        return (k - 1) % (n + 1) + 1
-
     c = var(SCALAR)
     gamma = {}
     eps = {}
     actions = {}
     for i in range(n + 1):
-        lo = wrap(i)  # coordinate scaled by c; index 0 wraps to n+1
-        hi = wrap(i + 1)
+        lo = wrap(i, n)  # coordinate scaled by c; index 0 wraps to n+1
+        hi = wrap(i + 1, n)
         gamma[i] = div(_l(lo), _l(hi))
         eps[i] = _l(hi)
         row = []

@@ -52,11 +52,7 @@ from .crystal import (
 )
 from .epsilon import EpsilonSystem, product_epsilon
 from .expr import Program, RatExpr, div, mul, prod, program_for, rename_variables, run, var
-from .models import affine_a_local_system, affine_a_model
-
-
-def _wrap(k: int, n: int) -> int:
-    return (k - 1) % (n + 1) + 1
+from .models import affine_a_local_system, affine_a_model, wrap
 
 
 def p_expr(n: int, i: int) -> RatExpr:
@@ -66,12 +62,12 @@ def p_expr(n: int, i: int) -> RatExpr:
     l_{i+k}..l_{i+n+1}; both come from running products, so P_i costs
     about 4(n+1) nodes instead of (n+1)(n+2).
     """
-    prefixes = [var(f"m{_wrap(i + 1, n)}")]
+    prefixes = [var(f"m{wrap(i + 1, n)}")]
     for j in range(2, n + 2):
-        prefixes.append(mul(prefixes[-1], var(f"m{_wrap(i + j, n)}")))
-    suffixes = [var(f"l{_wrap(i + n + 1, n)}")]
+        prefixes.append(mul(prefixes[-1], var(f"m{wrap(i + j, n)}")))
+    suffixes = [var(f"l{wrap(i + n + 1, n)}")]
     for j in range(n, 0, -1):
-        suffixes.append(mul(var(f"l{_wrap(i + j, n)}"), suffixes[-1]))
+        suffixes.append(mul(var(f"l{wrap(i + j, n)}"), suffixes[-1]))
     suffixes.reverse()  # suffixes[k - 1] = l_{i+k} ... l_{i+n+1}
     out = mul(prefixes[0], suffixes[0])
     for k in range(1, n + 1):
@@ -272,7 +268,7 @@ def check_braid(
 def check_cyclic_shift(n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """Shifting every index by one commutes with the map."""
     z = _product_model(n, ll, lr)
-    shift = tuple(var(f"l{_wrap(k + 1, n)}{s}") for s in (LEFT_SUFFIX, RIGHT_SUFFIX) for k in range(1, n + 2))
+    shift = tuple(var(f"l{wrap(k + 1, n)}{s}") for s in (LEFT_SUFFIX, RIGHT_SUFFIX) for k in range(1, n + 2))
     r = r_step(n)
     rows = [({}, ((shift, r), None), ((r, shift), None))]
     return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)

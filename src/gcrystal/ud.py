@@ -6,23 +6,19 @@ becomes k times its base.  Named parameters stay variables.  Only
 subtraction-free programs are read; anything containing a difference or
 a negative constant is refused with the path of the offending node.
 
-There is one (max, +) register loop per width, :func:`expr.run_maxplus`
-at one point and :func:`expr.run_maxplus_columns` over a batch, and both
-run the programs the model layer already compiles.  Every ud check but
-one is the rational layer's identity rows read in (max, +): :data:`ROWS`
-maps each check id to the row builder of its rational twin on
-:func:`unit_torus` or its square, and :func:`check_box_rows` runs the
-same :func:`crystal.row_plan` as :func:`crystal.check_identity_rows`, a
-batch of integer box points at a time (:func:`draw_box_columns`, the
-``randint`` stream), steps unreduced, sides compared with ``==``.
-So a shadow cannot drift from the identity it reads.  ``ud-dichotomy``
-is not an identity; it stays a body over :func:`shadow` (the torus
-action program), :func:`split` (:func:`crystal.product_split_exprs`) and
-the combinatorial R (:func:`rmap.r_program`).
-
-:func:`tropicalize` writes the reading of an expression out as text for
-``gcrystal ud trop``.  All checking down here is exact integer sampling
-over a box, through the one checker :func:`box_check`.
+This module says what the tropical checks are and runs none itself.
+Every ud check but one is the rational layer's identity rows read in
+(max, +): :data:`ROWS` maps each check id to the row builder of its
+rational twin on :func:`unit_torus` or its square, and :func:`check_rows`
+hands them with an integer :class:`gcrystal.arith.Box` to
+:func:`crystal.check_identity_rows`, which reads rows on a box in
+(max, +).  So a shadow cannot drift from the identity it reads.
+``ud-dichotomy`` is not an identity: :func:`check_dichotomy` hands a body
+over :func:`shadow`, :func:`split` and the combinatorial R (the torus
+action, product split and R map programs) with a box to
+:func:`expr.pointwise_check`.  Single points run through
+:func:`expr.run_maxplus`, and :func:`tropicalize` writes the reading of
+an expression out as text for ``gcrystal ud trop``.
 """
 
 from __future__ import annotations
@@ -31,8 +27,8 @@ import functools
 import random
 import warnings
 from fractions import Fraction
-from typing import Callable
 
+from .arith import Box, box_point
 from .crystal import (
     LEFT_SUFFIX,
     RIGHT_SUFFIX,
@@ -40,19 +36,19 @@ from .crystal import (
     SCALAR,
     CrystalModel,
     action_program,
+    check_identity_rows,
     eps_scaling_row,
     gamma_scaling_row,
     group_law_row,
     has_eps_clause,
     pack_pair,
+    pointwise_check,
     product_split_exprs,
     product_split_rows,
-    row_plan,
     split_pair,
     word_side,
 )
 from .expr import (
-    BATCH_WIDTH,
     Add,
     CheckOutcome,
     Const,
@@ -65,11 +61,9 @@ from .expr import (
     Var,
     certify_subtraction_free,
     compile_program,
-    output_witness,
     prod,
     render,
     run_maxplus,
-    run_maxplus_columns,
     tree_program,
     var,
 )
@@ -137,113 +131,25 @@ def _operand(node: RatExpr) -> list:
 # --- integer boxes -------------------------------------------------------------------
 
 
-BoxColumns = dict[str, list[int]]
-
-
-def draw_box_columns(bounds: dict[str, tuple[int, int]], rng: random.Random, width: int) -> BoxColumns:
-    """Draw ``width`` points of the integer box ``bounds`` as one column per coordinate, in key order.
-
-    Each point is drawn in turn, each coordinate by the stream of
-    ``randint(lo, hi)``: ``lo`` plus ``randrange(hi - lo + 1)``, written
-    out as the rejection ``random.Random`` runs for it.
-    """
-    getrandbits = rng.getrandbits
-    plans = [(lo, hi - lo + 1, (hi - lo + 1).bit_length(), []) for lo, hi in bounds.values()]
-    for _ in range(width):
-        for lo, size, bits, column in plans:
-            value = getrandbits(bits)
-            while value >= size:
-                value = getrandbits(bits)
-            column.append(lo + value)
-    return {v: plan[3] for v, plan in zip(bounds, plans)}
-
-
-def box_point(columns: BoxColumns, j: int) -> TropPoint:
-    """Point ``j`` of a drawn batch of box points."""
-    return {v: column[j] for v, column in columns.items()}
-
-
 def sample_box(bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0):
-    """The points of :func:`draw_box_columns` one at a time, ``samples`` of them from ``seed``."""
-    columns = draw_box_columns(bounds, random.Random(seed), samples)
+    """The points of :meth:`Box.draw` one at a time, ``samples`` of them from ``seed``."""
+    columns = Box(bounds, seed).draw(random.Random(seed), samples)
     for j in range(samples):
         yield box_point(columns, j)
-
-
-def box_check(fn: Callable, bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0) -> CheckOutcome:
-    """Run ``fn`` over batches of ``samples`` points of the integer box ``bounds``.
-
-    ``fn(columns, width)`` reads a batch of :func:`draw_box_columns` and
-    gives one outcome per point, in order, as a list or lazily: ``None``
-    on success and a witness dict on failure.  The first failure ends the
-    check and counts the points up to it.
-    """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = random.Random(seed)
-    done = 0
-    while done < samples:
-        width = min(BATCH_WIDTH, samples - done)
-        for witness in fn(draw_box_columns(bounds, rng, width), width):
-            done += 1
-            if witness is not None:
-                return CheckOutcome(False, done, witness)
-    return CheckOutcome(True, samples)
 
 
 def maxplus_side(names: tuple[str, ...], side, point: TropPoint) -> list[int]:
     """A compiled side ``(step programs, tree program)`` of :func:`crystal.row_plan` at ``point``, in (max, +).
 
     Each step's image replaces the coordinates ``names`` for the next one,
-    unreduced: integers need no lowest terms.
+    unreduced: integers need no lowest terms.  The tests' per-point oracle
+    of :func:`crystal.check_identity_rows` on a box.
     """
     steps, trees = side
     env = point
     for step in steps:
         env = {**env, **dict(zip(names, run_maxplus(step, env)))}
     return run_maxplus(trees, env)
-
-
-def maxplus_columns(names: tuple[str, ...], side, columns: BoxColumns, width: int) -> list[list[int]]:
-    """:func:`maxplus_side` at every point of a batch: one column run per step and one for the trees."""
-    steps, trees = side
-    env = columns
-    for step in steps:
-        env = {**env, **dict(zip(names, run_maxplus_columns(step, env, width)))}
-    return run_maxplus_columns(trees, env, width)
-
-
-def check_box_rows(
-    names: tuple[str, ...], rows, bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0
-) -> CheckOutcome:
-    """The identity ``rows`` of :func:`crystal.row_plan` over ``names``, read in (max, +) on the box ``bounds``.
-
-    The (max, +) reading of :func:`crystal.check_identity_rows`, a batch
-    of points at a time: the sides agree when their outputs are equal
-    integers.  At each point the first row that differs there fails; its
-    witness is ``{**label, output, point, lhs, rhs}`` with integer values.
-    An exact side (a function of a rational point) has no (max, +)
-    reading and is refused with ``ValueError``.
-    """
-    plan = row_plan(names, rows)
-    if any(callable(rhs) for _, _, rhs, _ in plan):
-        raise ValueError("an exact side has no (max, +) reading")
-
-    def fn(columns, width):
-        outcomes = [None] * width
-        for label, lhs, rhs, outputs in plan:
-            left, right = maxplus_columns(names, lhs, columns, width), maxplus_columns(names, rhs, columns, width)
-            if left == right:
-                continue
-            for j, outcome in enumerate(outcomes):
-                if outcome is None:
-                    k = next((k for k, (a, b) in enumerate(zip(left, right)) if a[j] != b[j]), None)
-                    if k is not None:
-                        witness = {"point": box_point(columns, j), "lhs": left[k][j], "rhs": right[k][j]}
-                        outcomes[j] = {**label, **output_witness(witness, k, len(left), outputs)}
-        return outcomes
-
-    return box_check(fn, bounds, samples, seed)
 
 
 # --- crystal shadows ---------------------------------------------------------------
@@ -376,7 +282,7 @@ ROWS = {
 def check_rows(check: str, n: int, box: int, samples: int, seed: int) -> CheckOutcome:
     """The rows of the ud check ``check`` at size ``n``, read in (max, +) on the box [-box, box]."""
     names, scalars, rows = ROWS[check](n)
-    return check_box_rows(names, rows, dict.fromkeys(names + scalars, (-box, box)), samples, seed)
+    return check_identity_rows(names, rows, Box(dict.fromkeys(names + scalars, (-box, box)), seed), samples)
 
 
 def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
@@ -386,7 +292,7 @@ def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
     """
     names = _coords(n)
 
-    def fn(point):
+    def outcome(point):
         x, y = split_pair(point, names, names)
         i = point["i"]
         for c in (1, -1):
@@ -398,7 +304,8 @@ def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
                 return {"i": i, "c": c, "x": x, "y": y}
         return None
 
-    def batch(columns, width):
-        return (fn(box_point(columns, j)) for j in range(width))
+    def fn(columns, width):
+        return (outcome(box_point(columns, j)) for j in range(width))
 
-    return box_check(batch, dict.fromkeys(_pair_coords(n), (-box, box)) | {"i": (0, n)}, samples, seed)
+    domain = Box(dict.fromkeys(_pair_coords(n), (-box, box)) | {"i": (0, n)}, seed)
+    return pointwise_check(fn, domain, samples)

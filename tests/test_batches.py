@@ -2,8 +2,9 @@
 
 A sampled check runs its programs once per batch of points
 (``expr.run_columns``, ``expr.run_maxplus_columns``) on points drawn as
-columns (``arith.draw_columns``, ``ud.draw_box_columns``).  The per-point
-loops stay here as oracles: every column must equal the point's own run,
+columns (``arith.SampleSpec.draw``, ``arith.Box.draw``).  The per-point
+loops, and the integer-box loop that ``expr.pointwise_check`` replaced,
+stay here as oracles: every column must equal the point's own run,
 exactly, and every check must give the same ``CheckOutcome`` (verdict,
 trials, witness) as the walk that ran one point at a time.
 """
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcrystal import cli
-from gcrystal.arith import DomainTooThinError, SampleSpec, draw_columns, draw_pairs, fraction_point, point_at, rat
+from gcrystal.arith import Box, DomainTooThinError, SampleSpec, box_point, draw_pairs, fraction_point, point_at, rat
 from gcrystal.crystal import check_identity_rows, row_plan, tree_row
 from gcrystal.expr import (
     BATCH_WIDTH,
@@ -59,7 +60,7 @@ from gcrystal.expr import (
     to_json_obj,
     var,
 )
-from gcrystal.ud import box_point, check_box_rows, draw_box_columns, maxplus_side, sample_box, tropicalize
+from gcrystal.ud import maxplus_side, sample_box, tropicalize
 
 # --- programs: the column run against the point run ------------------------------------
 
@@ -179,7 +180,7 @@ def test_column_draws_are_the_point_draws(kind, magnitude, width):
     spec = SampleSpec(**_SPECS[kind], magnitude=magnitude, seed=23)
     batched, single = random.Random(spec.seed), random.Random(spec.seed)
     for _ in range(3):
-        columns = draw_columns(spec, batched, width)
+        columns = spec.draw(batched, width)
         assert list(columns) == list(spec.variables)
         assert [point_at(columns, j) for j in range(width)] == [draw_pairs(spec, single) for _ in range(width)]
     assert batched.random() == single.random()
@@ -190,11 +191,11 @@ def test_box_columns_are_the_randint_stream(width):
     bounds = {"x": (-50, 50), "y": (0, 0), "z": (3, 10), "w": (-1024, 1023)}
     batched, single = random.Random(5), random.Random(5)
     for _ in range(3):
-        columns = draw_box_columns(bounds, batched, width)
+        columns = Box(bounds).draw(batched, width)
         expected = [{v: single.randint(lo, hi) for v, (lo, hi) in bounds.items()} for _ in range(width)]
         assert [box_point(columns, j) for j in range(width)] == expected
     assert batched.random() == single.random()
-    drawn = draw_box_columns(bounds, random.Random(9), 4)
+    drawn = Box(bounds).draw(random.Random(9), 4)
     assert list(sample_box(bounds, 4, seed=9)) == [box_point(drawn, j) for j in range(4)]
 
 
@@ -362,8 +363,89 @@ def test_domain_too_thin_after_exactly_the_retry_budget():
     assert len(walked) == MAX_POLE_RETRIES + 1
 
 
+def _box_check(fn, bounds, samples, seed):
+    """The integer-box loop as it ran before ``pointwise_check`` took boxes: the oracle of that loop over a ``Box``.
+
+    ``fn(columns, width)`` gives one outcome per point, ``None`` or a
+    witness; the first witness ends the walk and counts the points up to it.
+    """
+    rng = random.Random(seed)
+    done = 0
+    while done < samples:
+        width = min(BATCH_WIDTH, samples - done)
+        for witness in fn(Box(bounds).draw(rng, width), width):
+            done += 1
+            if witness is not None:
+                return CheckOutcome(False, done, witness)
+    return CheckOutcome(True, samples)
+
+
+def _failing_at(index, widths):
+    """A batch ``fn`` whose point ``index`` of the stream (1-based; never for None) fails, as a list.
+
+    Appends the width of every batch it reads to ``widths``.
+    """
+    count = 0
+
+    def fn(columns, width):
+        nonlocal count
+        widths.append(width)
+        outcomes = []
+        for j in range(width):
+            count += 1
+            outcomes.append({"at": count, "point": box_point(columns, j)} if count == index else None)
+        return outcomes
+
+    return fn
+
+
+def _lazily(outcome, widths):
+    """A batch ``fn`` giving ``outcome(point)`` at each point lazily, as ``ud-dichotomy`` gives its outcomes."""
+
+    def fn(columns, width):
+        widths.append(width)
+        return (outcome(box_point(columns, j)) for j in range(width))
+
+    return fn
+
+
+_BOUNDS = {"x": (-50, 50), "i": (0, 3)}
+
+
+def _near_the_corner(point):
+    return point if point["x"] >= 48 and point["i"] == 3 else None  # about 1 point in 135
+
+
+def _box_loop(fn, bounds, samples, seed):
+    return pointwise_check(fn, Box(bounds, seed), samples)
+
+
+@pytest.mark.parametrize("samples", [1, 31, 32, 33, 100])
+def test_the_sampling_loop_walks_a_box_as_the_box_loop_did(samples):
+    def walks(make_fn, seed):
+        """(outcome, batch widths) of the retired loop, then of ``pointwise_check``."""
+        out = []
+        for loop in (_box_check, _box_loop):
+            widths = []
+            out.append((loop(make_fn(widths), _BOUNDS, samples, seed), widths))
+        return out
+
+    lazy_fails = 0
+    for seed in range(6):
+        for index in (None, 1, 31, 32, 33, 64, 100):
+            old, new = walks(lambda widths: _failing_at(index, widths), seed)
+            assert new == old, (seed, index)
+            assert old[0].ok == (index is None or index > samples)
+            assert old[0].trials == min(index or samples, samples)
+        old, new = walks(lambda widths: _lazily(_near_the_corner, widths), seed)
+        assert new == old, seed
+        lazy_fails += not old[0].ok
+    if samples == 100:
+        assert lazy_fails  # the lazy walk stops inside the stream for some seed
+
+
 def _point_box_rows(names, rows, bounds, samples, seed):
-    """``check_box_rows`` one ``randint`` point at a time: the oracle of the batched box walk."""
+    """``check_identity_rows`` over a ``Box`` one ``randint`` point at a time: the oracle of the (max, +) reading."""
     plan = row_plan(names, rows)
     rng = random.Random(seed)
     for done in range(1, samples + 1):
@@ -396,7 +478,7 @@ def test_box_rows_walk_as_one_point_at_a_time(samples):
     outcomes = set()
     for seed in range(12):
         expected = _point_box_rows(names, _box_rows(), bounds, samples, seed)
-        assert check_box_rows(names, _box_rows(), bounds, samples, seed) == expected, seed
+        assert check_identity_rows(names, _box_rows(), Box(bounds, seed), samples) == expected, seed
         outcomes.add((expected.ok, expected.trials, expected.witness and expected.witness["row"]))
     if samples <= 7:
         assert (True, samples, None) in outcomes
@@ -414,7 +496,7 @@ def test_an_exact_side_gives_one_value_per_output():
 def test_box_rows_refuse_an_exact_side():
     rows = [({}, ((), (X,)), lambda p: [p["x"]])]
     with pytest.raises(ValueError, match="exact side"):
-        check_box_rows(("x",), rows, {"x": (-5, 5)}, 10)
+        check_identity_rows(("x",), rows, Box({"x": (-5, 5)}), 10)
 
 
 # --- deep trees ------------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -330,6 +331,46 @@ def test_cli_rmap_apply_bad_point(argv, message, capsys):
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
+
+def _exits_2(argv, capsys) -> str:
+    """The one-line stderr of a command that must exit 2 and print nothing on stdout."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+
+
+@_DIGIT_LIMIT
+def test_a_level_too_long_to_write_out_exits_2_before_any_check(capsys):
+    # 10^5000 parses, but Python writes no int of more than 4,300 digits, so a model name could not hold it
+    assert _exits_2(["verify", "verma", "--n", "1", "--L", "1e5000", "--trials", "1"], capsys) == (
+        "error: L has too many digits to write out\n"
+    )
+
+
+@_DIGIT_LIMIT
+def test_a_point_too_long_to_write_out_exits_2(capsys):
+    argv = ["rmap", "apply", "--n", "1", "--l", '["1e5000", 1]', "--m", "[1, 1]"]
+    assert _exits_2(argv, capsys) == "error: --l[0] has too many digits to write out\n"
+    literal = "[" + "9" * 4400 + ", 1]"  # an int JSON itself will not read
+    assert _exits_2(["ud", "rmap", "--n", "1", "--l", literal, "--m", "[1, 1]"], capsys).startswith(
+        "error: --l is not valid JSON"
+    )
+
+
+@_DIGIT_LIMIT
+def test_an_image_too_long_to_write_out_exits_2(capsys):
+    # every coordinate of the point has 3,001 digits or fewer; the image's have about 6,000
+    argv = ["rmap", "apply", "--n", "1", "--l", '["1e3000", "1e3000"]', "--m", '["1e3000", 7]']
+    assert _exits_2(argv, capsys).startswith("error: the result cannot be written out")
 
 
 @pytest.mark.parametrize(

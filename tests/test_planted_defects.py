@@ -506,3 +506,30 @@ def test_failing_identity_row_keeps_its_witness_keys(case, monkeypatch):
         assert {k: str(v) for k, v in stream[-1].items()} == r.counterexample["point"]
     if case == "borel-residual":  # the bent residual is the constant 1
         assert all(r.trials == 1 and r.counterexample["lhs"] == "1" for r in rows)
+
+
+@pytest.mark.parametrize("defect", ["partial-operator", "partial-r"])
+def test_failing_ud_row_keeps_its_witness_keys(defect, monkeypatch):
+    # the (max, +) reading of the same witness: the row's label plus {point,
+    # lhs, rhs} (and output, when the row has several), integers throughout;
+    # the point is the box stream's point at index trials, and lhs and rhs
+    # are the row's sides there
+    plant, (suite, params), checks = DEFECTS[defect]
+    plant(monkeypatch)
+    box = harness.parse_params(suite, dict(params)).box
+    failed = [r for r in run_suite(suite, params) if r.verdict == "fail"]
+    assert {r.check for r in failed} == checks
+    for r in failed:
+        names, scalars, rows = ud.ROWS[r.check](int(r.subject.removeprefix("n=")))
+        seed = harness._job_seed(harness.DEFAULT_SEEDS[suite], r.check, r.subject)
+        point = list(ud.sample_box(dict.fromkeys(names + scalars, (-box, box)), r.trials, seed))[-1]
+        witness = r.counterexample
+        assert witness["point"] == point
+        assert all(type(v) is int for v in [*point.values(), witness["lhs"], witness["rhs"]])
+        plan = crystal.row_plan(names, rows)
+        label, lhs, rhs, outputs = next(row for row in plan if all(witness.get(k) == v for k, v in row[0].items()))
+        count = len(lhs[1].outputs)
+        assert set(witness) == set(label) | {"point", "lhs", "rhs"} | ({"output"} if count > 1 else set())
+        k = 0 if count == 1 else [harness._jsonable(name) for name in outputs or range(count)].index(witness["output"])
+        left, right = ud.maxplus_side(names, lhs, point), ud.maxplus_side(names, rhs, point)
+        assert (witness["lhs"], witness["rhs"]) == (left[k], right[k]) and left[k] != right[k]

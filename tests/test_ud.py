@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from gcrystal.crystal import pack_pair, product, product_split_exprs, row_plan, split_pair, tree_row
+from gcrystal.arith import Box
+from gcrystal.crystal import (
+    check_identity_rows,
+    pack_pair,
+    product,
+    product_split_exprs,
+    row_plan,
+    split_pair,
+    tree_row,
+)
 from gcrystal.expr import Add, Const, Div, Mul, Pow, Var, add, mul, parse, pow_, substitute, var
 from gcrystal.harness import REGISTRY
 from gcrystal.rmap import product_systems, unit_r_map
@@ -13,7 +22,6 @@ from gcrystal.ud import (
     NonUnitConstantWarning,
     TropicalizationError,
     apply_combinatorial_r,
-    check_box_rows,
     maxplus_side,
     pair_shadow,
     sample_box,
@@ -103,11 +111,11 @@ def test_trop_json_and_pretty():
 
 def test_translation_invariance_of_max():
     rows = [tree_row({}, parse("(x + y)*z"), parse("x*z + y*z"))]
-    assert check_box_rows(("x", "y", "z"), rows, _box("xyz"), 300).ok
+    assert check_identity_rows(("x", "y", "z"), rows, Box(_box("xyz")), 300).ok
 
 
 def test_distinct_programs_detected():
-    verdict = check_box_rows(("x", "y"), [tree_row({}, parse("x + y"), parse("x*y"))], _box("xy"), 100)
+    verdict = check_identity_rows(("x", "y"), [tree_row({}, parse("x + y"), parse("x*y"))], Box(_box("xy")), 100)
     assert not verdict.ok
     point, lhs, rhs = (verdict.witness[k] for k in ("point", "lhs", "rhs"))
     assert set(verdict.witness) == {"point", "lhs", "rhs"}
@@ -117,7 +125,7 @@ def test_distinct_programs_detected():
 def test_failing_row_witness_names_its_label_and_output():
     # the first point of this stream is x = -20, y = -12, where max(x, y) != x + y
     rows = [({"row": 1}, ((), {"a": var("x"), "b": parse("x + y")}), ((), {"a": var("x"), "b": parse("x*y")}))]
-    verdict = check_box_rows(("x", "y"), rows, _box("xy"), 10, seed=4)
+    verdict = check_identity_rows(("x", "y"), rows, Box(_box("xy"), 4), 10)
     point = next(sample_box(_box("xy"), 1, 4))
     assert verdict.trials == 1
     lhs, rhs = max(point.values()), sum(point.values())
@@ -160,7 +168,7 @@ def test_gamma_shadow_scaling_as_composed_programs():
             composed = substitute(model.gamma[j], action)
             shifted = mul(model.gamma[j], pow_(var("c"), model.cartan.a(i, j)))
             rows.append(tree_row({"i": i, "j": j}, composed, shifted))
-    assert check_box_rows(model.variables, rows, _box(model.variables + ("c",)), 200).ok
+    assert check_identity_rows(model.variables, rows, Box(_box(model.variables + ("c",))), 200).ok
 
 
 def test_gamma_shadow_scaling():
@@ -196,7 +204,7 @@ def test_split_sums_to_c():
     model = unit_torus(2)
     names = product(model, model).variables
     rows = [tree_row({"i": i}, mul(*product_split_exprs(model, model, i)), var("c")) for i in range(3)]
-    assert check_box_rows(names, rows, _box(names + ("c",)), 500).ok
+    assert check_identity_rows(names, rows, Box(_box(names + ("c",))), 500).ok
 
 
 def test_split_case_analysis():
