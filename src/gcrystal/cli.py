@@ -27,6 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import harness
+from .arith import product as fraction_product
 from .crystal import model_manifest
 from .expr import EvalDomainError, parse, pretty, to_json
 from .models import build_named_model
@@ -166,20 +167,18 @@ def _parse_int_point(text: str, n: int, what: str) -> dict[str, int]:
 def _cmd_rmap_apply(args) -> int:
     l = _parse_point(args.l, args.n, "--l")
     m = _parse_point(args.m, args.n, "--m")
-    from .arith import product as fraction_product
-
-    inst = build_r_map(args.n, fraction_product(l.values()), fraction_product(m.values()))
+    r = build_r_map(args.n)
     try:
-        l2, m2 = apply_r(inst, l, m)
+        l2, m2 = apply_r(r, l, m)
     except EvalDomainError:
-        zero = " = ".join(f"P_{i}" for i, p in enumerate(window_sums(inst, l, m)) if p == 0)
+        zero = " = ".join(f"P_{i}" for i, p in enumerate(window_sums(r, l, m)) if p == 0)
         print(f"error: the point is a pole of R: window sum {zero} = 0", file=sys.stderr)
         return 2
     return _print_json(
         lambda: {
             "l": [str(l2[f"l{k}"]) for k in range(1, args.n + 2)],
             "m": [str(m2[f"l{k}"]) for k in range(1, args.n + 2)],
-            "levels": [str(inst.level_right), str(inst.level_left)],
+            "levels": [str(fraction_product(m.values())), str(fraction_product(l.values()))],
         }
     )
 

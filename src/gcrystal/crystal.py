@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import prod as prod_
 from typing import Mapping
 
-from .arith import Assignment, Box, SampleSpec, fraction_point, point_at, sample_point
+from .arith import Assignment, Box, SampleSpec, fraction_point, point_at
 from .expr import (  # CheckOutcome and pointwise_check are re-exported
     POLE,
     CheckOutcome,
@@ -97,35 +97,25 @@ class CartanData:
         return self.rows[self.labels.index(i)][self.labels.index(j)]
 
 
-def cartan_finite_a(n: int) -> CartanData:
-    """Type-A chain on labels 1..n."""
-    labels = tuple(range(1, n + 1))
-    rows = tuple(
-        tuple(2 if p == q else (-1 if abs(p - q) == 1 else 0) for q in range(n))
-        for p in range(n)
-    )
+def _cartan_from_edges(labels: tuple[int, ...], edges) -> CartanData:
+    """The Cartan data of the diagram ``edges`` on ``labels``: a_pp = 2, a_pq = -(number of edges joining p and q)."""
+    rows = tuple(tuple(2 if p == q else -sum({p, q} == {a, b} for a, b in edges) for q in labels) for p in labels)
     return CartanData(labels, rows)
 
 
+def cartan_finite_a(n: int) -> CartanData:
+    """Type-A chain on labels 1..n: the path i -- i+1."""
+    return _cartan_from_edges(tuple(range(1, n + 1)), [(i, i + 1) for i in range(1, n)])
+
+
 def cartan_affine_a(n: int) -> CartanData:
-    """Affine (cyclic) type-A data on labels 0..n; n = 1 is the doubled-bond case."""
+    """Affine (cyclic) type-A data on labels 0..n: the cycle i -- i+1 mod n+1.
+
+    At n = 1 the cycle joins 0 and 1 twice, the doubled bond.
+    """
     if n < 1:
         raise CartanError("affine type A needs n >= 1")
-    labels = tuple(range(n + 1))
-    if n == 1:
-        return CartanData(labels, ((2, -2), (-2, 2)))
-    rows = []
-    for p in range(n + 1):
-        row = []
-        for q in range(n + 1):
-            if p == q:
-                row.append(2)
-            elif (p - q) % (n + 1) in (1, n):
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return CartanData(labels, tuple(rows))
+    return _cartan_from_edges(tuple(range(n + 1)), [(i, (i + 1) % (n + 1)) for i in range(n + 1)])
 
 
 _D5_EDGES = ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5))
@@ -133,16 +123,7 @@ _D5_EDGES = ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5))
 
 def cartan_affine_d5() -> CartanData:
     """Affine D-type data on labels 0..5 (two forks glued to a short chain)."""
-    labels = tuple(range(6))
-    adjacency = {frozenset(e) for e in _D5_EDGES}
-    rows = tuple(
-        tuple(
-            2 if p == q else (-1 if frozenset((p, q)) in adjacency else 0)
-            for q in labels
-        )
-        for p in labels
-    )
-    return CartanData(labels, rows)
+    return _cartan_from_edges(tuple(range(6)), _D5_EDGES)
 
 
 @dataclass(frozen=True)
@@ -178,9 +159,6 @@ class CrystalModel:
             constraints=self.constraints,
             seed=seed,
         )
-
-    def sample(self, seed: int) -> Assignment:
-        return sample_point(self.domain_spec(seed))
 
 
 def apply_e(model: CrystalModel, i: int, c: Fraction, x: Assignment) -> Assignment:

@@ -366,19 +366,6 @@ def restrict_model(model: CrystalModel, chain: tuple[int, ...]) -> CrystalModel:
     )
 
 
-def system_to_json_obj(system: EpsilonSystem) -> dict:
-    """JSON-ready export of both tables, keyed by "a,b" position strings."""
-    from .expr import to_json_obj
-
-    return {
-        "chain": list(system.chain),
-        "eps": {f"{a},{b}": to_json_obj(system.eps[(a, b)]) for a, b in system.intervals()},
-        "eps_star": {
-            f"{a},{b}": to_json_obj(system.eps_star[(a, b)]) for a, b in system.intervals()
-        },
-    }
-
-
 def local_epsilon(
     model: CrystalModel,
     chain: tuple[int, ...],

@@ -958,6 +958,10 @@ def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch in "_."
 
 
+_TERM_OPS = {"*": mul, "/": div}
+_SUM_OPS = {"+": add, "-": sub}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -1013,12 +1017,8 @@ class _Parser:
         return sign * self.integer()
 
     def atom(self) -> RatExpr:
+        """A number or an identifier; parentheses are opened by :meth:`expr`."""
         ch = self.peek()
-        if ch == "(":
-            self.eat("(")
-            e = self.expr()
-            self.expect(")")
-            return e
         if ch.isdigit():
             value = self.integer()
             if value == 0:
@@ -1028,41 +1028,59 @@ class _Parser:
             return var(self.identifier())
         self.error("expected a number, identifier or parenthesized expression")
 
-    def power(self) -> RatExpr:
-        e = self.atom()
-        while self.eat("^"):
-            e = pow_(e, self.exponent())
-        return e
-
-    def factor(self) -> RatExpr:
-        if self.eat("-"):
-            inner = self.factor()
-            if isinstance(inner, Const):
-                if inner.value == 0:
-                    self.error("zero constant literal")
-                return Const(-inner.value)
-            return mul(const(-1), inner)
-        return self.power()
-
-    def term(self) -> RatExpr:
-        e = self.factor()
-        while True:
-            if self.eat("*"):
-                e = mul(e, self.factor())
-            elif self.eat("/"):
-                e = div(e, self.factor())
-            else:
-                return e
+    def negate(self, inner: RatExpr) -> RatExpr:
+        if isinstance(inner, Const):
+            if inner.value == 0:
+                self.error("zero constant literal")
+            return Const(-inner.value)
+        return mul(const(-1), inner)
 
     def expr(self) -> RatExpr:
-        e = self.term()
+        """An ``expr`` of the grammar, read without recursion, so nesting is limited by memory alone.
+
+        A level holds the sum so far and its pending operator, the term so
+        far and its pending operator, and the unary minuses before the
+        current factor; each open parenthesis keeps its enclosing level on
+        ``outer``.  Operands are folded by the same constructors, in the
+        same order, as a recursive descent would.
+        """
+        outer = []
+        total = sum_op = term = term_op = None
+        minuses = 0
         while True:
-            if self.eat("+"):
-                e = add(e, self.term())
-            elif self.eat("-"):
-                e = sub(e, self.term())
-            else:
-                return e
+            while self.eat("-"):
+                minuses += 1
+            if self.eat("("):
+                outer.append((total, sum_op, term, term_op, minuses))
+                total = sum_op = term = term_op = None
+                minuses = 0
+                continue
+            e = self.atom()
+            while True:
+                while self.eat("^"):
+                    e = pow_(e, self.exponent())
+                for _ in range(minuses):
+                    e = self.negate(e)
+                minuses = 0
+                if term is not None:
+                    e = term_op(term, e)
+                term_op = _TERM_OPS.get(self.peek())
+                if term_op is not None:
+                    self.pos += 1
+                    term = e
+                    break
+                term = None
+                if total is not None:
+                    e = sum_op(total, e)
+                sum_op = _SUM_OPS.get(self.peek())
+                if sum_op is not None:
+                    self.pos += 1
+                    total = e
+                    break
+                if not outer:
+                    return e
+                self.expect(")")
+                total, sum_op, term, term_op, minuses = outer.pop()
 
     def parse(self) -> RatExpr:
         e = self.expr()

@@ -2,8 +2,9 @@
 
 Every check has a stable id registered in :data:`REGISTRY` together with a
 one-line statement of the identity it verifies; the generated ledger in
-:mod:`gcrystal.ledger` is produced from the same table, so documentation
-cannot drift from what actually runs.  The check bodies live beside the
+:mod:`gcrystal.ledger` is produced from the same table, so the ledger
+lists exactly the checks that run.  The statements are written by hand,
+though, so one can drift from the rows its check runs.  The check bodies live beside the
 objects they check (:mod:`gcrystal.crystal`, :mod:`gcrystal.epsilon`,
 :mod:`gcrystal.models`, :mod:`gcrystal.rmap`, :mod:`gcrystal.ud`) and all
 return one result type, :class:`gcrystal.expr.CheckOutcome`; this module

@@ -2,7 +2,9 @@
 
 Everything here is rendered from the same tables the harness runs from
 (:data:`gcrystal.harness.REGISTRY` and the built-in model constructors),
-so the document cannot drift from the code.  Regenerate with
+so the ledger names exactly the checks that run and the models they are
+built on.  Each identity statement of ``REGISTRY`` is written by hand,
+however, and can drift from what its check computes.  Regenerate with
 ``gcrystal ledger``; do not edit the output by hand.
 """
 

@@ -625,15 +625,6 @@ def borel_apply_e_matrix(x: BorelElement, i: int, c: Fraction) -> BorelElement:
     return BorelElement(tuple(map(tuple, y)))
 
 
-def borel_to_json_obj(x: BorelElement) -> list[list[str]]:
-    """Dense row-major rational matrix, entries as exact fraction strings."""
-    return [[str(v) for v in row] for row in x.mat]
-
-
-def borel_from_json_obj(rows: list[list[str]]) -> BorelElement:
-    return BorelElement(tuple(tuple(Fraction(v) for v in row) for row in rows))
-
-
 def sample_borel(n: int, seed: int) -> BorelElement:
     model_spec = SampleSpec(
         variables=borel_variables(n),

@@ -17,14 +17,17 @@ function, a sum of monomials built from sums and products alone, hence
 subtraction-free and tropicalizable.  The map has a pole wherever some
 P_i vanishes.
 
-The trees of :func:`unit_r_map` are the one source of R: :func:`apply_r`
-runs them, and the checks of its defining properties read them renamed
-onto product coordinates as one step of identity rows, run by
-:func:`gcrystal.crystal.check_identity_rows`: the level swap,
-commutation with every one-parameter action on the product crystal,
-preservation of the eps/gamma functions, the braid relation on triple
-products (three R steps a side), the cyclic shift, the diagonal, and
-interval-wise invariance of product epsilon systems.  The row builders
+:func:`build_r_map` builds R once per size, and the map it returns keeps
+every program compiled from its trees: :func:`apply_r` runs one of them,
+exactly or in (max, +) (the combinatorial R), :func:`window_sums` another
+(the pole report), and :func:`r_step` the trees renamed onto product
+coordinates, the step that the checks of R's defining properties share
+in identity rows run by :func:`gcrystal.crystal.check_identity_rows`:
+the level swap, commutation with every one-parameter action on the
+product crystal, preservation of the eps/gamma functions, the cyclic
+shift and interval-wise invariance of product epsilon systems.  The
+braid relation on triple products (three R steps a side) and the
+diagonal rename the trees their own way.  The row builders
 take the factor models and the indices they cover, so the ud suite reads
 the same rows in (max, +) on the torus model at level 1.  The fixed
 point is checked at one point, and the uniqueness probe solves the
@@ -77,22 +80,17 @@ def p_expr(n: int, i: int) -> RatExpr:
 
 @dataclass(frozen=True)
 class RMapInstance:
-    """Component expressions of the R map for a fixed size and level pair."""
+    """The component trees of the R map of size ``n``; its programs are kept on it (:func:`expr.program_for`)."""
 
     n: int
-    level_left: Fraction
-    level_right: Fraction
     p: tuple[RatExpr, ...]  # P_0 .. P_n
     l_out: tuple[RatExpr, ...]
     m_out: tuple[RatExpr, ...]
 
 
 @functools.lru_cache(maxsize=None)
-def unit_r_map(n: int) -> RMapInstance:
-    """The map at levels (1, 1); every instance of size ``n`` shares its trees.
-
-    The components do not involve the levels, so they are built once per n.
-    """
+def build_r_map(n: int) -> RMapInstance:
+    """The R map of size ``n``, built once: the components do not involve the levels."""
     p = tuple(p_expr(n, i) for i in range(n + 1))
     l_out = []
     m_out = []
@@ -101,35 +99,17 @@ def unit_r_map(n: int) -> RMapInstance:
         pim1 = p[(i - 1) % (n + 1)]
         l_out.append(div(mul(var(f"m{i}"), pi), pim1))
         m_out.append(div(mul(var(f"l{i}"), pim1), pi))
-    return RMapInstance(n, Fraction(1), Fraction(1), p, tuple(l_out), tuple(m_out))
+    return RMapInstance(n, p, tuple(l_out), tuple(m_out))
 
 
-def build_r_map(n: int, level_left: Fraction, level_right: Fraction) -> RMapInstance:
-    unit = unit_r_map(n)
-    inst = RMapInstance(n, Fraction(level_left), Fraction(level_right), unit.p, unit.l_out, unit.m_out)
-    # same tree objects, so the same compiled programs
-    inst.__dict__["_programs"] = unit.__dict__.setdefault("_programs", {})
-    return inst
-
-
-def r_program(inst: RMapInstance) -> Program:
+def r_program(r: RMapInstance) -> Program:
     """One program for all 2(n+1) outputs (l' then m'), so each P_i runs once."""
-    return program_for(inst, "r", inst.l_out + inst.m_out)
+    return program_for(r, "r", r.l_out + r.m_out)
 
 
-def r_images(inst: RMapInstance, l: dict, m: dict, interpret) -> tuple[dict, dict]:
-    """Images (l', m') of the pair under ``interpret`` (``run`` or ``run_maxplus``).
-
-    Both inputs and both outputs use coordinate names l1..l{n+1}.
-    """
-    names = [f"l{k}" for k in range(1, inst.n + 2)]
-    values = interpret(r_program(inst), _pair_env(inst.n, l, m))
-    return dict(zip(names, values[: inst.n + 1])), dict(zip(names, values[inst.n + 1 :]))
-
-
-def window_sums(inst: RMapInstance, l: Assignment, m: Assignment) -> list[Fraction]:
+def window_sums(r: RMapInstance, l: Assignment, m: Assignment) -> list[Fraction]:
     """Exact P_0 .. P_n at the pair; R has a pole where one of them is 0."""
-    return run(program_for(inst, "p", inst.p), _pair_env(inst.n, l, m))
+    return run(program_for(r, "p", r.p), _pair_env(r.n, l, m))
 
 
 def _pair_env(n: int, l: dict, m: dict) -> dict:
@@ -139,19 +119,24 @@ def _pair_env(n: int, l: dict, m: dict) -> dict:
     return env
 
 
-def apply_r(inst: RMapInstance, l: Assignment, m: Assignment) -> tuple[Assignment, Assignment]:
-    """Exact images (l', m'); both inputs use coordinate names l1..l{n+1}."""
-    return r_images(inst, l, m, run)
+def apply_r(r: RMapInstance, l: dict, m: dict, reading=run) -> tuple[dict, dict]:
+    """Images (l', m') of the pair, exact, or in (max, +) with ``reading=run_maxplus``.
+
+    Both inputs and both outputs use coordinate names l1..l{n+1}.
+    """
+    names = [f"l{k}" for k in range(1, r.n + 2)]
+    values = reading(r_program(r), _pair_env(r.n, l, m))
+    return dict(zip(names, values[: r.n + 1])), dict(zip(names, values[r.n + 1 :]))
 
 
 def _r_trees(n: int, left: str, right: str) -> tuple[RatExpr, ...]:
-    """The trees of :func:`unit_r_map` (l' then m'), reading l_k as ``l{k}{left}`` and m_k as ``l{k}{right}``."""
-    unit = unit_r_map(n)
+    """The trees of :func:`build_r_map` (l' then m'), reading l_k as ``l{k}{left}`` and m_k as ``l{k}{right}``."""
+    r = build_r_map(n)
     onto = {}
     for k in range(1, n + 2):
         onto[f"l{k}"] = f"l{k}{left}"
         onto[f"m{k}"] = f"l{k}{right}"
-    return tuple(rename_variables(e, onto) for e in unit.l_out + unit.m_out)
+    return tuple(rename_variables(e, onto) for e in r.l_out + r.m_out)
 
 
 def _product_model(n: int, ll: Fraction, lr: Fraction) -> CrystalModel:
@@ -159,9 +144,12 @@ def _product_model(n: int, ll: Fraction, lr: Fraction) -> CrystalModel:
     return product(affine_a_model(n, ll), affine_a_model(n, lr))
 
 
-def r_step(n: int) -> tuple[RatExpr, ...]:
-    """R as a step of identity rows on the product coordinates, l' onto ``.x`` and m' onto ``.y``."""
-    return _r_trees(n, LEFT_SUFFIX, RIGHT_SUFFIX)
+def r_step(n: int) -> Program:
+    """R as a step of identity rows on the product coordinates, l' onto ``.x`` and m' onto ``.y``.
+
+    Renamed and compiled once, and kept on :func:`build_r_map`'s map.
+    """
+    return program_for(build_r_map(n), "step", lambda: _r_trees(n, LEFT_SUFFIX, RIGHT_SUFFIX))
 
 
 def level_swap_rows(n: int) -> list:
@@ -280,10 +268,8 @@ def homogeneous_point(n: int, value: Fraction) -> Assignment:
 
 def check_fixed_point(n: int, a: Fraction, b: Fraction) -> CheckOutcome:
     """R swaps the two homogeneous points exactly (levels a^{n+1}, b^{n+1})."""
-    a, b = Fraction(a), Fraction(b)
-    inst = build_r_map(n, a ** (n + 1), b ** (n + 1))
     l0, m0 = homogeneous_point(n, a), homogeneous_point(n, b)
-    l2, m2 = apply_r(inst, l0, m0)
+    l2, m2 = apply_r(build_r_map(n), l0, m0)
     if (l2, m2) != (m0, l0):
         return CheckOutcome(False, 1, {"l'": l2, "m'": m2})
     return CheckOutcome(True, 1)

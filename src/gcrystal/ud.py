@@ -69,14 +69,14 @@ from .expr import (
 )
 from .models import affine_a_model
 from .rmap import (
+    apply_r,
     braid_rows,
+    build_r_map,
     commutation_rows,
     invariance_row,
     level_swap_rows,
     preserved_row,
-    r_images,
     triple_names,
-    unit_r_map,
 )
 
 TropPoint = dict[str, int]
@@ -196,12 +196,11 @@ def pair_shadow(n: int, i: int, x: TropPoint, y: TropPoint, c: int) -> tuple[Tro
 
 
 def apply_combinatorial_r(n: int, l: TropPoint, m: TropPoint) -> tuple[TropPoint, TropPoint]:
-    """The combinatorial R at integer points.
+    """The combinatorial R at integer points: :func:`rmap.apply_r` read in (max, +).
 
-    Runs the rational R map's own program (see :func:`rmap.r_program`) in
-    (max, +), so each UDP_i is computed once for all 2(n+1) outputs.
+    So each UDP_i is computed once for all 2(n+1) outputs.
     """
-    return r_images(unit_r_map(n), l, m, run_maxplus)
+    return apply_r(build_r_map(n), l, m, reading=run_maxplus)
 
 
 # --- the ud checks -------------------------------------------------------------------

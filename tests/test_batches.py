@@ -532,6 +532,24 @@ def test_deep_trees_certify_print_and_convert():
     assert certify_subtraction_free(parse("(x - y)*(z - 1) + -2*y")).blocked_path == (0, 0)
 
 
+def test_the_parser_reads_any_nesting_depth(capsys):
+    depth = 5000
+    assert to_json(parse("(" * depth + "x*y" + ")" * depth)) == to_json(mul(var("x"), var("y")))
+    negated = var("x")
+    for _ in range(depth):
+        negated = mul(const(-1), negated)
+    assert to_json(parse("-" * depth + "x")) == to_json(negated)
+    assert to_json(parse("-" * depth + "3")) == to_json(const(3 * (-1) ** depth))
+    # the Horner form x*(x + x*(x + ...)): pretty writes one parenthesis per level
+    horner = var("x")
+    for _ in range(depth):
+        horner = mul(var("x"), add(var("x"), horner))
+    assert to_json(parse(pretty(horner))) == to_json(horner)
+    nested = "(" * 1000 + "x + y" + ")" * 1000
+    assert cli.main(["ud", "trop", "--expr", nested]) == 0
+    assert '"tropical": "max(x, y)"' in capsys.readouterr().out
+
+
 def test_deep_trees_substitute_list_their_variables_and_convert():
     names = [f"x{k}" for k in range(5000)]
     e = var(names[0])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcrystal.arith import DomainTooThinError, rat
+from gcrystal.arith import DomainTooThinError, rat, sample_point
 from gcrystal.crystal import (
     CartanData,
     CartanError,
@@ -71,7 +71,7 @@ def test_invalid_cartan_rejected():
 
 def test_action_formula_scales_adjacent_coordinates():
     model = affine_a_model(2, rat(4))
-    x = model.sample(1)
+    x = sample_point(model.domain_spec(1))
     c = rat(7, 5)
     y = apply_e(model, 1, c, x)
     assert y == {"l1": c * x["l1"], "l2": x["l2"] / c, "l3": x["l3"]}
@@ -85,7 +85,7 @@ def test_action_at_one_is_identity():
 
 def test_index_zero_wraps():
     model = affine_a_model(2, rat(4))
-    x = model.sample(2)
+    x = sample_point(model.domain_spec(2))
     c = rat(3, 2)
     y = apply_e(model, 0, c, x)
     assert y == {"l1": x["l1"] / c, "l2": x["l2"], "l3": c * x["l3"]}
@@ -101,7 +101,7 @@ def test_one_parameter_group_law():
 def test_action_parameter_must_be_nonzero():
     model = affine_a_model(1, rat(4))
     with pytest.raises(ValueError):
-        apply_e(model, 0, Fraction(0), model.sample(0))
+        apply_e(model, 0, Fraction(0), sample_point(model.domain_spec(0)))
 
 
 def test_pointwise_checks_require_positive_trials():
@@ -168,7 +168,7 @@ def test_gamma_scaling_torus(n):
 def test_gamma_scaling_self_is_square():
     # a_ii = 2 always, so gamma_i picks up c^2 under its own action
     model = affine_a_model(2, rat(4))
-    x = model.sample(5)
+    x = sample_point(model.domain_spec(5))
     c = rat(5, 7)
     assert evaluate(model.gamma[1], apply_e(model, 1, c, x)) == c**2 * evaluate(
         model.gamma[1], x
@@ -191,7 +191,7 @@ def test_eps_invariance_for_orthogonal_d5_pair():
     model = affine_d5_model(rat(4))
     assert model.cartan.a(0, 4) == 0
     assert check_eps_scaling(model, 0, 4, TRIALS).ok
-    x = model.sample(3)
+    x = sample_point(model.domain_spec(3))
     assert evaluate(model.eps[0], apply_e(model, 4, rat(9, 2), x)) == evaluate(
         model.eps[0], x
     )
@@ -240,7 +240,7 @@ def test_verma_relations_torus(n):
 def test_verma_relations_with_unit_parameters():
     # c1 = c2 = 1 makes both sides the identity word
     model = affine_a_model(2, rat(4))
-    x = model.sample(8)
+    x = sample_point(model.domain_spec(8))
     left, right = composition_words(0, 1, -1, -1)
     from gcrystal.crystal import apply_word
 
@@ -266,7 +266,7 @@ def test_composed_word_matches_acting_step_by_step(name):
     for seed in range(5):
         labels = [rng.choice(model.cartan.labels) for _ in range(3)]
         word = tuple(zip(labels, (S1, mul(S1, S2), S2)))
-        point = model.sample(seed)
+        point = sample_point(model.domain_spec(seed))
         c1, c2 = rat(seed + 2, 3), rat(5, seed + 4)
         composed = run(compile_program(compose_word(model, word)), {**point, "s1": c1, "s2": c2})
         stepwise = apply_word(model, list(zip(labels, (c1, c1 * c2, c2))), point)
@@ -301,8 +301,8 @@ def test_product_gamma_and_eps_values():
     x_model = affine_a_model(2, rat(4))
     y_model = affine_a_model(2, rat(9))
     z = product(x_model, y_model)
-    x = x_model.sample(3)
-    y = y_model.sample(4)
+    x = sample_point(x_model.domain_spec(3))
+    y = sample_point(y_model.domain_spec(4))
     point = pack_pair(x, y)
     for i in z.cartan.labels:
         assert evaluate(z.gamma[i], point) == evaluate(x_model.gamma[i], x) * evaluate(

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from gcrystal.arith import rat
+from gcrystal.arith import rat, sample_point
 from gcrystal.crystal import product
 from gcrystal.epsilon import (
     EpsilonSystem,
@@ -145,7 +145,7 @@ def test_borel_action_table_boundary_case():
 
     model = borel_model(3)
     system = borel_epsilon_system(3)
-    x = model.sample(17)
+    x = sample_point(model.domain_spec(17))
     c = rat(8, 3)
     y = apply_e(model, 3, c, x)  # t+1 = 3 for the interval [1, 2]
     lhs = evaluate(system.eps_at(0, 1), y)
@@ -386,20 +386,6 @@ def test_product_epsilon_rejects_chain_mismatch():
         product_epsilon(
             affine_a_local_system(2), affine_a_local_system(3), affine_a_model(2, rat(4))
         )
-
-
-def test_system_json_export():
-    import json
-
-    from gcrystal.epsilon import system_to_json_obj
-    from gcrystal.expr import from_json_obj
-
-    system = borel_epsilon_system(2)
-    blob = system_to_json_obj(system)
-    json.dumps(blob)
-    assert blob["chain"] == [1, 2]
-    assert from_json_obj(blob["eps"]["0,1"]) == system.eps[(0, 1)]
-    assert from_json_obj(blob["eps_star"]["0,1"]) == system.eps_star[(0, 1)]
 
 
 # --- programs compile once per check call ----------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import pathlib
+import re
+import shlex
 import sys
 
 import pytest
@@ -438,6 +441,41 @@ def test_cli_ud_trop_reads_powers_as_multiples(capsys):
 def test_cli_ud_trop_readme_example(capsys):
     assert cli.main(["ud", "trop", "--expr", "l1*l2 + m1/l1"]) == 0
     assert json.loads(capsys.readouterr().out)["tropical"] == "max(l1 + l2, m1 - l1)"
+
+
+def _readme_examples():
+    """(command, stdout lines) of every ``$ gcrystal ...`` line in a ``sh`` block of README.md.
+
+    The output of a command is the lines after it up to the next ``$`` line
+    or the end of the block.
+    """
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        current = None
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                current = (line[2:], [])
+                examples.append(current)
+            elif current is not None:
+                current[1].append(line)
+    return examples
+
+
+def test_the_readme_shows_command_examples():
+    assert [shlex.split(command)[:3] for command, _ in _readme_examples()] == [
+        ["gcrystal", "rmap", "apply"],
+        ["gcrystal", "ud", "trop"],
+        ["gcrystal", "ud", "rmap"],
+    ]
+
+
+@pytest.mark.parametrize("command, stdout", [pytest.param(*example, id=example[0]) for example in _readme_examples()])
+def test_each_readme_example_prints_what_the_readme_shows(command, stdout, capsys):
+    program, *argv = shlex.split(command)
+    assert program == "gcrystal"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == stdout
 
 
 def test_cli_ud_trop_rejects_subtraction(capsys):

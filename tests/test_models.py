@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcrystal.arith import rat, sample_points
+from gcrystal.arith import rat, sample_point, sample_points
 from gcrystal.crystal import apply_e, check_eps_scaling, check_gamma_scaling, product
 from gcrystal.epsilon import product_epsilon
 from gcrystal.expr import evaluate, pretty, vanishes_on_domain
@@ -38,7 +38,7 @@ def test_torus_eps_and_gamma_formulas():
 
 def test_torus_action_fixes_far_coordinates():
     model = affine_a_model(4, rat(7))
-    x = model.sample(5)
+    x = sample_point(model.domain_spec(5))
     y = apply_e(model, 1, rat(9, 4), x)
     for k in (3, 4, 5):
         assert y[f"l{k}"] == x[f"l{k}"]
@@ -56,7 +56,7 @@ def test_torus_level_validation():
 
 def test_d5_eps_displayed_values():
     model = affine_d5_model(rat(6))
-    point = model.sample(3)
+    point = sample_point(model.domain_spec(3))
     assert evaluate(model.eps[5], point) == point["lb4"]
     assert evaluate(model.eps[4], point) == point["l5"] * point["lb4"]
     expected0 = point["l1"] * (point["l2"] / point["lb2"] + 1)
@@ -65,7 +65,7 @@ def test_d5_eps_displayed_values():
 
 def test_d5_action_mixing_ratio_is_one_at_unit_parameter():
     model = affine_d5_model(rat(6))
-    point = model.sample(11)
+    point = sample_point(model.domain_spec(11))
     for i in model.cartan.labels:
         assert apply_e(model, i, Fraction(1), point) == point
 
@@ -73,7 +73,7 @@ def test_d5_action_mixing_ratio_is_one_at_unit_parameter():
 def test_d5_gamma_pair_consistency():
     # gamma_4 * gamma_5 = l4^2 / lb4^2, and the (4,5) scaling axiom holds
     model = affine_d5_model(rat(6))
-    point = model.sample(13)
+    point = sample_point(model.domain_spec(13))
     g4g5 = evaluate(model.gamma[4], point) * evaluate(model.gamma[5], point)
     assert g4g5 == point["l4"] ** 2 / point["lb4"] ** 2
     assert check_gamma_scaling(model, 4, 5, 100).ok
@@ -82,7 +82,7 @@ def test_d5_gamma_pair_consistency():
 
 def test_d5_level_constraint_is_product_of_all_nine():
     model = affine_d5_model(rat(6))
-    point = model.sample(17)
+    point = sample_point(model.domain_spec(17))
     total = Fraction(1)
     for v in model.variables:
         total *= point[v]
@@ -171,7 +171,7 @@ def test_borel_eps_entries_match_matrix():
 def test_borel_action_matches_matrix_route(n, i):
     model = borel_model(n)
     for seed in range(5):
-        x = model.sample(seed)
+        x = sample_point(model.domain_spec(seed))
         c = rat(seed + 2, 3)
         assert apply_e(model, i, c, x) == borel_apply_e_matrix(
             borel_from_point(x, n), i, c
@@ -188,7 +188,7 @@ def test_borel_action_residual_vanishes():
 
 def test_borel_action_subdiagonal_and_torus_closed_forms():
     model = borel_model(3)
-    x = model.sample(21)
+    x = sample_point(model.domain_spec(21))
     c = rat(5, 2)
     for i in (1, 2, 3):
         y = apply_e(model, i, c, x)
@@ -201,7 +201,7 @@ def test_borel_action_mixed_row_and_column_entries():
     # for the action at i: row i mixes with row i+1, column i+1 mixes with
     # column i, and the column-i entries ride the torus rescale
     model = borel_model(3)
-    x = model.sample(23)
+    x = sample_point(model.domain_spec(23))
     c = rat(7, 4)
     y = apply_e(model, 2, c, x)  # i = 2, n = 3
     assert y["u1"] == x["u1"] + (c - 1) * x["u12"] / x["u2"]
@@ -271,15 +271,6 @@ def test_product_oracle_two_routes(n):
         for a, b in table.intervals():
             assert evaluate(table.eps_at(a, b), point) == z.eps_entry(a + 1, b + 1)
             assert evaluate(table.star_at(a, b), point) == z.minor(a + 1, b + 1)
-
-
-def test_borel_element_json_round_trip():
-    from gcrystal.models import borel_from_json_obj, borel_to_json_obj
-
-    x = sample_borel(2, 8)
-    blob = borel_to_json_obj(x)
-    assert blob[0][1] == "0"  # row-major, above-diagonal zeros present
-    assert borel_from_json_obj(blob) == x
 
 
 def test_named_model_builder():

@@ -29,7 +29,7 @@ from gcrystal.harness import REGISTRY, run_suite
 
 TRUE_SHADOW = ud.shadow
 TRUE_UNIT_TORUS = ud.unit_torus
-TRUE_UNIT_R = rmap.unit_r_map
+TRUE_R = rmap.build_r_map
 TRUE_ACTION = models.borel_action
 TRUE_MATRIX_ACTION = models.borel_apply_e_matrix
 TRUE_MULTIPLY = models.borel_multiply
@@ -83,11 +83,11 @@ def bent_unit_torus(only_last=False):
 def bent_unit_r(mp):
     """The R map's trees with l'_1 raised by itself times l1: in (max, +), l'_1 grows by l1 where l1 > 0."""
 
-    def unit_r_map(n):
-        true = TRUE_UNIT_R(n)
+    def build_r_map(n):
+        true = TRUE_R(n)
         return dataclasses.replace(true, l_out=(raised(true.l_out[0], var("l1")),) + true.l_out[1:])
 
-    mp.setattr(rmap, "unit_r_map", unit_r_map)
+    mp.setattr(rmap, "build_r_map", build_r_map)
 
 
 def bent_split_exprs(only=None):
@@ -107,19 +107,19 @@ def bent_split_exprs(only=None):
 def scaled_r(compensated):
     """The rational R with l'_k scaled by 2^k; ``compensated`` divides m'_k by 2^k.
 
-    The bend is planted in ``rmap.unit_r_map``, the trees that both
+    The bend is planted in ``rmap.build_r_map``, the trees that both
     ``apply_r`` and the identity rows read.  The compensated bend keeps
     every pair product l'_k m'_k, so the product gamma (a product of
     coordinate ratios) does not see it.
     """
 
-    def unit_r_map(n):
-        true = TRUE_UNIT_R(n)
+    def build_r_map(n):
+        true = TRUE_R(n)
         l_out = tuple(mul(const(2**k), e) for k, e in enumerate(true.l_out, start=1))
         m_out = tuple(div(e, const(2**k)) for k, e in enumerate(true.m_out, start=1))
         return dataclasses.replace(true, l_out=l_out, m_out=m_out if compensated else true.m_out)
 
-    return lambda mp: mp.setattr(rmap, "unit_r_map", unit_r_map)
+    return lambda mp: mp.setattr(rmap, "build_r_map", build_r_map)
 
 
 def bent_residual(mp):

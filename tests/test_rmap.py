@@ -32,8 +32,8 @@ from gcrystal.rmap import (
     homogeneous_point,
     p_expr,
     r_program,
+    r_step,
     uniqueness_probe,
-    unit_r_map,
     window_sums,
 )
 
@@ -113,12 +113,12 @@ def test_p_expr_matches_naive_window_sums(n):
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_r_program_grows_quadratically(n):
-    assert len(r_program(unit_r_map(n)).code) <= 4 * (n + 1) ** 2 + 8 * (n + 1)
+    assert len(r_program(build_r_map(n)).code) <= 4 * (n + 1) ** 2 + 8 * (n + 1)
 
 
 def test_window_sums_at_a_pole():
     # n = 1: P_0 = l2 m1 (l1 + m2), P_1 = l1 m2 (l2 + m1)
-    inst = build_r_map(1, rat(-1), rat(1))
+    inst = build_r_map(1)
     l = {"l1": rat(1), "l2": rat(-1)}
     m = {"l1": rat(1), "l2": rat(1)}
     assert window_sums(inst, l, m) == [-2, 0]
@@ -150,7 +150,7 @@ def test_cli_at_n_64_matches_the_window_sum_formulas(capsys):
 def test_apply_r_frozen_example():
     # hand-computed: P_0 = 32, P_1 = 18, so
     # l' = (2*18/32, 3*32/18) and m' = (1*32/18, 4*18/32)
-    inst = build_r_map(1, rat(4), rat(6))
+    inst = build_r_map(1)
     l = {"l1": rat(1), "l2": rat(4)}
     m = {"l1": rat(2), "l2": rat(3)}
     l2, m2 = apply_r(inst, l, m)
@@ -198,7 +198,7 @@ def test_braid_consistency():
 def test_braid_on_homogeneous_triple():
     # every pairwise application just swaps homogeneous points, so both
     # orders reverse the triple
-    inst = build_r_map(2, rat(8), rat(27))
+    inst = build_r_map(2)
     pts = [homogeneous_point(2, rat(2)), homogeneous_point(2, rat(3)), homogeneous_point(2, rat(5))]
 
     def act(tr, pos):
@@ -221,8 +221,7 @@ def test_cyclic_shift_symmetry():
 
 def test_double_application_returns_to_start():
     # R is an involution on these models: applying it twice restores (l, m)
-    inst = build_r_map(2, rat(4), rat(9))
-    back = build_r_map(2, rat(9), rat(4))
+    r = build_r_map(2)
     spec = SampleSpec(
         ("a1", "a2", "a3", "b1", "b2", "b3"),
         positive=True,
@@ -232,8 +231,8 @@ def test_double_application_returns_to_start():
     for point in sample_points(spec, 20):
         l = {f"l{k}": point[f"a{k}"] for k in (1, 2, 3)}
         m = {f"l{k}": point[f"b{k}"] for k in (1, 2, 3)}
-        l2, m2 = apply_r(inst, l, m)
-        l3, m3 = apply_r(back, l2, m2)
+        l2, m2 = apply_r(r, l, m)
+        l3, m3 = apply_r(r, l2, m2)
         assert (l3, m3) == (l, m)
 
 
@@ -264,7 +263,7 @@ def test_row_steps_match_apply_e_and_apply_r(n):
     from gcrystal.models import affine_a_model
 
     ll, lr = rat(4), rat(9)
-    inst = build_r_map(n, ll, lr)
+    inst = build_r_map(n)
     z_lm = product(affine_a_model(n, ll), affine_a_model(n, lr))
     z_ml = product(affine_a_model(n, lr), affine_a_model(n, ll))
     coords = tuple(f"l{k}" for k in range(1, n + 2))
@@ -444,8 +443,8 @@ def test_apply_r_runs_the_instance_as_written():
 
     from gcrystal.expr import reference_evaluate
 
-    inst = build_r_map(2, rat(6), rat(5))
-    assert build_r_map(2, rat(1), rat(1)).l_out is inst.l_out  # trees built once per n
+    inst = build_r_map(2)
+    assert build_r_map(2) is inst  # built once per n
     l = {"l1": rat(1, 2), "l2": rat(3), "l3": rat(4)}
     m = {"l1": rat(5, 7), "l2": rat(1), "l3": rat(7)}
     env = {f"l{k}": l[f"l{k}"] for k in (1, 2, 3)} | {f"m{k}": m[f"l{k}"] for k in (1, 2, 3)}
@@ -455,3 +454,60 @@ def test_apply_r_runs_the_instance_as_written():
     # a perturbed instance is compiled from its own expressions
     swapped = dataclasses.replace(inst, l_out=inst.m_out, m_out=inst.l_out)
     assert apply_r(swapped, l, m) == (m2, l2)
+
+
+# --- one R map per size --------------------------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` to record the arguments of each call; returns the list of calls."""
+    calls = []
+    true = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return true(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_map_and_its_step_are_built_once_per_size():
+    assert build_r_map(3) is build_r_map(3)
+    assert r_step(3) is r_step(3)
+    assert r_step(3) is not r_step(2)
+
+
+def test_readers_of_the_map_compile_nothing_on_a_second_call(monkeypatch, capsys):
+    import gcrystal.expr as expr
+
+    l = {"l1": rat(1), "l2": rat(4), "l3": rat(2)}
+    m = {"l1": rat(2), "l2": rat(3), "l3": rat(5)}
+    reads = [
+        lambda: apply_r(build_r_map(2), l, m),
+        lambda: apply_r(build_r_map(2), {"l1": 0, "l2": 4, "l3": 1}, {"l1": 2, "l2": -3, "l3": 0}, reading=run_maxplus),
+        lambda: window_sums(build_r_map(2), l, m),
+        lambda: cli.main(["ud", "rmap", "--n", "2", "--l", "[5, -2, 1]", "--m", "[0, 9, 3]"]),
+        lambda: cli.main(["rmap", "apply", "--n", "2", "--l", "[1, 4, 2]", "--m", "[2, 3, 5]"]),
+    ]
+    for read in reads:
+        read()
+    compiles = _counting(monkeypatch, expr, "compile_program")
+    for read in reads:
+        read()
+    capsys.readouterr()
+    assert compiles == []
+
+
+def test_the_rmap_suite_renames_r_onto_the_product_once_per_size(monkeypatch):
+    import gcrystal.rmap as rmap
+    from gcrystal.crystal import LEFT_SUFFIX, RIGHT_SUFFIX
+    from gcrystal.harness import run_suite
+
+    build_r_map.cache_clear()
+    renames = _counting(monkeypatch, rmap, "_r_trees")
+    results = run_suite("rmap", {})
+    assert all(r.verdict == "pass" for r in results)
+    onto_product = [n for n, left, right in renames if (left, right) == (LEFT_SUFFIX, RIGHT_SUFFIX)]
+    assert sorted(onto_product) == sorted(set(onto_product))
+    assert onto_product  # the rows do read R on the product coordinates

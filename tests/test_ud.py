@@ -16,7 +16,7 @@ from gcrystal.crystal import (
 )
 from gcrystal.expr import Add, Const, Div, Mul, Pow, Var, add, mul, parse, pow_, substitute, var
 from gcrystal.harness import REGISTRY
-from gcrystal.rmap import product_systems, unit_r_map
+from gcrystal.rmap import build_r_map, product_systems
 from gcrystal.ud import (
     ROWS,
     NonUnitConstantWarning,
@@ -235,7 +235,7 @@ def test_dichotomy_at_unit_parameters():
 
 def test_combinatorial_r_window_program():
     # l'_1 = m_1 + UDP_1 - UDP_0 with UDP_i a max of two window sums
-    e = unit_r_map(1).l_out[0]
+    e = build_r_map(1).l_out[0]
     env = {"l1": 0, "l2": 4, "m1": 2, "m2": 3}
     udp0 = max(0 + 4 + 2, 4 + 2 + 3)
     udp1 = max(4 + 0 + 3, 0 + 3 + 2)
@@ -305,7 +305,7 @@ def test_readings_match_the_reference_walker(n):
     model = unit_torus(n)
     z = product(model, model)
     sys_lm, sys_ml = product_systems(n, Fraction(1), Fraction(1))
-    inst = unit_r_map(n)
+    inst = build_r_map(n)
     names = model.variables
     for _ in range(50):
         x = {v: rng.randint(-50, 50) for v in names}
