@@ -14,16 +14,16 @@ pointwise checking here and the tropicalization pass elsewhere.  Every
 identity check here is a list of rows ``(label, lhs, rhs)``, each side a
 list of coordinate-map steps (a word of actions is one step) and the
 trees read at the last image, or, on the right, an exact side: a
-function of the rational point, such as the matrix twin of
-:mod:`gcrystal.models`.  :func:`row_plan` compiles the rows once,
-and :func:`check_identity_rows`, the one row runner, reads the plan as
-the domain it samples says: exactly at the rational points of a
-:class:`SampleSpec`, in (max, +) at the integer points of a
-:class:`Box` (the ud checks).  Either reading runs a batch of points at
-a time through :func:`pointwise_check` (the one sampled-check loop,
-defined in :mod:`gcrystal.expr` and re-exported here), each step and
-tree program once per batch, and returns the :class:`CheckOutcome` that
-a walk over single points gives.  Row
+function from the drawn point's int pairs to one int pair per output,
+such as the matrix twin of :mod:`gcrystal.models`.  :func:`row_plan`
+compiles the rows once, and :func:`check_identity_rows`, the one row
+runner, reads the plan as the domain it samples says: exactly at the
+rational points of a :class:`SampleSpec`, in (max, +) at the integer
+points of a :class:`Box` (the ud checks).  Either reading runs a batch
+of points at a time through :func:`pointwise_check` (the one
+sampled-check loop, defined in :mod:`gcrystal.expr` and re-exported
+here), each step and tree program once per batch, and returns the
+:class:`CheckOutcome` that a walk over single points gives.  Row
 builders such as :func:`gamma_scaling_row` take the indices they cover,
 so the ud checks read the same rows as the rational ones, with the
 outputs that share a step in one row.
@@ -216,12 +216,12 @@ def row_plan(names: tuple[str, ...], rows) -> list:
     the sampled scalars: a word of actions (:func:`word_step`), or the R
     map.  ``trees`` are read at the last image; they are a tuple, a
     mapping from output names to trees, a :class:`Program`, or ``None``
-    for the coordinates.  The rhs may instead be an exact side (see
-    :func:`exact_columns`), kept as it is in the plan.  Each entry of the
-    plan is ``(label, lhs, rhs, outputs)`` with a side ``(step programs,
-    tree program)``; the outputs take the lhs's names (``names`` for
-    ``None``, else ``None``).  Every distinct step and tree object is
-    compiled once per plan.
+    for the coordinates.  The rhs may instead be an exact side, a
+    function from int pairs to int pairs (see :func:`exact_columns`),
+    kept as it is in the plan.  Each entry of the plan is ``(label, lhs,
+    rhs, outputs)`` with a side ``(step programs, tree program)``; the
+    outputs take the lhs's names (``names`` for ``None``, else ``None``).
+    Every distinct step and tree object is compiled once per plan.
     """
     coords = tuple(var(v) for v in names)
     programs: dict[int, Program] = {}
@@ -252,42 +252,44 @@ def row_plan(names: tuple[str, ...], rows) -> list:
 def exact_columns(fn, count: int, columns, width: int, outcomes: list):
     """The ``count`` outputs of the exact side ``fn``, as :func:`run_columns` gives them, at the points still open.
 
-    ``fn`` reads a point as ``Fraction`` values and returns one value per
-    output; a ``ZeroDivisionError`` or :class:`EvalDomainError` marks a
-    pole.  It runs where ``outcomes`` is ``None``; elsewhere the entries
-    are 0/1 and mean nothing.
+    ``fn`` reads a drawn point's int pairs (:func:`point_at`) and returns
+    one int pair per output.  A ``ZeroDivisionError``, an
+    :class:`EvalDomainError` or a denominator 0 (n·0 == m·0 is no agreement)
+    marks a pole.  It runs where ``outcomes`` is ``None``, elsewhere 0/1.
     """
     values, poles = [], set()
     for j, outcome in enumerate(outcomes):
-        value = [0] * count
+        value = [(0, 1)] * count
         if outcome is None:
             try:
-                value = fn(fraction_point(point_at(columns, j)))
+                value = fn(point_at(columns, j))
             except (ZeroDivisionError, EvalDomainError):
                 poles.add(j)
         if len(value) != count:
             raise ValueError(f"the exact side gave {len(value)} values for {count} outputs")
+        if not all(den for _, den in value):
+            poles.add(j)
         values.append(value)
     outputs = list(zip(*values))
-    return [[v.numerator for v in out] for out in outputs], [[v.denominator for v in out] for out in outputs], poles
+    return [[num for num, _ in out] for out in outputs], [[den for _, den in out] for out in outputs], poles
 
 
 def check_identity_rows(names: tuple[str, ...], rows, domain: SampleSpec | Box, trials: int) -> CheckOutcome:
     """Run the identity ``rows`` (see :func:`row_plan`) over ``names`` at ``trials`` points of ``domain``.
 
     The plan runs a batch of points at a time through
-    :func:`pointwise_check`, each program once per batch, in the reading
-    the domain picks.  At the rational points of a :class:`SampleSpec`
-    each step runs to coordinate columns in lowest terms
-    (:func:`run_reduced_columns`) that the next one reads, and the trees
-    to unreduced columns that :func:`settle_row` compares; ``Fraction``
-    values are built only for a witness and for an exact side.  At the
-    integer points of a :class:`Box` every program runs unreduced in
-    (max, +) (:func:`run_maxplus_columns`), :func:`settle_maxplus_row`
-    compares, and an exact side, which has no (max, +) reading, is refused
-    with ``ValueError``.  At each point the first row that poles or
-    differs there settles it; a failing row's witness is
-    ``{**label, output, point, lhs, rhs}``.
+    :func:`pointwise_check`, each program once per batch, in the reading the
+    domain picks.  At the rational points of a :class:`SampleSpec` each step
+    runs to coordinate columns in lowest terms (:func:`run_reduced_columns`)
+    that the next one reads, and the trees to unreduced columns that
+    :func:`settle_row` compares, as it does an exact side's pairs;
+    ``Fraction`` values are built only for a witness.  At the integer points
+    of a :class:`Box` every program runs unreduced in (max, +)
+    (:func:`run_maxplus_columns`), :func:`settle_maxplus_row` compares, and
+    an exact side, which has no (max, +) reading, is refused with
+    ``ValueError``.  At each point the first row that poles or differs there
+    settles it; a failing row's witness is ``{**label, output, point, lhs,
+    rhs}``.
     """
     plan = row_plan(names, rows)
 

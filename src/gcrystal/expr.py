@@ -43,9 +43,10 @@ points are drawn as such columns (the ``draw`` of a domain of
 :mod:`gcrystal.arith`) and stay ints through the comparison:
 :func:`reduce_columns` puts outputs in lowest terms, :func:`settle_row`
 compares two sides' pairs by cross-multiplication and
-:func:`settle_maxplus_row` two (max, +) sides by ``==``, and a
-``Fraction`` is built only for a witness (:func:`pair_witness`) and for
-the exact side of a row (:func:`gcrystal.crystal.row_plan`).
+:func:`settle_maxplus_row` two (max, +) sides by ``==``.  The exact
+side of a row (:func:`gcrystal.crystal.row_plan`) reads the drawn pairs
+and returns pairs too, so a ``Fraction`` is built only for a witness
+(:func:`pair_witness`).
 :func:`run` reads and returns ``Fraction`` values.  The tree walker
 :func:`reference_evaluate` is kept as the oracle of the tests.
 """

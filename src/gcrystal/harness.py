@@ -603,7 +603,6 @@ def _suite_borel_oracle(col: _Collector, p: Params) -> None:
     t = p.trials
     for n in p.sizes:
         model, system = borel_model(n), borel_epsilon_system(n)
-        pair_table = product_epsilon(system, system, model)
         subject = f"sl{n + 1}"
         for i in range(1, n + 1):
             for check, fn in (
@@ -612,14 +611,15 @@ def _suite_borel_oracle(col: _Collector, p: Params) -> None:
                 ("borel-display", check_borel_display),
             ):
                 col.run(check, f"{subject} i={i}", lambda s: fn(model, i, t, s))
-        for check, table, starred, pair in (
-            ("borel-eps-entries", system, False, False),
-            ("borel-minor", system, True, False),
-            ("borel-product-eps", pair_table, False, True),
-            ("borel-product-eps-star", pair_table, True, True),
+        pair, pair_table = product(model, model), product_epsilon(system, system, model)
+        for check, table, starred, space in (
+            ("borel-eps-entries", system, False, None),
+            ("borel-minor", system, True, None),
+            ("borel-product-eps", pair_table, False, pair),
+            ("borel-product-eps-star", pair_table, True, pair),
         ):
-            col.run(check, subject, lambda s: check_borel_table(model, table, starred, pair, t, s))
-        col.run("borel-mult-eps", subject, lambda s: check_borel_mult_eps(model, t, s))
+            col.run(check, subject, lambda s: check_borel_table(model, table, starred, space, t, s))
+        col.run("borel-mult-eps", subject, lambda s: check_borel_mult_eps(model, pair, t, s))
 
 
 def _suite_rmap(col: _Collector, p: Params) -> None:

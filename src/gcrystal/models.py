@@ -19,29 +19,31 @@ coordinates off the product.  The single above-diagonal entry of that
 product vanishes identically; it is exposed as ``conjugation_residual``
 so the test-suite can verify the vanishing rather than assume it.
 
-:class:`BorelElement` is the numeric twin: exact Fraction matrices.  The
+:class:`BorelElement` is the numeric twin: an exact matrix of unreduced
+(numerator, denominator) int pairs, built from a sampled point's drawn
+pairs and checked once (lower triangular, determinant 1).  The
 conjugation x_i(a) * x * x_i(b) is one row operation (a times row i+1
 added to row i) and one column operation (b times column i added to
 column i+1), after which the entry (i, i+1) they create must be exactly
-0.  Products of two elements sum only over the triangular range
-c <= k <= r, and a minor determinant is computed by Gaussian elimination
-with row swaps, not by the first-column expansion the eps* table is
-written in.  This is the independent computation path (entries and
-minor determinants of actual products) against which the
-expression-level epsilon tables are checked.  The ``check_borel_*``
-functions of the borel-oracle suite compare the two routes at sampled
-points as identity rows (:func:`gcrystal.crystal.check_identity_rows`):
-the expression side runs a batch of points at a time, and the twin is
-the row's exact side, run at each point on its ``Fraction`` values.
+0.  Products sum only over c <= k <= r, and a minor is computed by
+fraction-free (Bareiss) elimination with row swaps, not by the
+first-column expansion the eps* table is written in.  No ``Fraction``
+and no float enters this independent path, against which the
+``check_borel_*`` functions of the borel-oracle suite compare the
+expression-level data as identity rows
+(:func:`gcrystal.crystal.check_identity_rows`): the expression side runs
+a batch of points at a time, and the twin is the row's exact side, run
+at each point on its drawn pairs and returning pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from math import gcd, prod as prod_
 
-from .arith import Assignment, SampleSpec, sample_point
+from .arith import PairPoint
 from .crystal import (
     S1,
     SCALAR,
@@ -50,7 +52,6 @@ from .crystal import (
     cartan_affine_d5,
     cartan_finite_a,
     check_identity_rows,
-    product,
     split_pair,
     word_side,
 )
@@ -462,177 +463,173 @@ def borel_epsilon_system(n: int) -> EpsilonSystem:
 
 # --- Borel model: numeric side ------------------------------------------------------
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Pair = tuple[int, int]
+ZERO: Pair = (0, 1)
 
 
-@dataclass(frozen=True)
+def _plus_times(p: Pair, a: Pair, q: Pair) -> Pair:
+    """p + a·q on unreduced pairs; equal denominators are added over once."""
+    (pn, pd), (an, ad), (qn, qd) = p, a, q
+    tn, td = an * qn, ad * qd
+    return (pn + tn, pd) if pd == td else (pn * td + tn * pd, pd * td)
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the square int matrix ``m``, which it overwrites, by Bareiss's fraction-free elimination.
+
+    An entry below and right of the pivot p becomes (entry·p − left·above)
+    / (the previous pivot), exactly.  A zero pivot is swapped with the
+    first lower row nonzero in its column, flipping the sign; none gives 0.
+    """
+    size, sign, last = len(m), 1, 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        top, p = m[col], m[col][col]
+        for row in m[col + 1 :]:
+            left = row[col]
+            row[col + 1 :] = [(e * p - left * a) // last for e, a in zip(row[col + 1 :], top[col + 1 :])]
+        last = p
+    return sign * last
+
+
 class BorelElement:
-    """An exact lower-triangular matrix of determinant 1."""
+    """An exact lower-triangular matrix of determinant 1, each entry an unreduced int pair (no gcd).
 
-    mat: Matrix
+    Building one checks it once: square, nonzero denominators, numerator
+    0 above the diagonal, and ∏ diagonal numerators == ∏ diagonal
+    denominators.  The product and the action of checked elements are
+    built without a second check.
+    """
 
-    def __post_init__(self):
-        size = self.size
-        det = Fraction(1)
-        for r in range(size):
-            if len(self.mat[r]) != size:
+    def __init__(self, mat: tuple[tuple[Pair, ...], ...]):
+        num = den = 1
+        for r, row in enumerate(mat):
+            if len(row) != len(mat):
                 raise ValueError("matrix must be square")
-            det *= self.mat[r][r]
-            for c in range(r + 1, size):
-                if self.mat[r][c] != 0:
-                    raise ValueError("matrix must be lower triangular")
-        if det != 1:
-            raise ValueError(f"determinant must be 1, got {det}")
+            nums, dens = zip(*row)
+            if 0 in dens:
+                raise ValueError("an entry has denominator 0")
+            if any(nums[r + 1 :]):
+                raise ValueError("matrix must be lower triangular")
+            num, den = num * nums[r], den * dens[r]
+        if num != den:
+            raise ValueError(f"determinant must be 1, got {num}/{den}")
+        self.mat = mat
 
-    @property
-    def size(self) -> int:
-        return len(self.mat)
-
-    @property
-    def n(self) -> int:
-        return self.size - 1
-
-    def torus(self) -> tuple[Fraction, ...]:
-        return tuple(self.mat[j][j] for j in range(self.size))
+    @classmethod
+    def _checked(cls, mat) -> "BorelElement":
+        """An element whose shape and determinant its construction guarantees."""
+        element = cls.__new__(cls)
+        element.mat = mat
+        return element
 
     @cached_property
-    def lower(self) -> Matrix:
-        """x_-, built once per element: column c of x divided by its torus entry."""
-        mat, size = self.mat, self.size
-        zero, one = Fraction(0), Fraction(1)
-        rows = [[row[c] / mat[c][c] for c in range(r)] + [one] + [zero] * (size - 1 - r) for r, row in enumerate(mat)]
-        # tuples of lists, not of generators: CPython resizes a tuple grown
-        # from a generator in place, so the tuple never comes from the
-        # per-size free list it is later returned to; one such matrix per
-        # element filled those lists and raised the borel-oracle peak RSS
-        # by about 0.5 MB
-        return tuple([tuple(row) for row in rows])
+    def lower(self) -> tuple[tuple[Pair, ...], ...]:
+        """x_-, built once per element: entry (r, c) of x over entry (c, c), as a pair."""
+        mat, rows = self.mat, []
+        for r, row in enumerate(mat):
+            below = [(n * mat[c][c][1], d * mat[c][c][0]) for c, (n, d) in enumerate(row[:r])]
+            # a tuple of a list, not of a generator: CPython resizes a tuple
+            # grown from a generator in place, so it misses the per-size free
+            # list it is returned to, which raised peak RSS by about 0.5 MB
+            rows.append(tuple(below + [(1, 1)] + [ZERO] * (len(mat) - 1 - r)))
+        return tuple(rows)
 
-    def unipotent(self, r: int, c: int) -> Fraction:
+    def unipotent(self, r: int, c: int) -> Pair:
         """Entry (r, c) of x_-, 1-indexed; columns of x divide by the torus."""
         size = len(self.mat)
         if not (1 <= r <= size and 1 <= c <= size):
             raise ValueError(f"entry ({r}, {c}) is outside the {size}x{size} matrix")
         return self.lower[r - 1][c - 1]
 
-    def eps_entry(self, s: int, t: int) -> Fraction:
+    def eps_entry(self, s: int, t: int) -> Pair:
         """u_{s,t} (with u_{s,s} = u_s): the unipotent entry in row t+1, column s."""
         return self.unipotent(t + 1, s)
 
-    def minor(self, s: int, t: int) -> Fraction:
-        """Determinant of the [s, t] minor of x_- (rows s+1..t+1, columns s..t).
+    def minor(self, s: int, t: int) -> Pair:
+        """Determinant of the [s, t] minor of x_- (rows s+1..t+1, columns s..t), as a pair.
 
-        Exact Gaussian elimination: a zero pivot is swapped with the first
-        lower row that is nonzero in its column, flipping the sign.  Row
-        updates skip the zero entries of the pivot row, so on these minors
-        (zero above the superdiagonal) a step without a swap touches one
-        column; nothing relies on that shape.
+        Each row is scaled to integers by the product of its denominators;
+        the :func:`_bareiss` determinant over the scales' product is put in
+        lowest terms once, which cuts its bits about fivefold on products.
         """
-        if not 1 <= s <= t + 1 <= self.size:
-            raise ValueError(f"[{s}, {t}] is not an interval of 1..{self.n}")
-        size = t - s + 1
-        m = [list(row[s - 1 : t]) for row in self.lower[s : t + 1]]
-        det = Fraction(1)
-        for col in range(size):
-            pivot = next((r for r in range(col, size) if m[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            top = m[col]
-            det *= top[col]
-            support = [c for c in range(col + 1, size) if top[c]]
-            for r in range(col + 1, size):
-                row = m[r]
-                if row[col]:
-                    factor = row[col] / top[col]
-                    for c in support:
-                        row[c] -= factor * top[c]
-        return det
+        if not 1 <= s <= t + 1 <= len(self.mat):
+            raise ValueError(f"[{s}, {t}] is not an interval of 1..{len(self.mat) - 1}")
+        block, scale = [], 1
+        for row in self.lower[s : t + 1]:
+            den = prod_(d for _, d in row[s - 1 : t])
+            block.append([n * den // d for n, d in row[s - 1 : t]])
+            scale *= den
+        det = _bareiss(block)
+        g = gcd(det, scale)
+        return det // g, scale // g
 
-    def to_point(self) -> Assignment:
-        out: Assignment = {}
-        n = self.n
-        for j in range(1, n + 1):
-            out[f"u{j}"] = self.unipotent(j + 1, j)
-        for j in range(1, n):
-            for k in range(j + 1, n + 1):
-                out[f"u{j}{k}"] = self.unipotent(k + 1, j)
-        for j in range(1, n + 2):
-            out[f"t{j}"] = self.mat[j - 1][j - 1]
-        return out
+    def to_point(self) -> PairPoint:
+        """The coordinates u_j, u_{j,k} and t_j of the element, as pairs."""
+        names = _entry_names(len(self.mat) - 1)
+        point = {name: self.lower[r][c] for r, row in enumerate(names) for c, name in enumerate(row)}
+        return point | {f"t{j + 1}": row[j] for j, row in enumerate(self.mat)}
 
 
-def borel_from_point(point: Assignment, n: int) -> BorelElement:
-    size = n + 1
+@cache
+def _entry_names(n: int) -> tuple[tuple[str, ...], ...]:
+    """Row r of x below the diagonal: the coordinate u_{c+1,r} that entry (r, c) carries."""
+    return tuple(tuple(f"u{c + 1}" if r == c + 1 else f"u{c + 1}{r}" for c in range(r)) for r in range(n + 1))
+
+
+def borel_from_point(point: PairPoint, n: int) -> BorelElement:
+    """The element x = x_- x_0 at a drawn point: entry (r, c) is u_{c+1,r}·t_{c+1} below the diagonal, t_{c+1} on it."""
+    torus = [point[f"t{c}"] for c in range(1, n + 2)]
     rows = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            if c > r:
-                row.append(Fraction(0))
-            elif c == r:
-                row.append(point[f"t{c + 1}"])
-            else:
-                name = f"u{c + 1}" if r == c + 1 else f"u{c + 1}{r}"
-                row.append(point[name] * point[f"t{c + 1}"])
-        rows.append(tuple(row))
+    for r, names in enumerate(_entry_names(n)):
+        below = [(un * tn, ud * td) for (un, ud), (tn, td) in zip(map(point.__getitem__, names), torus)]
+        rows.append(tuple(below + [torus[r]] + [ZERO] * (n - r)))
     return BorelElement(tuple(rows))
 
 
 def borel_multiply(x: BorelElement, y: BorelElement) -> BorelElement:
-    """Product of two lower-triangular matrices: entry (r, c) sums only
-    k in [c, r], and every entry above the diagonal is an exact 0."""
-    if x.size != y.size:
+    """Product of two lower-triangular matrices: entry (r, c) sums only k in [c, r]; above the diagonal is 0."""
+    if len(x.mat) != len(y.mat):
         raise ValueError("size mismatch")
-    a, b = x.mat, y.mat
-    size = x.size
-    zero = Fraction(0)
-    rows = []
-    for r in range(size):
-        ar = a[r]
+    b, rows = y.mat, []
+    for r, ar in enumerate(x.mat):
         row = []
         for c in range(r + 1):
-            acc = ar[c] * b[c][c]
-            for k in range(c + 1, r + 1):
-                acc += ar[k] * b[k][c]
+            acc = ZERO
+            for k in range(c, r + 1):
+                acc = _plus_times(acc, ar[k], b[k][c])
             row.append(acc)
-        row.extend([zero] * (size - 1 - r))
-        rows.append(tuple(row))
-    return BorelElement(tuple(rows))
+        rows.append(tuple(row + [ZERO] * (len(b) - 1 - r)))
+    return BorelElement._checked(tuple(rows))
 
 
-def borel_apply_e_matrix(x: BorelElement, i: int, c: Fraction) -> BorelElement:
+def borel_apply_e_matrix(x: BorelElement, i: int, c: Pair) -> BorelElement:
     """Numeric twin of the symbolic action, x_i(a) * x * x_i(b) done as one row
-    and one column operation; the above-diagonal entry (i, i+1) that they
-    create is computed and must cancel exactly."""
-    eps_i = x.unipotent(i + 1, i)
-    gamma_i = x.mat[i - 1][i - 1] / x.mat[i][i]
-    if eps_i == 0 or gamma_i * eps_i == 0:
+    and one column operation on pairs; the above-diagonal entry (i, i+1) that
+    they create is computed and must cancel exactly.  A zero eps_i, c or
+    torus entry raises ``ZeroDivisionError``.
+    """
+    (en, ed), (cn, cd) = x.unipotent(i + 1, i), c
+    (pn, pd), (qn, qd) = x.mat[i - 1][i - 1], x.mat[i][i]
+    if not (en and cn and pn and qn):
         raise ZeroDivisionError("action undefined at this point")
-    a = (c - 1) / eps_i
-    b = (1 / c - 1) / (eps_i * gamma_i)
-
+    a = ((cn - cd) * ed, cd * en)  # (c - 1)/eps_i
+    b = ((cd - cn) * ed * pd * qn, cn * en * pn * qd)  # (1/c - 1)/(eps_i gamma_i), gamma_i = x_ii/x_{i+1,i+1}
     y = [list(row) for row in x.mat]
     upper, lower = y[i - 1], y[i]
     for col in range(i + 1):  # row i+1 is zero right of the diagonal
-        upper[col] += a * lower[col]
+        upper[col] = _plus_times(upper[col], a, lower[col])
     for row in y[i - 1 :]:  # column i is zero above row i
-        row[i] += b * row[i - 1]
-    if y[i - 1][i] != 0:
+        row[i] = _plus_times(row[i], b, row[i - 1])
+    if upper[i][0] != 0:
         raise AssertionError("conjugation residual did not vanish")
-    return BorelElement(tuple(map(tuple, y)))
-
-
-def sample_borel(n: int, seed: int) -> BorelElement:
-    model_spec = SampleSpec(
-        variables=borel_variables(n),
-        positive=True,
-        constraints=((tuple(f"t{j}" for j in range(1, n + 2)), Fraction(1)),),
-        seed=seed,
-    )
-    return borel_from_point(sample_point(model_spec), n)
+    upper[i] = ZERO
+    return BorelElement._checked(tuple(map(tuple, y)))
 
 
 # --- Borel model: symbolic side against numeric side -------------------------------
@@ -686,18 +683,19 @@ def check_borel_table(
     model: CrystalModel,
     table: EpsilonSystem,
     starred: bool,
-    pair: bool,
+    pair: CrystalModel | None,
     trials: int = 100,
     seed: int = 0,
 ) -> CheckOutcome:
     """Every interval [s, t] of ``table`` against the matrix it describes.
 
     eps_[s,t] must equal the unipotent entry u_{s,t} and eps*_[s,t] the
-    minor determinant.  With ``pair`` the points are pairs (x, y) of the
-    product crystal and the matrix is the exact product of their elements.
-    One row: the intervals' program, cached on the table per ``starred``,
-    against the exact side that reads the matrix; a failing ``output`` is
-    the interval's place in :meth:`EpsilonSystem.intervals`.
+    minor determinant.  With ``pair``, the crystal ``product(model,
+    model)``, the points are its pairs (x, y) and the matrix is the exact
+    product of their elements.  One row: the intervals' program, cached
+    on the table per ``starred``, against the exact side that reads the
+    matrix; a failing ``output`` is the interval's place in
+    :meth:`EpsilonSystem.intervals`.
     """
     n = len(model.cartan.labels)
     names = model.variables
@@ -714,26 +712,25 @@ def check_borel_table(
         value = element.minor if starred else element.eps_entry
         return [value(a + 1, b + 1) for a, b in intervals]
 
-    space = product(model, model) if pair else model
+    space = pair or model
     return check_identity_rows(space.variables, [({}, ((), program), via_matrix)], space.domain_spec(seed), trials)
 
 
-def check_borel_mult_eps(model: CrystalModel, trials: int = 100, seed: int = 0) -> CheckOutcome:
+def check_borel_mult_eps(model: CrystalModel, pair: CrystalModel, trials: int = 100, seed: int = 0) -> CheckOutcome:
     """eps_i(x y) = eps_i(x) + eps_i(y)/gamma_i(x) for exact matrix products.
 
-    One row over i: the product crystal's eps_i against the exact side,
-    the entry u_i of the product matrix.
+    One row over i: the eps_i of ``pair``, the crystal ``product(model,
+    model)``, against the exact side, the entry u_i of the product matrix.
     """
     n = len(model.cartan.labels)
-    z = product(model, model)
 
     def via_matrix(point):
         x, y = split_pair(point, model.variables, model.variables)
         element = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
-        return [element.eps_entry(i, i) for i in z.cartan.labels]
+        return [element.eps_entry(i, i) for i in pair.cartan.labels]
 
-    rows = [({}, ((), {i: z.eps[i] for i in z.cartan.labels}), via_matrix)]
-    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
+    rows = [({}, ((), {i: pair.eps[i] for i in pair.cartan.labels}), via_matrix)]
+    return check_identity_rows(pair.variables, rows, pair.domain_spec(seed), trials)
 
 
 # --- model registry for the CLI ------------------------------------------------------

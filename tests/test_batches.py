@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcrystal import cli
-from gcrystal.arith import Box, DomainTooThinError, SampleSpec, box_point, draw_pairs, fraction_point, point_at, rat
+from gcrystal.arith import Box, DomainTooThinError, SampleSpec, box_point, draw_pairs, point_at, rat
 from gcrystal.crystal import check_identity_rows, row_plan, tree_row
 from gcrystal.expr import (
     BATCH_WIDTH,
@@ -231,17 +231,20 @@ def _point_walk(fn, spec, trials, log):
 def _point_identity_rows(names, rows, spec, trials, log):
     """``check_identity_rows`` one point at a time: each step reduced, each side compared by ``pair_witness``.
 
-    An exact side of ``rows`` runs on the point's ``Fraction`` values, a ``ZeroDivisionError`` a pole.
+    An exact side of ``rows`` runs on the point's int pairs and returns pairs; a
+    ``ZeroDivisionError`` or a denominator 0 is a pole.
     """
     plan = row_plan(names, rows)
 
     def side(planned, written, point):
         if callable(written):  # an exact side
             try:
-                values = written(fraction_point(point))
+                values = written(point)
             except ZeroDivisionError:
                 raise EvalDomainError("pole of the exact side") from None
-            return [v.numerator for v in values], [v.denominator for v in values]
+            if any(den == 0 for _, den in values):
+                raise EvalDomainError("pole of the exact side")
+            return [num for num, _ in values], [den for _, den in values]
         steps, trees = planned
         env = point
         for step in steps:
@@ -291,13 +294,18 @@ def _mixed_rows():
 
 
 def _exact_rows():
-    """The mixed rows with exact sides: a pole where x = y, then output "d" off by 1 where x = -y."""
+    """The mixed rows with exact sides on int pairs: a pole where x = y, then output "d" off by 1 where x = -y."""
 
     def poled_at_the_diagonal(p):
-        return [p["x"] * p["y"] + 0 * (1 / (p["x"] - p["y"]))]
+        (xn, xd), (yn, yd) = p["x"], p["y"]
+        if xn * yd == yn * xd:
+            raise ZeroDivisionError("1/(x - y)")
+        return [(xn * yn, xd * yd)]
 
     def off_where_opposite(p):
-        return [p["x"] * p["y"], p["x"] / p["y"] + (p["x"] == -p["y"])]
+        (xn, xd), (yn, yd) = p["x"], p["y"]
+        off = xn * yd == -yn * xd
+        return [(xn * yn, xd * yd), (xn * yd + off * xd * yn, xd * yn)]
 
     return [
         ({"row": 1}, ((), (mul(X, Y),)), poled_at_the_diagonal),
@@ -488,9 +496,43 @@ def test_box_rows_walk_as_one_point_at_a_time(samples):
 
 
 def test_an_exact_side_gives_one_value_per_output():
-    rows = [({}, ((), {"s": mul(X, Y), "d": div(X, Y)}), lambda p: [p["x"] * p["y"]])]
+    rows = [({}, ((), {"s": mul(X, Y), "d": div(X, Y)}), lambda p: [p["x"]])]
     with pytest.raises(ValueError, match="1 values for 2 outputs"):
         check_identity_rows(("x", "y"), rows, SampleSpec(("x", "y"), seed=0), 10)
+
+
+def _negative(pair):
+    num, den = pair
+    return (num < 0) != (den < 0)
+
+
+@pytest.mark.parametrize("lhs, value", [(div(X, X), (1, 1)), (add(X, X), (1, 1)), (div(X, X), (0, 1))])
+@pytest.mark.parametrize("at_a_pole", [(1, 0), (0, 0), (-3, 0)])
+def test_an_exact_output_with_denominator_0_is_a_pole(lhs, value, at_a_pole):
+    """Where the exact side returns a denominator 0, the point poles as if it raised ZeroDivisionError.
+
+    n·0 == m·0 would read (0, 0) as agreeing with any lhs, and (1, 0) as a
+    witness with no ``Fraction``; at x < 0 the side gives ``at_a_pole``.
+    """
+
+    def zero_den(p):
+        return [at_a_pole if _negative(p["x"]) else value]
+
+    def raising(p):
+        if _negative(p["x"]):
+            raise ZeroDivisionError("x < 0")
+        return [value]
+
+    outcomes = set()
+    for seed in range(8):
+        spec = SampleSpec(("x",), seed=seed, magnitude=3)
+        expected = check_identity_rows(("x",), [({}, ((), (lhs,)), raising)], spec, 7)
+        assert check_identity_rows(("x",), [({}, ((), (lhs,)), zero_den)], spec, 7) == expected, seed
+        outcomes.add(expected.ok)
+    assert outcomes == {lhs == div(X, X) and value == (1, 1)}
+    spec = SampleSpec(("x",), seed=0)
+    with pytest.raises(DomainTooThinError):
+        check_identity_rows(("x",), [({}, ((), (lhs,)), lambda p: [at_a_pole])], spec, 7)
 
 
 def test_box_rows_refuse_an_exact_side():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcrystal.arith import rat, sample_point, sample_points
+from gcrystal.arith import draw_pairs, fraction_point, point_at, rat, sample_point
 from gcrystal.crystal import apply_e, check_eps_scaling, check_gamma_scaling, product
 from gcrystal.epsilon import product_epsilon
 from gcrystal.expr import evaluate, pretty, vanishes_on_domain
@@ -21,7 +21,6 @@ from gcrystal.models import (
     borel_variables,
     build_named_model,
     minor_expr,
-    sample_borel,
 )
 
 
@@ -90,6 +89,33 @@ def test_d5_level_constraint_is_product_of_all_nine():
 
 
 # --- triangular matrix model: structure ----------------------------------------------
+#
+# The numeric twin holds unreduced (numerator, denominator) int pairs; the
+# tests read its values as Fractions through ``_q`` and ``_fractions``.
+
+
+def _q(pair):
+    num, den = pair
+    assert type(num) is int and type(den) is int and den != 0, pair  # exact int pairs, never floats
+    return Fraction(num, den)
+
+
+def _fractions(mat):
+    return tuple(tuple(_q(entry) for entry in row) for row in mat)
+
+
+def _pairs(mat):
+    return tuple(tuple((q.numerator, q.denominator) for q in map(Fraction, row)) for row in mat)
+
+
+def _pair_point(point):
+    return {name: (q.numerator, q.denominator) for name, q in point.items()}
+
+
+def _drawn(n, seed):
+    """The element at the point the sampled checks draw from ``borel_model(n).domain_spec(seed)``."""
+    spec = borel_model(n).domain_spec(seed)
+    return borel_from_point(draw_pairs(spec, random.Random(seed)), n)
 
 
 def test_borel_variables_order():
@@ -101,26 +127,57 @@ def test_borel_matrix_displayed_3x3():
         "u1": rat(2), "u2": rat(3), "u12": rat(5),
         "t1": rat(7), "t2": rat(11), "t3": rat(1, 77),
     }
-    element = borel_from_point(point, 2)
-    assert element.mat == (
+    element = borel_from_point(_pair_point(point), 2)
+    assert _fractions(element.mat) == (
         (rat(7), rat(0), rat(0)),
         (rat(14), rat(11), rat(0)),
         (rat(35), rat(33), rat(1, 77)),
     )
-    assert element.to_point() == point
+    assert fraction_point(element.to_point()) == point
 
 
 def test_borel_element_validation():
-    with pytest.raises(ValueError):
-        BorelElement(((rat(1), rat(1)), (rat(0), rat(1))))  # not lower triangular
-    with pytest.raises(ValueError):
-        BorelElement(((rat(2), rat(0)), (rat(0), rat(1))))  # determinant 2
+    one, zero = (1, 1), (0, 1)
+    with pytest.raises(ValueError, match="lower triangular"):
+        BorelElement(((one, one), (zero, one)))
+    with pytest.raises(ValueError, match="determinant"):
+        BorelElement((((2, 1), zero), (zero, one)))
+    with pytest.raises(ValueError, match="determinant"):
+        BorelElement((((2, 3), zero), (zero, (2, 3))))  # 4/9
+    with pytest.raises(ValueError, match="denominator 0"):
+        BorelElement(((one, zero), ((1, 0), one)))
+    with pytest.raises(ValueError, match="square"):
+        BorelElement(((one, zero), (one,)))
+    # unreduced and negative denominators are fine: diag 2/4 · -6/-3 = 1
+    BorelElement((((2, 4), zero), ((5, -7), (-6, -3))))
+
+
+def test_borel_from_point_checks_the_drawn_torus():
+    point = {"u1": (1, 1), "t1": (2, 1), "t2": (1, 3)}  # t1 t2 = 2/3
+    with pytest.raises(ValueError, match="determinant"):
+        borel_from_point(point, 1)
+
+
+def test_the_action_raises_where_the_residual_survives():
+    # above-diagonal entry (1, 2) = 1: an element that skipped its check
+    x = BorelElement._checked((((1, 1), (1, 1)), ((3, 1), (1, 1))))
+    with pytest.raises(AssertionError, match="residual"):
+        borel_apply_e_matrix(x, 1, (2, 1))
+
+
+def test_the_action_poles_at_a_zero_divisor():
+    x = _drawn(2, 0)
+    for c in [(0, 1), (0, -5)]:
+        with pytest.raises(ZeroDivisionError):
+            borel_apply_e_matrix(x, 1, c)
+    with pytest.raises(ZeroDivisionError):  # eps_1 = u1 = 0
+        borel_apply_e_matrix(_unit_torus_element(2, u2=3), 1, (2, 1))
 
 
 def test_borel_minor_matches_pair_formula():
-    element = sample_borel(2, 3)
-    point = element.to_point()
-    assert element.minor(1, 2) == point["u1"] * point["u2"] - point["u12"]
+    element = _drawn(2, 3)
+    point = fraction_point(element.to_point())
+    assert _q(element.minor(1, 2)) == point["u1"] * point["u2"] - point["u12"]
 
 
 def test_minor_recurrence_expansion_3():
@@ -134,14 +191,14 @@ def test_minor_recurrence_expansion_3():
 def test_minor_recurrence_equals_elimination_determinant(n):
     system = borel_epsilon_system(n)
     for seed in range(10):
-        element = sample_borel(n, seed)
-        point = element.to_point()
+        element = _drawn(n, seed)
+        point = fraction_point(element.to_point())
         for a, b in system.intervals():
-            assert evaluate(system.eps_star[(a, b)], point) == element.minor(a + 1, b + 1)
+            assert evaluate(system.eps_star[(a, b)], point) == _q(element.minor(a + 1, b + 1))
 
 
 def test_unipotent_rejects_indices_outside_the_matrix():
-    element = sample_borel(2, 3)  # 3x3: rows and columns 1..3
+    element = _drawn(2, 3)  # 3x3: rows and columns 1..3
     for r, c in [(0, 1), (1, 0), (4, 1), (3, 4), (-1, 1)]:
         with pytest.raises(ValueError):
             element.unipotent(r, c)
@@ -153,15 +210,15 @@ def test_unipotent_rejects_indices_outside_the_matrix():
         with pytest.raises(ValueError):
             element.minor(s, t)
     assert element.eps_entry(1, 2) == element.unipotent(3, 1)
-    assert element.minor(3, 2) == element.minor(1, 0) == 1  # empty minors
+    assert element.minor(3, 2) == element.minor(1, 0) == (1, 1)  # empty minors
 
 
 def test_borel_eps_entries_match_matrix():
     system = borel_epsilon_system(3)
-    element = sample_borel(3, 9)
-    point = element.to_point()
+    element = _drawn(3, 9)
+    point = fraction_point(element.to_point())
     for a, b in system.intervals():
-        assert evaluate(system.eps[(a, b)], point) == element.eps_entry(a + 1, b + 1)
+        assert evaluate(system.eps[(a, b)], point) == _q(element.eps_entry(a + 1, b + 1))
 
 
 # --- triangular matrix model: action ---------------------------------------------------
@@ -171,11 +228,10 @@ def test_borel_eps_entries_match_matrix():
 def test_borel_action_matches_matrix_route(n, i):
     model = borel_model(n)
     for seed in range(5):
-        x = sample_point(model.domain_spec(seed))
+        x = draw_pairs(model.domain_spec(seed), random.Random(seed))
         c = rat(seed + 2, 3)
-        assert apply_e(model, i, c, x) == borel_apply_e_matrix(
-            borel_from_point(x, n), i, c
-        ).to_point()
+        image = borel_apply_e_matrix(borel_from_point(x, n), i, (c.numerator, c.denominator)).to_point()
+        assert apply_e(model, i, c, fraction_point(x)) == fraction_point(image)
 
 
 def test_borel_action_residual_vanishes():
@@ -223,38 +279,35 @@ def test_borel_axioms():
 
 
 def test_multiply_identity():
-    x = sample_borel(2, 4)
-    identity = BorelElement(
-        tuple(
-            tuple(rat(1) if r == c else rat(0) for c in range(3)) for r in range(3)
-        )
-    )
-    assert borel_multiply(identity, x).mat == x.mat
-    assert borel_multiply(x, identity).mat == x.mat
+    x = _drawn(2, 4)
+    identity = BorelElement(_pairs([[int(r == c) for c in range(3)] for r in range(3)]))
+    assert _fractions(borel_multiply(identity, x).mat) == _fractions(x.mat)
+    assert _fractions(borel_multiply(x, identity).mat) == _fractions(x.mat)
 
 
 def test_multiply_torus_parts_multiply():
-    x, y = sample_borel(3, 5), sample_borel(3, 6)
+    x, y = _drawn(3, 5), _drawn(3, 6)
     z = borel_multiply(x, y)
-    assert z.torus() == tuple(a * b for a, b in zip(x.torus(), y.torus()))
+    for j in range(4):
+        assert _q(z.mat[j][j]) == _q(x.mat[j][j]) * _q(y.mat[j][j])
 
 
 def test_multiply_eps_composition_formula():
     model = borel_model(3)
     for seed in range(10):
-        x, y = sample_borel(3, 2 * seed), sample_borel(3, 2 * seed + 1)
+        x, y = _drawn(3, 2 * seed), _drawn(3, 2 * seed + 1)
         z = borel_multiply(x, y)
-        px, py = x.to_point(), y.to_point()
+        px, py = fraction_point(x.to_point()), fraction_point(y.to_point())
         for i in (1, 2, 3):
             expected = evaluate(model.eps[i], px) + evaluate(model.eps[i], py) / evaluate(
                 model.gamma[i], px
             )
-            assert z.eps_entry(i, i) == expected
+            assert _q(z.eps_entry(i, i)) == expected
 
 
 def test_multiply_size_mismatch():
     with pytest.raises(ValueError):
-        borel_multiply(sample_borel(1, 0), sample_borel(2, 0))
+        borel_multiply(_drawn(1, 0), _drawn(2, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -264,13 +317,16 @@ def test_product_oracle_two_routes(n):
     system = borel_epsilon_system(n)
     table = product_epsilon(system, system, model)
     pair_spec = product(model, model).domain_spec(77)
-    for point in sample_points(pair_spec, 25):
-        x = {v: point[f"{v}.x"] for v in model.variables}
-        y = {v: point[f"{v}.y"] for v in model.variables}
+    columns = pair_spec.draw(random.Random(77), 25)
+    for j in range(25):
+        pairs = point_at(columns, j)
+        x = {v: pairs[f"{v}.x"] for v in model.variables}
+        y = {v: pairs[f"{v}.y"] for v in model.variables}
         z = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
+        point = fraction_point(pairs)
         for a, b in table.intervals():
-            assert evaluate(table.eps_at(a, b), point) == z.eps_entry(a + 1, b + 1)
-            assert evaluate(table.star_at(a, b), point) == z.minor(a + 1, b + 1)
+            assert evaluate(table.eps_at(a, b), point) == _q(z.eps_entry(a + 1, b + 1))
+            assert evaluate(table.star_at(a, b), point) == _q(z.minor(a + 1, b + 1))
 
 
 def test_named_model_builder():
@@ -282,8 +338,10 @@ def test_named_model_builder():
 
 # --- the numeric twin against dense matrix arithmetic -----------------------------------
 #
-# The oracles are the dense routes: full (n+1)^3 products (with the two
-# elementary matrices for the action) and the k!-term permutation sum.
+# The oracles are the dense routes over Fraction matrices: full (n+1)^3
+# products (with the two elementary matrices for the action), x_- by
+# dividing each column by its diagonal entry, and the k!-term permutation
+# sum.
 
 
 def _dense_matmul(a, b):
@@ -294,10 +352,15 @@ def _dense_matmul(a, b):
     )
 
 
-def _dense_apply_e(x, i, c):
-    size = x.size
-    eps_i = x.unipotent(i + 1, i)
-    gamma_i = x.mat[i - 1][i - 1] / x.mat[i][i]
+def _dense_unipotent(m, r, c):
+    """Entry (r, c), 1-indexed, of x_- for the Fraction matrix x = ``m``."""
+    return m[r - 1][c - 1] / m[c - 1][c - 1]
+
+
+def _dense_apply_e(m, i, c):
+    size = len(m)
+    eps_i = _dense_unipotent(m, i + 1, i)
+    gamma_i = m[i - 1][i - 1] / m[i][i]
     a = (c - 1) / eps_i
     b = (1 / c - 1) / (eps_i * gamma_i)
 
@@ -307,18 +370,18 @@ def _dense_apply_e(x, i, c):
             for r in range(size)
         )
 
-    return _dense_matmul(_dense_matmul(elementary(a), x.mat), elementary(b))
+    return _dense_matmul(_dense_matmul(elementary(a), m), elementary(b))
 
 
-def _permutation_minor(x, s, t):
+def _permutation_minor(m, s, t):
     size = t - s + 1
-    m = [[x.unipotent(s + 1 + r, s + c) for c in range(size)] for r in range(size)]
+    u = [[_dense_unipotent(m, s + 1 + r, s + c) for c in range(size)] for r in range(size)]
     total = Fraction(0)
     for perm in itertools.permutations(range(size)):
         inversions = sum(perm[p] > perm[q] for p in range(size) for q in range(p + 1, size))
         term = Fraction((-1) ** inversions)
         for r in range(size):
-            term *= m[r][perm[r]]
+            term *= u[r][perm[r]]
         total += term
     return total
 
@@ -341,13 +404,13 @@ def _signed_borel(n, rng, zeros=False):
         tuple(torus[r] if c == r else (entry() * torus[c] if c < r else Fraction(0)) for c in range(n + 1))
         for r in range(n + 1)
     )
-    return BorelElement(rows)
+    return BorelElement(_pairs(rows))
 
 
 def _elements(n, count=6):
     rng = random.Random(1000 + n)
     return (
-        [sample_borel(n, seed) for seed in range(count)]
+        [_drawn(n, seed) for seed in range(count)]
         + [_signed_borel(n, rng) for _ in range(count)]
         + [_signed_borel(n, rng, zeros=True) for _ in range(count)]
     )
@@ -358,13 +421,14 @@ def test_apply_e_matrix_matches_dense_elementary_products(n):
     rng = random.Random(n)
     checked = 0
     for x in _elements(n):
+        m = _fractions(x.mat)
         for i in range(1, n + 1):
             c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20))
-            if x.unipotent(i + 1, i) == 0:
+            if _dense_unipotent(m, i + 1, i) == 0:
                 with pytest.raises(ZeroDivisionError):
-                    borel_apply_e_matrix(x, i, c)
+                    borel_apply_e_matrix(x, i, (c.numerator, c.denominator))
                 continue
-            assert borel_apply_e_matrix(x, i, c).mat == _dense_apply_e(x, i, c)
+            assert _fractions(borel_apply_e_matrix(x, i, (c.numerator, c.denominator)).mat) == _dense_apply_e(m, i, c)
             checked += 1
     assert checked >= 12 * n
 
@@ -373,37 +437,53 @@ def test_apply_e_matrix_matches_dense_elementary_products(n):
 def test_multiply_matches_dense_product(n):
     elements = _elements(n)
     for x, y in zip(elements, elements[1:] + elements[:1]):
-        assert borel_multiply(x, y).mat == _dense_matmul(x.mat, y.mat)
+        assert _fractions(borel_multiply(x, y).mat) == _dense_matmul(_fractions(x.mat), _fractions(y.mat))
+
+
+def _elements_and_products(n, count=6):
+    """``_elements(n, count)`` and the products of neighbours, whose pairs are as unreduced as the pair checks read."""
+    elements = _elements(n, count)
+    return elements + [borel_multiply(x, y) for x, y in zip(elements, elements[1:])]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_minor_matches_permutation_sum(n):
-    for x in _elements(n, count=3 if n == 6 else 6):
+    for x in _elements_and_products(n, count=3 if n == 6 else 6):
+        m = _fractions(x.mat)
         for s in range(1, n + 1):
             for t in range(s, n + 1):
-                assert x.minor(s, t) == _permutation_minor(x, s, t), (s, t)
+                assert _q(x.minor(s, t)) == _permutation_minor(m, s, t), (s, t)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_eps_entries_match_dense_division(n):
+    for x in _elements_and_products(n):
+        m = _fractions(x.mat)
+        for s in range(1, n + 1):
+            for t in range(s, n + 1):
+                assert _q(x.eps_entry(s, t)) == _dense_unipotent(m, t + 1, s), (s, t)
 
 
 def _unit_torus_element(n, **entries):
     """Torus 1, the named unipotent coordinates as given, the others 0."""
-    point = {v: Fraction(v.startswith("t")) for v in borel_variables(n)}
-    point.update({name: Fraction(value) for name, value in entries.items()})
+    point = {v: (int(v.startswith("t")), 1) for v in borel_variables(n)}
+    point.update({name: (value, 1) for name, value in entries.items()})
     return borel_from_point(point, n)
 
 
 def test_minor_with_zero_leading_pivot_flips_the_sign():
     # u1 = 0: the [1, 2] minor [[u1, 1], [u12, u2]] needs a row swap
     x = _unit_torus_element(2, u2=3, u12=5)
-    assert x.minor(1, 2) == -5 == _permutation_minor(x, 1, 2)
+    assert _q(x.minor(1, 2)) == -5 == _permutation_minor(_fractions(x.mat), 1, 2)
     # u1 = u2 = u3 = 0 over [1, 3]: [[0, 1, 0], [2, 0, 1], [7, 11, 0]]
     x = _unit_torus_element(3, u12=2, u13=7, u23=11)
-    assert x.minor(1, 3) == _permutation_minor(x, 1, 3) == 7
-    assert x.minor(1, 2) == -2
+    assert _q(x.minor(1, 3)) == _permutation_minor(_fractions(x.mat), 1, 3) == 7
+    assert _q(x.minor(1, 2)) == -2
     # [[1, 1, 0], [1, 1, 1], [0, 2, 5]]: the second pivot is 0 only after
     # the first elimination step
     x = _unit_torus_element(3, u1=1, u12=1, u2=1, u23=2, u3=5)
-    assert x.minor(1, 3) == _permutation_minor(x, 1, 3) == -2
+    assert _q(x.minor(1, 3)) == _permutation_minor(_fractions(x.mat), 1, 3) == -2
     # a zero column: no pivot at all
     x = _unit_torus_element(3, u3=4)
-    assert x.minor(1, 1) == 0 == _permutation_minor(x, 1, 1)
-    assert x.minor(1, 3) == _permutation_minor(x, 1, 3)
+    assert _q(x.minor(1, 1)) == 0 == _permutation_minor(_fractions(x.mat), 1, 1)
+    assert _q(x.minor(1, 3)) == _permutation_minor(_fractions(x.mat), 1, 3)

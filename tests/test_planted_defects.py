@@ -136,8 +136,15 @@ def bent_borel_action(mp):
     mp.setattr(models, "borel_action", action)
 
 
+def plus_one(pair):
+    """The int pair (n, d) plus 1."""
+    num, den = pair
+    return num + den, den
+
+
 def bent_matrix_action(mp):
-    mp.setattr(models, "borel_apply_e_matrix", lambda x, i, c: TRUE_MATRIX_ACTION(x, i, c * c))
+    """The matrix action at c² instead of c, c an int pair."""
+    mp.setattr(models, "borel_apply_e_matrix", lambda x, i, c: TRUE_MATRIX_ACTION(x, i, (c[0] ** 2, c[1] ** 2)))
 
 
 def bent_multiply(mp):
@@ -145,18 +152,18 @@ def bent_multiply(mp):
 
     def multiply(x, y):
         rows = [list(row) for row in TRUE_MULTIPLY(x, y).mat]
-        rows[1][0] += 1
+        rows[1][0] = plus_one(rows[1][0])
         return models.BorelElement(tuple(map(tuple, rows)))
 
     mp.setattr(models, "borel_multiply", multiply)
 
 
 def bent_entry(mp):
-    mp.setattr(models.BorelElement, "eps_entry", lambda self, s, t: TRUE_ENTRY(self, s, t) + 1)
+    mp.setattr(models.BorelElement, "eps_entry", lambda self, s, t: plus_one(TRUE_ENTRY(self, s, t)))
 
 
 def bent_minor(mp):
-    mp.setattr(models.BorelElement, "minor", lambda self, s, t: TRUE_MINOR(self, s, t) + 1)
+    mp.setattr(models.BorelElement, "minor", lambda self, s, t: plus_one(TRUE_MINOR(self, s, t)))
 
 
 def bent_torus(bend):
