@@ -22,6 +22,7 @@ in a point or in the image.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -53,7 +54,16 @@ def _size(text: str) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    ``parse_args`` starts each call from a fresh namespace, so nothing
+    carries over from one :func:`main` call to the next.  Only callers
+    that run :func:`main` more than once in one process (tests, library
+    users, a benchmark) save the build; a shell command builds it once
+    either way.
+    """
     top = argparse.ArgumentParser(prog="gcrystal", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 

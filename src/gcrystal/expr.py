@@ -2,7 +2,8 @@
 
 Node kinds are ``Var``, ``Const`` (nonzero rational), the binary operators
 ``Add``/``Sub``/``Mul``/``Div``, and ``Pow`` with an integer exponent.
-Trees are immutable and compare structurally.  Expressions are built
+Trees are immutable, and compare and hash structurally at any depth
+(:func:`same_tree`, :func:`tree_hash`).  Expressions are built
 through the smart constructors :func:`add`, :func:`sub`, :func:`mul`,
 :func:`div`, :func:`pow_`, :func:`var`, :func:`const`, which fold
 constant-on-constant operations (and nothing else).  The text DSL and the
@@ -33,7 +34,8 @@ check of the library, rational or (max, +), runs through the one loop
 Evaluation does not walk trees: :func:`compile_program` value-numbers
 trees into a straight-line :class:`Program`.  A program has one register
 loop per reading and width.  At one point, :func:`run_pairs` evaluates it
-exactly from and to unreduced (numerator, denominator) pairs and
+exactly from and to unreduced (numerator, denominator) pairs, adding
+two pairs over the lcm of their denominators, and
 :func:`run_maxplus` reads it in (max, +) on integers; these serve the
 callers that hold one point (an action, the R map, the CLI).  Over a
 batch of points, :func:`run_columns` and :func:`run_maxplus_columns`
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 from operator import add as add_, floordiv, mul as mul_, sub as sub_
@@ -96,9 +98,23 @@ class UnboundVariableError(KeyError):
 VAR, CONST, ADD, SUB, MUL, DIV, POW = range(7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatExpr:
     """Base class; every node is one of the subclasses below."""
+
+    _hash = None  # the structural hash, once :func:`tree_hash` has read the node
+
+    def __eq__(self, other):
+        if not isinstance(other, RatExpr):
+            return NotImplemented
+        return same_tree(self, other)
+
+    def __hash__(self):
+        return tree_hash(self) if self._hash is None else self._hash
+
+    def __getstate__(self):
+        """The fields alone: a kept hash (or program) holds only in the process that made it."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -131,14 +147,14 @@ class RatExpr:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(RatExpr):
     _op = VAR
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(RatExpr):
     _op = CONST
 
@@ -149,7 +165,7 @@ class Const(RatExpr):
             raise ExprError("zero constants are not representable; build the expression differently")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(RatExpr):
     _op = ADD
 
@@ -157,7 +173,7 @@ class Add(RatExpr):
     right: RatExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(RatExpr):
     _op = SUB
 
@@ -165,7 +181,7 @@ class Sub(RatExpr):
     right: RatExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(RatExpr):
     _op = MUL
 
@@ -173,7 +189,7 @@ class Mul(RatExpr):
     right: RatExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(RatExpr):
     _op = DIV
 
@@ -181,7 +197,7 @@ class Div(RatExpr):
     right: RatExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(RatExpr):
     _op = POW
 
@@ -291,6 +307,50 @@ def fold(e: RatExpr, leaf: Callable, build: Callable):
         stack.pop()
         done[id(node)] = build(node, (a,) if node._op == POW else (a, b))
     return done[id(e)]
+
+
+def _label(node: RatExpr) -> tuple:
+    """A node's kind with what it holds besides its children: a name, a constant or an exponent."""
+    op = node._op
+    return op, node.name if op == VAR else node.value if op == CONST else node.exponent if op == POW else None
+
+
+def tree_hash(e: RatExpr) -> int:
+    """The hash of ``e`` from the leaves up, kept on every node, so a shared or hashed subtree is read once.
+
+    A node hashes its :func:`_label` with its children's hashes, so equal
+    trees hash alike.
+    """
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        missing = [child for child in children(node) if child._hash is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if node._hash is None:
+            object.__setattr__(node, "_hash", hash((_label(node), *(child._hash for child in children(node)))))
+    return e._hash
+
+
+def same_tree(a: RatExpr, b: RatExpr) -> bool:
+    """Whether ``a`` and ``b`` are the same tree, node for node, from a walk with its own stack.
+
+    A pair of nodes that are one object, or were already compared, is not
+    walked again, and nodes whose kept hashes differ differ.
+    """
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if _label(x) != _label(y) or (x._hash is not None and y._hash is not None and x._hash != y._hash):
+            return False
+        stack.extend(zip(children(x), children(y)))
+    return True
 
 
 def free_variables(e: RatExpr) -> set[str]:
@@ -476,7 +536,12 @@ def run_pairs(program: Program, point: PairPoint) -> tuple[list[int], list[int]]
     ``point`` maps each input name to a (numerator, denominator) pair of
     ints, and values travel as such unreduced pairs; a denominator is
     never zero (it may be negative), so a divisor or a base is zero
-    exactly when its numerator is.  Raises :class:`UnboundVariableError`
+    exactly when its numerator is.  Products and quotients multiply
+    across.  A sum or difference keeps an equal denominator p as
+    (x ± y, p), and otherwise adds over the lcm of p and q (Henrici's
+    method): with g = gcd(p, q), x/p ± y/q is (x·(q/g) ± y·(p/g),
+    p·(q/g)).  So a sum of terms carries the lcm of their denominators,
+    up to sign, not their product.  Raises :class:`UnboundVariableError`
     before any arithmetic when an input is missing, and
     :class:`EvalDomainError` at a pole.  This is the exact register loop
     at one point; :func:`run_columns` is the same loop over a batch.
@@ -496,9 +561,11 @@ def run_pairs(program: Program, point: PairPoint) -> tuple[list[int], list[int]]
             if da == db:
                 push_num(nums[a] + nums[b] if op == ADD else nums[a] - nums[b])
                 push_den(da)
-            else:
-                push_num(nums[a] * db + nums[b] * da if op == ADD else nums[a] * db - nums[b] * da)
-                push_den(da * db)
+            else:  # over the lcm: x/p ± y/q = (x·(q/g) ± y·(p/g)) / (p·(q/g)), g = gcd(p, q)
+                g = gcd(da, db)
+                u, v = (db // g, da // g) if g != 1 else (db, da)
+                push_num(nums[a] * u + nums[b] * v if op == ADD else nums[a] * u - nums[b] * v)
+                push_den(da * u)
         elif op == DIV:
             nb = nums[b]
             if not nb:
@@ -615,7 +682,8 @@ def run_columns(program: Program, columns, width: int) -> tuple[list[list[int]],
     :func:`run_pairs` raises, the point is flagged instead, its divisor
     (or base) read as 1 so the run goes on, and its outputs mean nothing.
     At every other point, entry j is exactly the pair :func:`run_pairs`
-    gives there, the ``da == db`` shortcut taken entry by entry.
+    gives there: a sum keeps an equal denominator and otherwise adds over
+    the lcm, entry by entry.
     """
     inputs = _inputs(program, columns)
     nums = [num for num, _ in inputs] + [[value] * width for value in program.const_nums]
@@ -633,12 +701,21 @@ def run_columns(program: Program, columns, width: int) -> tuple[list[list[int]],
             if da == db:  # every entry takes the shortcut
                 push_num(list(map(add_ if op == ADD else sub_, nums[a], nums[b])))
                 push_den(da)
-            elif op == ADD:
-                push_num([x + y if p == q else x * q + y * p for x, y, p, q in zip(nums[a], nums[b], da, db)])
-                push_den([p if p == q else p * q for p, q in zip(da, db)])
-            else:
-                push_num([x - y if p == q else x * q - y * p for x, y, p, q in zip(nums[a], nums[b], da, db)])
-                push_den([p if p == q else p * q for p, q in zip(da, db)])
+            else:  # entry by entry, the rule of run_pairs
+                plus = op == ADD
+                num, den = [], []
+                put_num, put_den = num.append, den.append
+                for x, y, p, q in zip(nums[a], nums[b], da, db):
+                    if p == q:
+                        put_num(x + y if plus else x - y)
+                        put_den(p)
+                    else:
+                        g = gcd(p, q)
+                        u = q // g
+                        put_num(x * u + y * (p // g) if plus else x * u - y * (p // g))
+                        put_den(p * u)
+                push_num(num)
+                push_den(den)
         elif op == DIV:
             nb = nums[b]
             if 0 in nb:

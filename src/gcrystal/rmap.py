@@ -15,7 +15,10 @@ each.  So P_i takes about 4(n+1) nodes and the whole map O(n^2), where
 writing out every monomial would take O(n^3).  It is still, as a
 function, a sum of monomials built from sums and products alone, hence
 subtraction-free and tropicalizable.  The map has a pole wherever some
-P_i vanishes.
+P_i vanishes.  Run exactly, a window sum adds its n+1 terms over the lcm
+of their denominators (:func:`gcrystal.expr.run_pairs`); each term reads
+every coordinate at most once, so the denominator of P_i divides the
+product of the 2(n+1) input denominators: its size grows linearly in n.
 
 :func:`build_r_map` builds R once per size, and the map it returns keeps
 every program compiled from its trees: :func:`apply_r` runs one of them,

@@ -609,6 +609,32 @@ def test_deep_trees_substitute_list_their_variables_and_convert():
     assert depth == 4999 and obj == to_json_obj(doubled)
 
 
+def test_deep_trees_compare_and_hash():
+    horner = var("x")
+    for _ in range(1000):
+        horner = mul(var("x"), add(var("x"), horner))
+    assert parse(pretty(horner)) == horner
+    assert hash(parse(pretty(horner))) == hash(horner)
+    other = var("y")  # the same shape with another innermost leaf
+    for _ in range(1000):
+        other = mul(var("x"), add(var("x"), other))
+    assert other != horner
+    total = _left_sum(5000)
+    assert hash(total) == hash(_left_sum(5000)) and total == _left_sum(5000)
+    assert total != add(_left_sum(4999), var("y")) and total != sub(_left_sum(4999), var("x"))
+    assert len({total, _left_sum(5000), _left_sum(4999)}) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(3), _exprs(3))
+def test_equality_is_structural_and_hash_agrees(a, b):
+    # substitute rebuilds a tree as new objects through the constructors, which fold nothing new here
+    for x, y in ((a, b), (a, substitute(a, {})), (add(a, a), add(a, substitute(a, {})))):
+        assert (x == y) == (to_json_obj(x) == to_json_obj(y))
+        if x == y:
+            assert hash(x) == hash(y)
+
+
 def _substitute_walk(e, mapping):
     """``substitute`` node by node, recursively: the oracle of the folded one."""
     if isinstance(e, Var):

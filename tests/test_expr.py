@@ -36,6 +36,7 @@ from gcrystal.expr import (
     reference_evaluate,
     rename_variables,
     run,
+    run_columns,
     run_maxplus,
     run_pairs,
     run_reduced,
@@ -428,6 +429,40 @@ def test_reduced_outputs_are_lowest_terms_with_positive_denominators():
     program = compile_program([parse("x/y"), parse("(x*y)/(y*y)"), parse("x - x"), parse("y*y/2")])
     # unreduced inputs, one with a negative denominator
     assert run_reduced(program, {"x": (-6, -2), "y": (4, -2)}) == [(-3, 2), (-3, 2), (0, 1), (2, 1)]
+
+
+# (x, y) as unreduced pairs, then the pairs of x + y and x - y: with
+# g = gcd(p, q), x/p ± y/q is (x·(q/g) ± y·(p/g), p·(q/g)), and an equal
+# denominator p is kept as (x ± y, p)
+_LCM_SUMS = [
+    ((1, 2), (1, 3), (5, 6), (1, 6)),  # coprime: across
+    ((1, 6), (1, 10), (8, 30), (2, 30)),  # the shared factor 2 divides out
+    ((1, -6), (1, 10), (2, -30), (8, -30)),  # negative p
+    ((1, 6), (1, -10), (-2, -30), (-8, -30)),  # negative q
+    ((5, -4), (3, -4), (8, -4), (2, -4)),  # equal negative denominators: kept
+    ((1, 6), (-2, 12), (0, 12), (4, 12)),  # a zero sum
+    ((3, 4), (3, 4), (6, 4), (0, 4)),  # a zero difference
+]
+
+
+def test_sums_are_taken_over_the_lcm_of_the_denominators():
+    program = compile_program([parse("x + y"), parse("x - y")])
+    inverse = compile_program([parse("1/(x + y)")])
+    for x, y, total, difference in _LCM_SUMS:
+        nums, dens = run_pairs(program, {"x": x, "y": y})
+        assert list(zip(nums, dens)) == [total, difference]
+        fx, fy = Fraction(*x), Fraction(*y)
+        values = [reference_evaluate(e, {"x": fx, "y": fy}) for e in program.roots]
+        assert [Fraction(n, d) for n, d in zip(nums, dens)] == values
+        if total[0] == 0:  # a zero sum is a pole exactly where it divides
+            with pytest.raises(EvalDomainError):
+                run_pairs(inverse, {"x": x, "y": y})
+    # the batch, entry by entry, is the point runs
+    columns = {name: ([p[k][0] for p in _LCM_SUMS], [p[k][1] for p in _LCM_SUMS]) for k, name in enumerate("xy")}
+    nums, dens, poles = run_columns(program, columns, len(_LCM_SUMS))
+    assert not poles
+    assert [list(zip(n, d)) for n, d in zip(nums, dens)] == [[p[2] for p in _LCM_SUMS], [p[3] for p in _LCM_SUMS]]
+    assert run_columns(inverse, columns, len(_LCM_SUMS))[2] == {5}
 
 
 def test_value_numbering_shares_equal_subterms():

@@ -4,6 +4,7 @@ import pathlib
 import re
 import shlex
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -269,6 +270,43 @@ def test_cli_verify_writes_report(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert payload["suite"] == "rmap"
     assert all(r["verdict"] in ("pass", "fail", "skip", "assumed") for r in payload["results"])
+
+
+def test_cli_parser_is_built_once_and_carries_nothing_between_calls(monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    for name in ("_cmd_verify", "_cmd_rmap_apply", "_cmd_ud_rmap", "_cmd_model_show"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    verify_defaults = dict.fromkeys(("n", "L", "M", "N", "a", "b", "model", "trials", "seed", "json_out"))
+    calls = [
+        (
+            ["verify", "verma", "--n", "2", "--L", "3/2", "--trials", "5", "--seed", "9", "--json", "out.json"],
+            {**verify_defaults, "command": "verify", "suite": "verma", "n": 2, "L": Fraction(3, 2), "trials": 5,
+             "seed": 9, "json_out": "out.json"},
+        ),
+        (["verify", "axioms"], {**verify_defaults, "command": "verify", "suite": "axioms"}),
+        (
+            ["model", "show", "borel", "--n", "3", "--L", "5", "--json"],
+            {"command": "model", "model_command": "show", "name": "borel", "n": 3, "L": Fraction(5), "json": True},
+        ),
+        (
+            ["model", "show", "a-affine"],
+            {"command": "model", "model_command": "show", "name": "a-affine", "n": 2, "L": Fraction(4), "json": False},
+        ),
+        (
+            ["rmap", "apply", "--n", "1", "--l", "[1, 4]", "--m", "[2, 3]"],
+            {"command": "rmap", "rmap_command": "apply", "n": 1, "l": "[1, 4]", "m": "[2, 3]"},
+        ),
+        (
+            ["ud", "rmap", "--n", "2", "--l", "[0, 1, 2]", "--m", "[3, 4, 5]"],
+            {"command": "ud", "ud_command": "rmap", "n": 2, "l": "[0, 1, 2]", "m": "[3, 4, 5]"},
+        ),
+        (["verify", "verma", "--n", "1"], {**verify_defaults, "command": "verify", "suite": "verma", "n": 1}),
+    ]
+    for argv, expected in calls:
+        assert cli.main(argv) == 0
+        assert seen[-1] == expected
+    assert len(seen) == len(calls)
 
 
 def test_cli_verify_unknown_model(capsys):

@@ -11,8 +11,10 @@ from gcrystal.expr import (
     certify_subtraction_free,
     evaluate,
     prod,
+    program_for,
     reference_evaluate,
     run_maxplus,
+    run_pairs,
     tree_program,
     var,
 )
@@ -145,6 +147,34 @@ def test_cli_at_n_64_matches_the_window_sum_formulas(capsys):
     u = naive_window_maxima(n, li, mi)
     assert got["l"] == [mi[i - 1] + u[i % size] - u[i - 1] for i in range(1, size + 1)]
     assert got["m"] == [li[i - 1] + u[i - 1] - u[i % size] for i in range(1, size + 1)]
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_apply_r_at_large_n_matches_the_window_sum_formulas(n):
+    rng = random.Random(f"apply_r:{n}")
+    l, m = ([Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(n + 1)] for _ in range(2))
+    lp, mp = ({f"l{k}": v for k, v in enumerate(values, start=1)} for values in (l, m))
+    r = build_r_map(n)
+    l2, m2 = apply_r(r, lp, mp)
+    p = naive_window_sums(n, l, m)
+    size = n + 1
+    assert list(l2.values()) == [m[i - 1] * p[i % size] / p[i - 1] for i in range(1, size + 1)]
+    assert list(m2.values()) == [l[i - 1] * p[i - 1] / p[i % size] for i in range(1, size + 1)]
+    assert window_sums(r, lp, mp) == p
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_window_sum_denominators_stay_within_the_input_denominators(n):
+    # each term of P_i reads every coordinate at most once, so a sum over
+    # the lcm has a denominator dividing the product of the input ones;
+    # adding across would multiply all n+1 terms' denominators together
+    rng = random.Random(f"window-bits:{n}")
+    r = build_r_map(n)
+    point = {f"{c}{k}": (rng.randint(1, 999), rng.randint(1, 999)) for c in "lm" for k in range(1, n + 2)}
+    budget = sum(den.bit_length() for _, den in point.values())
+    _, dens = run_pairs(program_for(r, "p", r.p), point)
+    assert len(dens) == n + 1
+    assert max(den.bit_length() for den in dens) <= budget
 
 
 def test_apply_r_frozen_example():
