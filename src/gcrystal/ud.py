@@ -13,12 +13,13 @@ rational twin on :func:`unit_torus` or its square, and :func:`check_rows`
 hands them with an integer :class:`gcrystal.arith.Box` to
 :func:`crystal.check_identity_rows`, which reads rows on a box in
 (max, +).  So a shadow cannot drift from the identity it reads.
-``ud-dichotomy`` is not an identity: :func:`check_dichotomy` hands a body
-over :func:`shadow`, :func:`split` and the combinatorial R (the torus
-action, product split and R map programs) with a box to
-:func:`expr.pointwise_check`.  Single points run through
-:func:`expr.run_maxplus`, and :func:`tropicalize` writes the reading of
-an expression out as text for ``gcrystal ud trop``.
+``ud-dichotomy`` is not an identity: :func:`check_dichotomy` hands
+:func:`expr.pointwise_check` a box and a body that runs a batch by sampled
+index, the product split and then :func:`shadow_columns` (the torus action)
+through :func:`expr.run_maxplus_columns`.  Only single points, in
+:func:`trop_eval` and the combinatorial R of ``gcrystal ud rmap``, run
+through :func:`expr.run_maxplus`; :func:`tropicalize` writes the reading
+of an expression out as text for ``gcrystal ud trop``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import random
 import warnings
 from fractions import Fraction
+from operator import ne
 
 from .arith import Box, box_point
 from .crystal import (
@@ -41,11 +43,9 @@ from .crystal import (
     gamma_scaling_row,
     group_law_row,
     has_eps_clause,
-    pack_pair,
     pointwise_check,
     product_split_exprs,
     product_split_rows,
-    split_pair,
     word_side,
 )
 from .expr import (
@@ -58,12 +58,14 @@ from .expr import (
     Program,
     RatExpr,
     TropicalizationError,
+    UnboundVariableError,
     Var,
     certify_subtraction_free,
     compile_program,
     prod,
     render,
     run_maxplus,
+    run_maxplus_columns,
     tree_program,
     var,
 )
@@ -138,20 +140,6 @@ def sample_box(bounds: dict[str, tuple[int, int]], samples: int, seed: int = 0):
         yield box_point(columns, j)
 
 
-def maxplus_side(names: tuple[str, ...], side, point: TropPoint) -> list[int]:
-    """A compiled side ``(step programs, tree program)`` of :func:`crystal.row_plan` at ``point``, in (max, +).
-
-    Each step's image replaces the coordinates ``names`` for the next one,
-    unreduced: integers need no lowest terms.  The tests' per-point oracle
-    of :func:`crystal.check_identity_rows` on a box.
-    """
-    steps, trees = side
-    env = point
-    for step in steps:
-        env = {**env, **dict(zip(names, run_maxplus(step, env)))}
-    return run_maxplus(trees, env)
-
-
 # --- crystal shadows ---------------------------------------------------------------
 
 
@@ -168,31 +156,13 @@ def split_program(n: int, i: int) -> Program:
     return compile_program(product_split_exprs(model, model, i))
 
 
-def shadow(n: int, i: int, point: TropPoint, c: int) -> TropPoint:
-    """The shadow of e_i^C: add C at slot i, subtract it at slot i+1 (cyclically)."""
-    model = unit_torus(n)
-    env = dict(point)
-    env[SCALAR] = c
-    return dict(zip(model.variables, run_maxplus(action_program(model, i), env)))
+def shadow_columns(n: int, i: int, columns: dict[str, list[int]], width: int) -> dict[str, list[int]]:
+    """The shadow of e_i^C at a batch: add C at slot i, subtract it at slot i+1 (cyclically).
 
-
-def split(n: int, i: int, x: TropPoint, y: TropPoint, c: int) -> tuple[int, int]:
-    """The shadow (C1, C2) of the parameter split of e_i^C on the pair (x, y).
-
-    It reads C1 = max(C + Phi_i(x), E_i(y)) - max(Phi_i(x), E_i(y)) and
-    C2 = C - C1; at C = 1 whichever of Phi_i(x), E_i(y) is strictly larger
-    receives the whole increment, ties going to the left factor.
+    ``columns`` holds the torus coordinates and C (under ``SCALAR``).
     """
-    env = pack_pair(x, y)
-    env[SCALAR] = c
-    c1, c2 = run_maxplus(split_program(n, i), env)
-    return c1, c2
-
-
-def pair_shadow(n: int, i: int, x: TropPoint, y: TropPoint, c: int) -> tuple[TropPoint, TropPoint]:
-    """The shadow of e_i^C on a pair: the split, then each factor's own shadow."""
-    c1, c2 = split(n, i, x, y, c)
-    return shadow(n, i, x, c1), shadow(n, i, y, c2)
+    model = unit_torus(n)
+    return dict(zip(model.variables, run_maxplus_columns(action_program(model, i), columns, width)))
 
 
 def apply_combinatorial_r(n: int, l: TropPoint, m: TropPoint) -> tuple[TropPoint, TropPoint]:
@@ -288,23 +258,56 @@ def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:
     """At C = +-1 exactly one tensor factor changes.
 
     Samples the coordinates of x, then those of y, then the index i in [0, n].
+    A batch runs by index (:func:`_settle_index`), and each point is settled
+    as a walk over it alone settles it; an error a program raises surfaces
+    when the sampling loop reaches the first point that ran it.
     """
     names = _coords(n)
 
-    def outcome(point):
-        x, y = split_pair(point, names, names)
-        i = point["i"]
-        for c in (1, -1):
-            c1, c2 = split(n, i, x, y, c)
-            if sorted((c1, c2)) != sorted((c, 0)):
-                return {"i": i, "c": c, "split": (c1, c2)}
-            x2, y2 = pair_shadow(n, i, x, y, c)
-            if (x2 != x) + (y2 != y) != 1:
-                return {"i": i, "c": c, "x": x, "y": y}
-        return None
-
     def fn(columns, width):
-        return (outcome(box_point(columns, j)) for j in range(width))
+        outcomes = [None] * width
+        groups: dict[int, list[int]] = {}
+        for j, i in enumerate(columns["i"]):
+            groups.setdefault(i, []).append(j)
+        for i, points in groups.items():
+            _settle_index(n, i, names, columns, points, outcomes)
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
 
     domain = Box(dict.fromkeys(_pair_coords(n), (-box, box)) | {"i": (0, n)}, seed)
     return pointwise_check(fn, domain, samples)
+
+
+def _settle_index(n: int, i: int, names, columns, points: list[int], outcomes: list) -> None:
+    """Settle in ``outcomes`` the ``points`` of a batch that drew the index ``i``.
+
+    For C = 1, then C = -1: the split runs once over them, then the shadow
+    once per factor (C1 on x, C2 on y).  An open point fails where (C1, C2)
+    is not (C, 0) or (0, C), then where not exactly one factor moved.  An
+    error a program raises settles every point still open.
+    """
+    width = len(points)
+    batch = {name: [column[j] for j in points] for name, column in columns.items()}
+    x = dict(zip(names, map(batch.get, _coords(n, LEFT_SUFFIX))))
+    y = dict(zip(names, map(batch.get, _coords(n, RIGHT_SUFFIX))))
+    x_rows, y_rows = list(zip(*x.values())), list(zip(*y.values()))
+    try:
+        for c in (1, -1):
+            c1, c2 = run_maxplus_columns(split_program(n, i), {**batch, SCALAR: [c] * width}, width)
+            lands = sorted((c, 0))
+            for j, s1, s2 in zip(points, c1, c2):
+                if outcomes[j] is None and sorted((s1, s2)) != lands:
+                    outcomes[j] = {"i": i, "c": c, "split": (s1, s2)}
+            x2 = shadow_columns(n, i, {**x, SCALAR: c1}, width)
+            y2 = shadow_columns(n, i, {**y, SCALAR: c2}, width)
+            x_moved = map(ne, x_rows, zip(*map(x2.get, names)))
+            y_moved = map(ne, y_rows, zip(*map(y2.get, names)))
+            for j, a, b, xp, yp in zip(points, x_moved, y_moved, x_rows, y_rows):
+                if outcomes[j] is None and a + b != 1:
+                    outcomes[j] = {"i": i, "c": c, "x": dict(zip(names, xp)), "y": dict(zip(names, yp))}
+    except (TropicalizationError, UnboundVariableError) as err:
+        for j in points:
+            if outcomes[j] is None:
+                outcomes[j] = err

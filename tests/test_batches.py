@@ -9,8 +9,10 @@ exactly, and every check must give the same ``CheckOutcome`` (verdict,
 trials, witness) as the walk that ran one point at a time.
 """
 
+import itertools
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcrystal import cli
+import ud_points
+from gcrystal import cli, ud
 from gcrystal.arith import Box, DomainTooThinError, SampleSpec, box_point, draw_pairs, point_at, rat
-from gcrystal.crystal import check_identity_rows, row_plan, tree_row
+from gcrystal.crystal import LEFT_SUFFIX, RIGHT_SUFFIX, SCALAR, check_identity_rows, product_split_exprs, row_plan, tree_row
 from gcrystal.expr import (
     BATCH_WIDTH,
     MAX_POLE_RETRIES,
@@ -33,6 +36,8 @@ from gcrystal.expr import (
     Mul,
     Pow,
     Sub,
+    TropicalizationError,
+    UnboundVariableError,
     Var,
     add,
     certify_subtraction_free,
@@ -60,7 +65,9 @@ from gcrystal.expr import (
     to_json_obj,
     var,
 )
-from gcrystal.ud import maxplus_side, sample_box, tropicalize
+from gcrystal.harness import run_suite
+from gcrystal.ud import sample_box, tropicalize
+from ud_points import maxplus_side
 
 # --- programs: the column run against the point run ------------------------------------
 
@@ -539,6 +546,192 @@ def test_box_rows_refuse_an_exact_side():
     rows = [({}, ((), (X,)), lambda p: [p["x"]])]
     with pytest.raises(ValueError, match="exact side"):
         check_identity_rows(("x",), rows, Box({"x": (-5, 5)}), 10)
+
+
+# --- ud-dichotomy: the batch by index against the point walk ------------------------------
+
+
+def _dichotomy_points(n, box, seed):
+    """The dichotomy's stream one ``randint`` point at a time: the coordinates of x, of y, then the index."""
+    names = [f"l{k}{suffix}" for suffix in (LEFT_SUFFIX, RIGHT_SUFFIX) for k in range(1, n + 2)]
+    rng = random.Random(seed)
+    while True:
+        yield {v: rng.randint(-box, box) for v in names} | {"i": rng.randint(0, n)}
+
+
+def _point_dichotomy(n, box, samples, seed):
+    """``ud.check_dichotomy`` one point at a time: the oracle of its batches by index."""
+    for done, point in enumerate(itertools.islice(_dichotomy_points(n, box, seed), samples), 1):
+        witness = ud_points.dichotomy_at(n, point)
+        if witness is not None:
+            return CheckOutcome(False, done, witness)
+    return CheckOutcome(True, samples)
+
+
+def _stream_point(n, box, seed, position):
+    """The point at ``position`` (1-based) of the dichotomy's stream."""
+    return next(itertools.islice(_dichotomy_points(n, box, seed), position - 1, None))
+
+
+def _bend_at(monkeypatch, n, point, bend):
+    """Plant: at the index of ``point``, the shadow of either of its factors is bent.
+
+    ``bend="freeze"`` leaves the factor unmoved and ``"kick"`` adds 1 to
+    l1 of its image, so at ``point`` no factor moves, or both do, and the
+    dichotomy fails there at C = 1 after its split passes.  The plant bends
+    that index only, in the batch (``ud.shadow_columns``) and in the point
+    walk (``ud_points.shadow``) alike.
+    """
+    names = tuple(f"l{k}" for k in range(1, n + 2))
+    bent = {tuple(point[v + suffix] for v in names) for suffix in (LEFT_SUFFIX, RIGHT_SUFFIX)}
+    true_columns, true_shadow = ud.shadow_columns, ud_points.shadow
+
+    def image(factor, moved):
+        return dict(factor) if bend == "freeze" else {**moved, "l1": moved["l1"] + 1}
+
+    def shadow_columns(n, i, columns, width):
+        out = {v: list(column) for v, column in true_columns(n, i, columns, width).items()}  # an output may be an input
+        if i == point["i"]:
+            for k, factor in enumerate(zip(*(columns[v] for v in names))):
+                if factor in bent:
+                    moved = image(dict(zip(names, factor)), {v: out[v][k] for v in names})
+                    for v in names:
+                        out[v][k] = moved[v]
+        return out
+
+    def shadow(n, i, factor, c):
+        moved = true_shadow(n, i, factor, c)
+        if i == point["i"] and tuple(factor[v] for v in names) in bent:
+            return image(factor, moved)
+        return moved
+
+    monkeypatch.setattr(ud, "shadow_columns", shadow_columns)
+    monkeypatch.setattr(ud_points, "shadow", shadow)
+
+
+def _same_outcome(batched, walked):
+    """The same ``CheckOutcome``; the reprs agree too, so witness keys come in the same order and values are ints."""
+    assert batched == walked
+    assert repr(batched) == repr(walked)
+
+
+_BOX = 50
+
+
+@pytest.mark.parametrize("samples", [1, 31, 32, 33, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_dichotomy_batches_walk_as_one_point_at_a_time(n, samples, monkeypatch):
+    seed = 40 + n
+    _same_outcome(ud.check_dichotomy(n, _BOX, samples, seed), _point_dichotomy(n, _BOX, samples, seed))
+    for position, bend in itertools.product((1, 31, 32, 33, 64, None), ("freeze", "kick")):
+        with monkeypatch.context() as mp:
+            if position is None:  # a plant whose point lies outside the box: it never fires
+                _bend_at(mp, n, dict.fromkeys(_stream_point(n, _BOX, seed, 1), _BOX + 1) | {"i": 0}, bend)
+            else:
+                _bend_at(mp, n, _stream_point(n, _BOX, seed, position), bend)
+            walked = _point_dichotomy(n, _BOX, samples, seed)
+            _same_outcome(ud.check_dichotomy(n, _BOX, samples, seed), walked)
+            if position is None or position > samples:
+                assert walked == CheckOutcome(True, samples)
+            else:
+                assert (walked.ok, walked.trials, set(walked.witness)) == (False, position, {"i", "c", "x", "y"})
+
+
+def _tropical_min(a, b):
+    """a·b/(a + b), subtraction-free, which reads min(a, b) in (max, +)."""
+    return div(mul(a, b), add(a, b))
+
+
+def _split_off_in_a_corner(monkeypatch, i0):
+    """Plant: at index ``i0`` the split reads C2·(1 + m), m the least of l1 and l2 in both factors.
+
+    In (max, +) that is C2 + max(0, m), so the split fails at the points of
+    index ``i0`` whose four coordinates are all positive (about 1 in 16).
+    """
+    true_split = ud.split_program
+
+    def split_program(n, i):
+        if i != i0:
+            return true_split(n, i)
+        c1, c2 = product_split_exprs(ud.unit_torus(n), ud.unit_torus(n), i)
+        m = _tropical_min(
+            _tropical_min(var("l1" + LEFT_SUFFIX), var("l2" + LEFT_SUFFIX)),
+            _tropical_min(var("l1" + RIGHT_SUFFIX), var("l2" + RIGHT_SUFFIX)),
+        )
+        return compile_program([c1, mul(c2, add(const(1), m))])
+
+    monkeypatch.setattr(ud, "split_program", split_program)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_dichotomy_batches_settle_a_split_at_one_index_as_the_point_walk(n, monkeypatch):
+    failed = set()
+    for i0 in range(n + 1):
+        for seed in range(4):
+            with monkeypatch.context() as mp:
+                _split_off_in_a_corner(mp, i0)
+                walked = _point_dichotomy(n, _BOX, 100, seed)
+                _same_outcome(ud.check_dichotomy(n, _BOX, 100, seed), walked)
+                if not walked.ok:
+                    assert walked.witness["i"] == i0 and set(walked.witness) == {"i", "c", "split"}
+                    failed.add(walked.trials > BATCH_WIDTH)
+    assert failed == {False, True}  # in the first batch and in a later one
+
+
+def _split_with_a_difference(n, i):
+    c1, c2 = product_split_exprs(ud.unit_torus(n), ud.unit_torus(n), i)
+    return compile_program([sub(c1, const(1)), c2])
+
+
+def _split_of_an_unbound_name(n, i):
+    return compile_program([X, X])
+
+
+@pytest.mark.parametrize(
+    "bad_split, error",
+    [(_split_with_a_difference, TropicalizationError), (_split_of_an_unbound_name, UnboundVariableError)],
+)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_program_error_surfaces_at_the_first_point_of_its_index(n, bad_split, error, monkeypatch):
+    # the split at one index cannot be read in (max, +): the walk raises at
+    # the first point that drew that index, unless an earlier point failed
+    seed = 40 + n
+    stream = [point["i"] for point in itertools.islice(_dichotomy_points(n, _BOX, seed), 100)]
+    i0 = max(set(stream), key=stream.index)  # the index whose first draw comes last
+    first = stream.index(i0) + 1
+    assert first > 1
+    true_split = ud.split_program
+    monkeypatch.setattr(ud, "split_program", lambda n, i: bad_split(n, i) if i == i0 else true_split(n, i))
+    for position in (first - 1, first, first + 1):
+        with monkeypatch.context() as mp:
+            _bend_at(mp, n, _stream_point(n, _BOX, seed, position), "freeze")
+            if position < first:  # the earlier witness wins
+                walked = _point_dichotomy(n, _BOX, 100, seed)
+                assert walked.trials == position
+                _same_outcome(ud.check_dichotomy(n, _BOX, 100, seed), walked)
+            else:
+                with pytest.raises(error) as walked:
+                    _point_dichotomy(n, _BOX, 100, seed)
+                with pytest.raises(error) as batched:
+                    ud.check_dichotomy(n, _BOX, 100, seed)
+                assert str(batched.value) == str(walked.value)
+
+
+def test_the_ud_suite_reads_no_point_at_a_time(monkeypatch):
+    # every sampled ud check runs its batches as columns: expr.run_maxplus
+    # serves only the single-point callers (trop_eval, ud rmap)
+    calls = 0
+
+    def counted(program, point):
+        nonlocal calls
+        calls += 1
+        return run_maxplus(program, point)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("gcrystal")]:
+        if getattr(module, "run_maxplus", None) is run_maxplus:
+            monkeypatch.setattr(module, "run_maxplus", counted)
+    assert all(r.verdict == "pass" for r in run_suite("ud", {}))
+    assert calls == 0
 
 
 # --- deep trees ------------------------------------------------------------------------------

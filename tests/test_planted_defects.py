@@ -6,10 +6,10 @@ suite is then run and every check the defect should break must report
 recorded by the suite rather than sampled, so their evidence is a note
 naming the broken step.  The ud defects are planted where the ud rows
 read: the torus action trees, the product's parameter split and the R
-map's trees (only ``ud-dichotomy`` reads ``ud.shadow``).  Each bend adds a
-subtraction-free summand that wins the max on part of the integer box, so
-the first failing sample of each row depends on the sampled stream; the
-rows of the partial torus and R bends are pinned.
+map's trees (only ``ud-dichotomy`` reads ``ud.shadow_columns``).  Each
+bend adds a subtraction-free summand that wins the max on part of the
+integer box, so the first failing sample of each row depends on the
+sampled stream; the rows of the partial torus and R bends are pinned.
 """
 
 import dataclasses
@@ -26,8 +26,9 @@ from gcrystal.crystal import SCALAR
 from gcrystal.epsilon import EpsilonSystem
 from gcrystal.expr import const, div, mul, substitute, var
 from gcrystal.harness import REGISTRY, run_suite
+from ud_points import maxplus_side
 
-TRUE_SHADOW = ud.shadow
+TRUE_SHADOW = ud.shadow_columns
 TRUE_UNIT_TORUS = ud.unit_torus
 TRUE_R = rmap.build_r_map
 TRUE_ACTION = models.borel_action
@@ -49,13 +50,13 @@ def raised(e, by):
 
 
 def shifted_shadow(mp):
-    """The shadow of e_i^C with 1 added to l1; only ud-dichotomy reads ``ud.shadow``."""
+    """The shadow of e_i^C with 1 added to l1; only ud-dichotomy reads ``ud.shadow_columns``."""
 
-    def shadow(n, i, point, c):
-        out = TRUE_SHADOW(n, i, point, c)
-        return {**out, "l1": out["l1"] + 1}
+    def shadow_columns(n, i, columns, width):
+        out = TRUE_SHADOW(n, i, columns, width)
+        return {**out, "l1": [v + 1 for v in out["l1"]]}
 
-    mp.setattr(ud, "shadow", shadow)
+    mp.setattr(ud, "shadow_columns", shadow_columns)
 
 
 def bent_unit_torus(only_last=False):
@@ -538,5 +539,5 @@ def test_failing_ud_row_keeps_its_witness_keys(defect, monkeypatch):
         count = len(lhs[1].outputs)
         assert set(witness) == set(label) | {"point", "lhs", "rhs"} | ({"output"} if count > 1 else set())
         k = 0 if count == 1 else [harness._jsonable(name) for name in outputs or range(count)].index(witness["output"])
-        left, right = ud.maxplus_side(names, lhs, point), ud.maxplus_side(names, rhs, point)
+        left, right = maxplus_side(names, lhs, point), maxplus_side(names, rhs, point)
         assert (witness["lhs"], witness["rhs"]) == (left[k], right[k]) and left[k] != right[k]

@@ -22,15 +22,12 @@ from gcrystal.ud import (
     NonUnitConstantWarning,
     TropicalizationError,
     apply_combinatorial_r,
-    maxplus_side,
-    pair_shadow,
     sample_box,
-    shadow,
-    split,
     trop_eval,
     tropicalize,
     unit_torus,
 )
+from ud_points import maxplus_side, pair_shadow, shadow, split
 
 
 def _walk(e, point):
