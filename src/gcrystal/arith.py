@@ -118,9 +118,6 @@ class SampleSpec:
                 )
             seen |= set(subset)
 
-    def with_seed(self, seed: int) -> "SampleSpec":
-        return SampleSpec(self.variables, self.positive, self.constraints, self.magnitude, seed)
-
     @cached_property
     def _plan(self):
         """Positions of the free variables, then (position, positions of the rest, target) per solved one."""

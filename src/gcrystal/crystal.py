@@ -11,7 +11,8 @@ of expression data:
 
 Everything is an immutable expression tree, so the same data feeds exact
 pointwise checking here and the tropicalization pass elsewhere.  Every
-identity check here is a list of rows ``(label, lhs, rhs)``, each side a
+identity check is a :class:`Plan`: the coordinate names, a list of rows
+``(label, lhs, rhs)`` and the domain it samples.  Each side of a row is a
 list of coordinate-map steps (a word of actions is one step) and the
 trees read at the last image, or, on the right, an exact side: a
 function from the drawn point's int pairs to one int pair per output,
@@ -23,15 +24,16 @@ points of a :class:`Box` (the ud checks).  Either reading runs a batch
 of points at a time through :func:`pointwise_check` (the one
 sampled-check loop, defined in :mod:`gcrystal.expr` and re-exported
 here), each step and tree program once per batch, and returns the
-:class:`CheckOutcome` that a walk over single points gives.  Row
-builders such as :func:`gamma_scaling_row` take the indices they cover,
-so the ud checks read the same rows as the rational ones, with the
-outputs that share a step in one row.
+:class:`CheckOutcome` that a walk over single points gives;
+:func:`run_plan` runs a plan on its domain re-seeded.  Row builders such
+as :func:`gamma_scaling_row` take the indices they cover, so the ud
+checks read the same rows as the rational ones, with the outputs that
+share a step in one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod as prod_
 from typing import Mapping
@@ -159,6 +161,10 @@ class CrystalModel:
             constraints=self.constraints,
             seed=seed,
         )
+
+    def plan(self, rows, scalars: tuple[str, ...] = ()) -> Plan:
+        """The identity ``rows`` over the coordinates, sampled on the domain with ``scalars`` after them."""
+        return Plan(self.variables, rows, self.domain_spec(0, scalars))
 
 
 def apply_e(model: CrystalModel, i: int, c: Fraction, x: Assignment) -> Assignment:
@@ -329,26 +335,37 @@ def check_identity_rows(names: tuple[str, ...], rows, domain: SampleSpec | Box, 
     return pointwise_check(fn, domain, trials)
 
 
+@dataclass(frozen=True)
+class Plan:
+    """An identity check as data: ``rows`` (see :func:`row_plan`) over the coordinates ``names``.
+
+    ``domain`` is the :class:`SampleSpec` or :class:`Box` the rows are
+    read on, at seed 0.
+    """
+
+    names: tuple[str, ...]
+    rows: list
+    domain: SampleSpec | Box
+
+
+def run_plan(plan: Plan, trials: int, seed: int = 0) -> CheckOutcome:
+    """Run ``plan`` at ``trials`` points of its domain drawn from ``seed``."""
+    return check_identity_rows(plan.names, plan.rows, replace(plan.domain, seed=seed), trials)
+
+
 def tree_row(label: dict, lhs: RatExpr, rhs: RatExpr):
     """The row of the identity lhs = rhs between two trees read at the sampled point."""
     return label, ((), (lhs,)), ((), (rhs,))
 
 
-def check_action_identity(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """e_i^1 must fix every point."""
-    rows = [({"i": i}, word_side(model, ((i, const(1)),)), ((), None))]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
+def identity_row(model: CrystalModel, i: int):
+    """e_i^1 against the coordinates: it must fix every point."""
+    return {"i": i}, word_side(model, ((i, const(1)),)), ((), None)
 
 
 def group_law_row(model: CrystalModel, i: int):
     """e_i^{s2} then e_i^{s1} against e_i^{s1 s2}, over the coordinates."""
     return {"i": i}, word_side(model, ((i, S2), (i, S1))), word_side(model, ((i, mul(S1, S2)),))
-
-
-def check_group_law(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """e_i^{c1} e_i^{c2} = e_i^{c1 c2}."""
-    rows = [group_law_row(model, i)]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
 
 
 def check_domain_preserved(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -392,11 +409,10 @@ def gamma_scaling_row(model: CrystalModel, i: int, js):
     return {"i": i}, word_side(model, ((i, S1),), gammas), ((), expected)
 
 
-def check_gamma_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """gamma_j(e_i^c x) = c^{a_ij} gamma_j(x)."""
+def gamma_scaling_plan(model: CrystalModel, i: int, j: int) -> Plan:
+    """gamma_j(e_i^c x) = c^{a_ij} gamma_j(x): the one output j of :func:`gamma_scaling_row`."""
     _, lhs, rhs = gamma_scaling_row(model, i, (j,))
-    rows = [({"i": i, "j": j}, lhs, rhs)]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
+    return model.plan([({"i": i, "j": j}, lhs, rhs)], ("s1",))
 
 
 def has_eps_clause(cartan: CartanData, i: int, j: int) -> bool:
@@ -407,24 +423,24 @@ def has_eps_clause(cartan: CartanData, i: int, j: int) -> bool:
 def eps_scaling_row(model: CrystalModel, j: int, indices):
     """eps_i(e_j^{s1} x) against eps_i(x)/s1 (i = j) or eps_i(x) for every i of ``indices``, behind one e_j step.
 
-    Outputs are named by i; every i must have an eps clause with j.
+    Outputs are named by i.  An i with no eps clause with j has nothing to
+    check and is refused.
     """
+    if not all(has_eps_clause(model.cartan, i, j) for i in indices):
+        raise ValueError("eps scaling is checked for i = j and for orthogonal pairs only")
     eps = {i: model.eps[i] for i in indices}
     expected = {i: div(e, S1) if i == j else e for i, e in eps.items()}
     return {"j": j}, word_side(model, ((j, S1),), eps), ((), expected)
 
 
-def check_eps_scaling(model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
+def eps_scaling_plan(model: CrystalModel, i: int, j: int) -> Plan:
     """eps_i(e_i^c x) = c^{-1} eps_i(x); eps_i(e_j^c x) = eps_i(x) when a_ij = a_ji = 0.
 
-    Pairs that are neither equal nor mutually orthogonal have no clause to
-    check and are refused.
+    The one output i of :func:`eps_scaling_row`, which refuses a pair with
+    no clause.
     """
-    if not has_eps_clause(model.cartan, i, j):
-        raise ValueError("eps scaling is checked for i = j and for orthogonal pairs only")
     _, lhs, rhs = eps_scaling_row(model, j, (i,))
-    rows = [({"i": i, "j": j}, lhs, rhs)]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
+    return model.plan([({"i": i, "j": j}, lhs, rhs)], ("s1",))
 
 
 # --- composition relations -------------------------------------------------------
@@ -467,13 +483,10 @@ def composition_sides(i: int, j: int, a_ij: int, a_ji: int):
     return tuple(tuple((k, prod([S1] * p + [S2] * q)) for k, (p, q) in word) for word in words)
 
 
-def check_composition_relation(
-    model: CrystalModel, i: int, j: int, trials: int = 100, seed: int = 0
-) -> CheckOutcome:
-    """The braid-like relation between e_i and e_j dictated by the Cartan entries."""
+def composition_row(model: CrystalModel, i: int, j: int):
+    """Both sides of the braid-like relation between e_i and e_j that the Cartan entries dictate."""
     left, right = composition_sides(i, j, model.cartan.a(i, j), model.cartan.a(j, i))
-    rows = [({"i": i, "j": j}, word_side(model, left), word_side(model, right))]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
+    return {"i": i, "j": j}, word_side(model, left), word_side(model, right)
 
 
 def applicable_pairs(cartan: CartanData):
@@ -571,10 +584,8 @@ def product_split_exprs(x_model: CrystalModel, y_model: CrystalModel, i: int):
     return c1, div(c, c1)
 
 
-def check_product_formula(
-    z: CrystalModel, x_model: CrystalModel, y_model: CrystalModel, which: str, trials: int = 100, seed: int = 0
-) -> CheckOutcome:
-    """The product's gamma_i or eps_i against the formula rebuilt from the factors' renamed trees.
+def product_formula_rows(z: CrystalModel, x_model: CrystalModel, y_model: CrystalModel, which: str) -> list:
+    """The product's gamma_i or eps_i against the formula rebuilt from the factors' renamed trees, one row per i.
 
     ``z`` is ``product(x_model, y_model)``.  ``which="gamma"`` checks
     gamma_i(x,y) = gamma_i(x) gamma_i(y); ``which="eps"`` checks
@@ -593,15 +604,7 @@ def check_product_formula(
             ey = rename_variables(y_model.eps[i], right)
             expected = add(rename_variables(x_model.eps[i], left), div(ey, gx))
         rows.append(tree_row({"i": i}, getattr(z, which)[i], expected))
-    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
-
-
-def check_product_split(
-    z: CrystalModel, x_model: CrystalModel, y_model: CrystalModel, trials: int = 100, seed: int = 0
-) -> CheckOutcome:
-    """c1 c2 = c for the parameter split of every index of ``z = product(x_model, y_model)``."""
-    rows = product_split_rows(x_model, y_model, z.cartan.labels)
-    return check_identity_rows(z.variables, rows, z.domain_spec(seed, extra=(SCALAR,)), trials)
+    return rows
 
 
 def product_split_rows(x_model: CrystalModel, y_model: CrystalModel, indices) -> list:
@@ -612,9 +615,7 @@ def product_split_rows(x_model: CrystalModel, y_model: CrystalModel, indices) ->
     return [tree_row({"i": i}, mul(*product_split_exprs(x_model, y_model, i)), var(SCALAR)) for i in indices]
 
 
-def check_product_associativity(
-    x_model: CrystalModel, y_model: CrystalModel, z_model: CrystalModel, trials: int = 100, seed: int = 0
-) -> CheckOutcome:
+def associativity_plan(x_model: CrystalModel, y_model: CrystalModel, z_model: CrystalModel) -> Plan:
     """(X x Y) x Z and X x (Y x Z) agree on gammas, epsilons and actions at matched points.
 
     The points are those of the right association (X is "v.x", Y "v.x.y",
@@ -631,7 +632,7 @@ def check_product_associativity(
         lhs = tuple(rename_variables(e, onto_right) for e in trees)
         rhs = (right.gamma[i], right.eps[i], *(rename_variables(e, {SCALAR: "s1"}) for e in right.actions[i]))
         rows.append(({"i": i}, ((), lhs), ((), rhs)))
-    return check_identity_rows(right.variables, rows, right.domain_spec(seed, extra=("s1",)), trials)
+    return right.plan(rows, ("s1",))
 
 
 # --- JSON manifest ----------------------------------------------------------------

@@ -12,8 +12,8 @@ are addressed by chain *positions* ``(a, b)`` with ``0 <= a <= b``.  This
 keeps local systems (chains whose labels are not contiguous integers)
 uniform with the plain ones.
 
-The checkers state, as identity rows run by
-:func:`gcrystal.crystal.check_identity_rows` at sampled points:
+The plans (:class:`gcrystal.crystal.Plan`) state, as identity rows read at
+sampled points:
 
 * the scaling/invariance table of eps_J and eps*_J under every ``e_i^c``
   with ``i`` in the chain, including the two boundary cases where the
@@ -38,9 +38,10 @@ from .crystal import (
     S1,
     CartanData,
     CrystalModel,
+    Plan,
     cartan_finite_a,
-    check_identity_rows,
     composition_sides,
+    run_plan,
     tree_row,
     word_side,
 )
@@ -178,32 +179,19 @@ def _alternating_rows(system: EpsilonSystem, interval: Interval) -> list:
 
 
 def _partition_rows(system: EpsilonSystem, interval: Interval) -> list:
+    """The stored eps*_J against the alternating partition sum of the eps table."""
     expected = eps_star_from_eps(system.eps, interval)
     return [tree_row({"interval": interval}, system.eps_star[interval], expected)]
 
 
-def check_alternating_identities(
-    system: EpsilonSystem,
-    model: CrystalModel,
-    interval: Interval,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckOutcome:
+def alternating_plan(system: EpsilonSystem, model: CrystalModel, interval: Interval) -> Plan:
     """Both alternating convolutions over ``interval`` must vanish identically."""
-    rows = _alternating_rows(system, interval)
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
+    return model.plan(_alternating_rows(system, interval))
 
 
-def check_partition_sum(
-    system: EpsilonSystem,
-    model: CrystalModel,
-    interval: Interval,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckOutcome:
+def partition_sum_plan(system: EpsilonSystem, model: CrystalModel, interval: Interval) -> Plan:
     """The stored eps*_J must equal the alternating partition sum of the eps table."""
-    rows = _partition_rows(system, interval)
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
+    return model.plan(_partition_rows(system, interval))
 
 
 def _transformed_eps(system: EpsilonSystem, a: int, b: int, p: int, starred: bool) -> RatExpr:
@@ -226,12 +214,7 @@ def _transformed_eps(system: EpsilonSystem, a: int, b: int, p: int, starred: boo
     return base
 
 
-def check_epsilon_axiom(
-    system: EpsilonSystem,
-    model: CrystalModel,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckOutcome:
+def axiom_plan(system: EpsilonSystem, model: CrystalModel) -> Plan:
     """Exercise the action table against every chain index.
 
     One row per chain index i: every entry of :meth:`EpsilonSystem.table_program`
@@ -242,17 +225,10 @@ def check_epsilon_axiom(
     for p, label in enumerate(system.chain):
         expected = tuple(_transformed_eps(system, a, b, p, starred) for starred, (a, b) in system.entries())
         rows.append(({"index": label}, word_side(model, ((label, S1),), system.table_program()), ((), expected)))
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
+    return model.plan(rows, ("s1",))
 
 
-def check_well_defined(
-    system: EpsilonSystem,
-    model: CrystalModel,
-    i: int,
-    j: int,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckOutcome:
+def well_defined_plan(system: EpsilonSystem, model: CrystalModel, i: int, j: int) -> Plan:
     """eps_J and eps*_J agree along both sides of the (i, j) composition relation.
 
     Every entry of :meth:`EpsilonSystem.table_program` is read at both images.
@@ -263,33 +239,49 @@ def check_well_defined(
     left, right = composition_sides(i, j, a_ij, a_ji)
     tables = system.table_program()
     rows = [({"pair": (i, j)}, word_side(model, left, tables), word_side(model, right, tables))]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1", "s2")), trials)
+    return model.plan(rows, ("s1", "s2"))
 
 
-def check_pair_identity(
-    system: EpsilonSystem,
-    model: CrystalModel,
-    a: int,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckOutcome:
+def pair_identity_plan(system: EpsilonSystem, model: CrystalModel, a: int) -> Plan:
     """eps_[a,a+1] + eps*_[a,a+1] = eps_a * eps_{a+1} (adjacent-pair identity)."""
     lhs = system.eps_at(a, a + 1) + system.star_at(a, a + 1)
     rhs = mul(system.eps_at(a, a), system.eps_at(a + 1, a + 1))
-    return check_identity_rows(model.variables, [tree_row({"a": a}, lhs, rhs)], model.domain_spec(seed), trials)
+    return model.plan([tree_row({"a": a}, lhs, rhs)])
+
+
+# The checks the benchmark's tracer wraps by name (perfbench/tracer.py); they
+# go with ROADMAP item 1, and the suites file the plans themselves.
+def check_epsilon_axiom(system, model, trials=100, seed=0) -> CheckOutcome:
+    return run_plan(axiom_plan(system, model), trials, seed)
+
+
+def check_partition_sum(system, model, interval, trials=100, seed=0) -> CheckOutcome:
+    return run_plan(partition_sum_plan(system, model, interval), trials, seed)
+
+
+def check_alternating_identities(system, model, interval, trials=100, seed=0) -> CheckOutcome:
+    return run_plan(alternating_plan(system, model, interval), trials, seed)
+
+
+def check_pair_identity(system, model, a, trials=100, seed=0) -> CheckOutcome:
+    return run_plan(pair_identity_plan(system, model, a), trials, seed)
+
+
+def check_well_defined(system, model, i, j, trials=100, seed=0) -> CheckOutcome:
+    return run_plan(well_defined_plan(system, model, i, j), trials, seed)
 
 
 def check_epsilon_system(
     system: EpsilonSystem, model: CrystalModel, trials: int = 100, seed: int = 0
 ) -> CheckOutcome:
     """The action table, then the partition sum and both alternating identities on every interval."""
-    outcome = check_epsilon_axiom(system, model, trials, seed)
+    outcome = run_plan(axiom_plan(system, model), trials, seed)
     if not outcome.ok:
         return outcome
     rows = []
     for J in system.intervals():
         rows += _partition_rows(system, J) + _alternating_rows(system, J)
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
+    return run_plan(model.plan(rows), trials, seed)
 
 
 # --- products and restrictions -----------------------------------------------------

@@ -683,7 +683,9 @@ def run_columns(program: Program, columns, width: int) -> tuple[list[list[int]],
     (or base) read as 1 so the run goes on, and its outputs mean nothing.
     At every other point, entry j is exactly the pair :func:`run_pairs`
     gives there: a sum keeps an equal denominator and otherwise adds over
-    the lcm, entry by entry.
+    the lcm, entry by entry.  Columns are shared, not copied: an output
+    that is an input register is the caller's own column (as is the
+    denominator column a sum keeps), so the caller must only read it.
     """
     inputs = _inputs(program, columns)
     nums = [num for num, _ in inputs] + [[value] * width for value in program.const_nums]
@@ -759,6 +761,8 @@ def run_maxplus_columns(program: Program, columns: dict[str, list[int]], width: 
 
     A sum keeps the larger entry by one comparison, as :func:`run_maxplus`
     does: a third of the cost of ``map(max, ...)`` on a 32-wide column.
+    An output that is an input register is the caller's own column, not a
+    copy, so the caller must only read it.
     """
     regs = _inputs(program, columns) + [[0] * width for _ in _maxplus_consts(program)]
     push = regs.append

@@ -4,21 +4,29 @@ Every check has a stable id registered in :data:`REGISTRY` together with a
 one-line statement of the identity it verifies; the generated ledger in
 :mod:`gcrystal.ledger` is produced from the same table, so the ledger
 lists exactly the checks that run.  The statements are written by hand,
-though, so one can drift from the rows its check runs.  The check bodies live beside the
-objects they check (:mod:`gcrystal.crystal`, :mod:`gcrystal.epsilon`,
-:mod:`gcrystal.models`, :mod:`gcrystal.rmap`, :mod:`gcrystal.ud`) and all
-return one result type, :class:`gcrystal.expr.CheckOutcome`; this module
-only decides which jobs run.
+though, so one can drift from the rows its check runs.
+
+A sampled identity check is data: a :class:`gcrystal.crystal.Plan`
+(coordinate names, rows and the domain at seed 0), built by the row
+builders that sit beside the objects they check (:mod:`gcrystal.crystal`,
+:mod:`gcrystal.epsilon`, :mod:`gcrystal.models`, :mod:`gcrystal.rmap`,
+:mod:`gcrystal.ud`).  The few checks that state no identity
+(``axiom-domain``, ``borel-residual``, ``prod-eps-system``,
+``rmap-fixed-point`` and ``ud-dichotomy``) are functions of the seed.
+Both give one result type, :class:`gcrystal.expr.CheckOutcome`; this
+module only decides which jobs run.
 
 :func:`parse_params` validates every parameter before any job runs and
 raises :class:`SuiteError` on a bad one.  A suite is then one function
-``(collector, params)`` that files its jobs (one per model / index /
-size): ``collector.run`` runs a check with a seed derived
+``(collector, params)`` that files its job table, one job per model /
+index / size, as (check id, subject, job): ``collector.run`` runs a plan
+on its domain re-seeded, or a function of the seed, with a seed derived
 deterministically from the suite seed and the job's name, and
-``collector.record`` files a row the suite decides itself.  Both collect
+``collector.record`` files a row the suite decides itself (the
+uniqueness probe's rows, verma's skips).  Both collect
 :class:`CheckResult` rows.  A failing or crashing job never aborts the
-suite; results are sorted by (check id, subject) so run order is
-irrelevant.
+suite (a plan is built as it is filed, so an error building one does);
+results are sorted by (check id, subject) so run order is irrelevant.
 
 Reports serialize to canonical JSON.  Timings are kept on the result
 objects for display but left out of the JSON so that a report is
@@ -32,45 +40,49 @@ import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import rmap, ud
 from .arith import DomainTooThinError
 from .crystal import (
+    SCALAR,
+    Plan,
     applicable_pairs,
-    check_action_identity,
-    check_composition_relation,
+    associativity_plan,
     check_domain_preserved,
-    check_eps_scaling,
-    check_gamma_scaling,
-    check_group_law,
-    check_product_associativity,
-    check_product_formula,
-    check_product_split,
+    composition_row,
+    eps_scaling_plan,
+    gamma_scaling_plan,
+    group_law_row,
+    identity_row,
     product,
+    product_formula_rows,
+    product_split_rows,
+    run_plan,
 )
 from .epsilon import (
-    check_alternating_identities,
-    check_epsilon_axiom,
+    alternating_plan,
+    axiom_plan,
     check_epsilon_system,
-    check_pair_identity,
-    check_partition_sum,
-    check_well_defined,
     local_epsilon,
+    pair_identity_plan,
+    partition_sum_plan,
     product_epsilon,
     restrict_model,
+    well_defined_plan,
 )
 from .models import (
     D5_CHAINS,
     affine_a_local_system,
     affine_a_model,
     affine_d5_model,
+    borel_display_plan,
     borel_epsilon_system,
+    borel_matrix_action_plan,
     borel_model,
-    check_borel_display,
-    check_borel_matrix_action,
-    check_borel_mult_eps,
+    borel_mult_eps_plan,
+    borel_table_plan,
     check_borel_residual,
-    check_borel_table,
     d5_local_tables,
 )
 
@@ -291,18 +303,27 @@ def _jsonable(value):
 
 
 class _Collector:
-    def __init__(self, suite: str, seed: int):
+    def __init__(self, suite: str, seed: int, trials: int):
         self.suite = suite
         self.seed = seed
+        self.trials = trials
         self.results: list[CheckResult] = []
 
-    def run(self, check: str, subject: str, fn):
-        """Run one job ``fn(seed) -> CheckOutcome``; failures and crashes are recorded, never raised."""
+    def run(self, check: str, subject: str, job, trials: int | None = None):
+        """Run one job with its seed; failures and crashes are recorded, never raised.
+
+        A job is a :class:`Plan`, run at ``trials`` points (the suite's by
+        default) of its domain re-seeded, or a function ``job(seed) ->
+        CheckOutcome``.
+        """
         info = REGISTRY[check]
         seed = _job_seed(self.seed, check, subject)
         start = time.perf_counter()
         try:
-            outcome = fn(seed)
+            if isinstance(job, Plan):
+                outcome = run_plan(job, self.trials if trials is None else trials, seed)
+            else:
+                outcome = job(seed)
             verdict = "pass" if outcome.ok else "fail"
             trials, witness, note = outcome.trials, outcome.witness, ""
         except DomainTooThinError as err:
@@ -482,9 +503,9 @@ def parse_params(suite: str, params: dict) -> Params:
 
 # --- suites ----------------------------------------------------------------------------
 #
-# A suite is a function (collector, params) that files its jobs: col.run for a
-# sampled check, col.record for a row it decides itself (verma's skips, the
-# uniqueness probe).
+# A suite is a function (collector, params) that files its jobs as (check id,
+# subject, job) with col.run, building each plan as it files it, and files with
+# col.record a row it decides itself (verma's skips, the uniqueness probe).
 
 
 def _suite_verma(col: _Collector, p: Params) -> None:
@@ -500,93 +521,58 @@ def _suite_verma(col: _Collector, p: Params) -> None:
             if not chosen:
                 col.record(kind, name, "skip", "no index pairs with this Cartan pattern")
             for i, j in chosen:
-                col.run(
-                    kind,
-                    f"{name} pair=({i},{j})",
-                    lambda s: check_composition_relation(model, i, j, p.trials, s),
-                )
+                col.run(kind, f"{name} pair=({i},{j})", model.plan([composition_row(model, i, j)], ("s1", "s2")))
 
 
 def _suite_axioms(col: _Collector, p: Params) -> None:
-    t = p.trials
     for name, build in _AXIOM_MODELS.items():
         if p.model not in (None, name):
             continue
         model = build(p.L)
         labels = model.cartan.labels
         for i in labels:
-            col.run("axiom-identity", f"{name} i={i}", lambda s: check_action_identity(model, i, t, s))
-            col.run("axiom-group-law", f"{name} i={i}", lambda s: check_group_law(model, i, t, s))
-            col.run("axiom-domain", f"{name} i={i}", lambda s: check_domain_preserved(model, i, t, s))
+            col.run("axiom-identity", f"{name} i={i}", model.plan([identity_row(model, i)]))
+            col.run("axiom-group-law", f"{name} i={i}", model.plan([group_law_row(model, i)], ("s1", "s2")))
+            col.run("axiom-domain", f"{name} i={i}", partial(check_domain_preserved, model, i, p.trials))
             for j in labels:
-                col.run(
-                    "axiom-gamma",
-                    f"{name} pair=({i},{j})",
-                    lambda s: check_gamma_scaling(model, i, j, t, s),
-                )
+                col.run("axiom-gamma", f"{name} pair=({i},{j})", gamma_scaling_plan(model, i, j))
                 if i == j:
-                    col.run(
-                        "axiom-eps-scale",
-                        f"{name} i={i}",
-                        lambda s: check_eps_scaling(model, i, i, t, s),
-                    )
+                    col.run("axiom-eps-scale", f"{name} i={i}", eps_scaling_plan(model, i, i))
                 elif model.cartan.a(i, j) == 0 and model.cartan.a(j, i) == 0:
-                    col.run(
-                        "axiom-eps-commute",
-                        f"{name} pair=({j},{i})",
-                        lambda s: check_eps_scaling(model, i, j, t, s),
-                    )
+                    col.run("axiom-eps-commute", f"{name} pair=({j},{i})", eps_scaling_plan(model, i, j))
 
 
 def _suite_epsilon(col: _Collector, p: Params) -> None:
-    t = p.trials
     for name, build in _EPSILON_TARGETS.items():
         if p.model not in (None, name):
             continue
         model, sy = build(p.L)
-        col.run("eps-action-table", name, lambda s: check_epsilon_axiom(sy, model, t, s))
+        col.run("eps-action-table", name, axiom_plan(sy, model))
         for J in sy.intervals():
-            col.run("eps-partition-sum", f"{name} J={J}", lambda s: check_partition_sum(sy, model, J, t, s))
-            col.run(
-                "eps-alternating",
-                f"{name} J={J}",
-                lambda s: check_alternating_identities(sy, model, J, t, s),
-            )
+            col.run("eps-partition-sum", f"{name} J={J}", partition_sum_plan(sy, model, J))
+            col.run("eps-alternating", f"{name} J={J}", alternating_plan(sy, model, J))
         for a in range(len(sy.chain) - 1):
-            col.run("eps-pair-identity", f"{name} a={a}", lambda s: check_pair_identity(sy, model, a, t, s))
+            col.run("eps-pair-identity", f"{name} a={a}", pair_identity_plan(sy, model, a))
         for i in model.cartan.labels:
             for j in model.cartan.labels:
                 if i < j and (model.cartan.a(i, j), model.cartan.a(j, i)) in ((0, 0), (-1, -1)):
-                    col.run(
-                        "eps-well-defined",
-                        f"{name} pair=({i},{j})",
-                        lambda s: check_well_defined(sy, model, i, j, t, s),
-                    )
+                    col.run("eps-well-defined", f"{name} pair=({i},{j})", well_defined_plan(sy, model, i, j))
 
 
 def _suite_product(col: _Collector, p: Params) -> None:
-    t = p.trials
     for n in p.sizes:
         x_model, y_model = affine_a_model(n, p.L), affine_a_model(n, p.M)
         z = product(x_model, y_model)
         subject = f"torus-a{n}"
-        col.run("prod-gamma", subject, lambda s: check_product_formula(z, x_model, y_model, "gamma", t, s))
-        col.run("prod-eps", subject, lambda s: check_product_formula(z, x_model, y_model, "eps", t, s))
-        col.run("prod-c-split", subject, lambda s: check_product_split(z, x_model, y_model, t, s))
+        for which in ("gamma", "eps"):
+            col.run(f"prod-{which}", subject, z.plan(product_formula_rows(z, x_model, y_model, which)))
+        col.run("prod-c-split", subject, z.plan(product_split_rows(x_model, y_model, z.cartan.labels), (SCALAR,)))
         for i in z.cartan.labels:
-            col.run("prod-identity", f"{subject} i={i}", lambda s: check_action_identity(z, i, t, s))
+            col.run("prod-identity", f"{subject} i={i}", z.plan([identity_row(z, i)]))
             for j in z.cartan.labels:
-                col.run(
-                    "prod-axiom-gamma",
-                    f"{subject} pair=({i},{j})",
-                    lambda s: check_gamma_scaling(z, i, j, t, s),
-                )
-            col.run("prod-axiom-eps", f"{subject} i={i}", lambda s: check_eps_scaling(z, i, i, t, s))
-        col.run(
-            "prod-assoc",
-            subject,
-            lambda s: check_product_associativity(x_model, y_model, affine_a_model(n, p.N), t, s),
-        )
+                col.run("prod-axiom-gamma", f"{subject} pair=({i},{j})", gamma_scaling_plan(z, i, j))
+            col.run("prod-axiom-eps", f"{subject} i={i}", eps_scaling_plan(z, i, i))
+        col.run("prod-assoc", subject, associativity_plan(x_model, y_model, affine_a_model(n, p.N)))
 
     # product epsilon tables on the local chains
     for n in p.sizes if p.n is not None else (2, 3):
@@ -596,21 +582,17 @@ def _suite_product(col: _Collector, p: Params) -> None:
         base = affine_a_local_system(n)
         table = product_epsilon(base, base, left)
         zloc = product(left, right)
-        col.run("prod-eps-system", f"torus-a{n}-local", lambda s: check_epsilon_system(table, zloc, t, s))
+        col.run("prod-eps-system", f"torus-a{n}-local", partial(check_epsilon_system, table, zloc, p.trials))
 
 
 def _suite_borel_oracle(col: _Collector, p: Params) -> None:
-    t = p.trials
     for n in p.sizes:
         model, system = borel_model(n), borel_epsilon_system(n)
         subject = f"sl{n + 1}"
         for i in range(1, n + 1):
-            for check, fn in (
-                ("borel-residual", check_borel_residual),
-                ("borel-matrix-action", check_borel_matrix_action),
-                ("borel-display", check_borel_display),
-            ):
-                col.run(check, f"{subject} i={i}", lambda s: fn(model, i, t, s))
+            col.run("borel-residual", f"{subject} i={i}", partial(check_borel_residual, model, i, p.trials))
+            col.run("borel-matrix-action", f"{subject} i={i}", borel_matrix_action_plan(model, i))
+            col.run("borel-display", f"{subject} i={i}", borel_display_plan(model, i))
         pair, pair_table = product(model, model), product_epsilon(system, system, model)
         for check, table, starred, space in (
             ("borel-eps-entries", system, False, None),
@@ -618,37 +600,38 @@ def _suite_borel_oracle(col: _Collector, p: Params) -> None:
             ("borel-product-eps", pair_table, False, pair),
             ("borel-product-eps-star", pair_table, True, pair),
         ):
-            col.run(check, subject, lambda s: check_borel_table(model, table, starred, space, t, s))
-        col.run("borel-mult-eps", subject, lambda s: check_borel_mult_eps(model, pair, t, s))
+            col.run(check, subject, borel_table_plan(model, table, starred, space))
+        col.run("borel-mult-eps", subject, borel_mult_eps_plan(model, pair))
+
+
+def _torus_pair(n: int, p: Params):
+    """The torus models at levels L and M and their product, whose coordinates R acts on."""
+    x, y = affine_a_model(n, p.L), affine_a_model(n, p.M)
+    return x, y, product(x, y)
 
 
 def _suite_rmap(col: _Collector, p: Params) -> None:
-    t, L, M = p.trials, p.L, p.M
     for n in p.sizes:
         subject = f"n={n}"
-        col.run("rmap-level-swap", subject, lambda s: rmap.check_level_swap(n, L, M, t, s))
+        x, y, z = _torus_pair(n, p)
+        col.run("rmap-level-swap", subject, z.plan(rmap.level_swap_rows(n)))
         for i in range(n + 1):
-            col.run(
-                "rmap-commutation", f"{subject} i={i}", lambda s: rmap.check_commutation(n, L, M, i, t, s)
-            )
+            col.run("rmap-commutation", f"{subject} i={i}", z.plan(rmap.commutation_rows(x, y, (i,)), ("s1",)))
             for check, which in (("rmap-eps-preserved", "eps"), ("rmap-gamma-preserved", "gamma")):
-                col.run(check, f"{subject} i={i}", lambda s: rmap.check_preserved(n, L, M, i, which, t, s))
-        col.run("rmap-braid", subject, lambda s: rmap.check_braid(n, (L, M, p.N), t, s))
-        col.run("rmap-braid", f"{subject} degenerate", lambda s: rmap.check_braid(n, (L, M, M), t, s))
-        col.run("rmap-fixed-point", subject, lambda s: rmap.check_fixed_point(n, p.a, p.b))
-        col.run(
-            "rmap-diagonal",
-            subject,
-            lambda s: rmap.check_diagonal_identity(n, Fraction(2) ** (n + 1), min(t, 20), s),
-        )
-        col.run("rmap-cyclic-shift", subject, lambda s: rmap.check_cyclic_shift(n, L, M, t, s))
+                _, lhs, rhs = rmap.preserved_row(x, y, which, (i,))
+                col.run(check, f"{subject} i={i}", z.plan([({"i": i}, lhs, rhs)]))
+        col.run("rmap-braid", subject, rmap.braid_plan(n, (p.L, p.M, p.N)))
+        col.run("rmap-braid", f"{subject} degenerate", rmap.braid_plan(n, (p.L, p.M, p.M)))
+        col.run("rmap-fixed-point", subject, lambda _seed: rmap.check_fixed_point(n, p.a, p.b))  # samples nothing
+        col.run("rmap-diagonal", subject, rmap.diagonal_plan(n, Fraction(2) ** (n + 1)), min(p.trials, 20))
+        col.run("rmap-cyclic-shift", subject, z.plan(rmap.cyclic_shift_rows(n)))
 
 
 def _suite_invariance(col: _Collector, p: Params) -> None:
-    t, L, M = p.trials, p.L, p.M
     for n in p.sizes:
+        z = _torus_pair(n, p)[2]
         for check, starred in (("inv-eps", False), ("inv-eps-star", True)):
-            col.run(check, f"n={n}", lambda s: rmap.check_epsilon_invariance(n, L, M, t, s, starred))
+            col.run(check, f"n={n}", z.plan([rmap.invariance_row(n, p.L, p.M, starred)]))
 
 
 def _verdict(ok: bool, note: str, failure_note: str) -> tuple[str, str]:
@@ -694,9 +677,9 @@ def _suite_uniqueness(col: _Collector, p: Params) -> None:
 def _suite_ud(col: _Collector, p: Params) -> None:
     for n in p.sizes:
         subject = f"n={n}"
-        for check in ud.ROWS:
-            col.run(check, subject, lambda s: ud.check_rows(check, n, p.box, p.trials, s))
-        col.run("ud-dichotomy", subject, lambda s: ud.check_dichotomy(n, p.box, p.trials, s))
+        for check, plan in ud.ROWS.items():
+            col.run(check, subject, plan(n, p.box))
+        col.run("ud-dichotomy", subject, partial(ud.check_dichotomy, n, p.box, p.trials))
 
 
 _SUITES = {
@@ -717,7 +700,7 @@ def run_suite(name: str, params: dict | None = None, seed: int | None = None) ->
     if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     p = parse_params(name, dict(params or {}))
-    col = _Collector(name, DEFAULT_SEEDS[name] if seed is None else seed)
+    col = _Collector(name, DEFAULT_SEEDS[name] if seed is None else seed, p.trials)
     _SUITES[name](col, p)
     return col.sorted_results()
 

@@ -29,7 +29,7 @@ column i+1), after which the entry (i, i+1) they create must be exactly
 fraction-free (Bareiss) elimination with row swaps, not by the
 first-column expansion the eps* table is written in.  No ``Fraction``
 and no float enters this independent path, against which the
-``check_borel_*`` functions of the borel-oracle suite compare the
+``borel_*_plan`` plans of the borel-oracle suite compare the
 expression-level data as identity rows
 (:func:`gcrystal.crystal.check_identity_rows`): the expression side runs
 a batch of points at a time, and the twin is the row's exact side, run
@@ -50,8 +50,8 @@ from .crystal import (
     CrystalModel,
     cartan_affine_a,
     cartan_affine_d5,
+    Plan,
     cartan_finite_a,
-    check_identity_rows,
     split_pair,
     word_side,
 )
@@ -635,7 +635,8 @@ def borel_apply_e_matrix(x: BorelElement, i: int, c: Pair) -> BorelElement:
 # --- Borel model: symbolic side against numeric side -------------------------------
 #
 # Each check takes a ``borel_model(n)`` and compares the expression data with
-# exact matrix arithmetic on :class:`BorelElement` at sampled points.
+# exact matrix arithmetic on :class:`BorelElement` at sampled points; all but
+# the residual are plans.
 
 
 def check_borel_residual(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
@@ -644,7 +645,7 @@ def check_borel_residual(model: CrystalModel, i: int, trials: int = 100, seed: i
     return vanishes_on_domain(residual, model.domain_spec(seed, extra=(SCALAR,)), trials)
 
 
-def check_borel_matrix_action(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
+def borel_matrix_action_plan(model: CrystalModel, i: int) -> Plan:
     """The expression-level action equals the numeric elementary-matrix conjugation (c = s1).
 
     One row over the coordinates: the e_i step against the exact side
@@ -656,11 +657,10 @@ def check_borel_matrix_action(model: CrystalModel, i: int, trials: int = 100, se
         image = borel_apply_e_matrix(borel_from_point(point, n), i, point["s1"]).to_point()
         return [image[v] for v in model.variables]
 
-    rows = [({"i": i}, word_side(model, ((i, S1),)), via_matrix)]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
+    return model.plan([({"i": i}, word_side(model, ((i, S1),)), via_matrix)], ("s1",))
 
 
-def check_borel_display(model: CrystalModel, i: int, trials: int = 100, seed: int = 0) -> CheckOutcome:
+def borel_display_plan(model: CrystalModel, i: int) -> Plan:
     """Frozen closed forms of the transformed coordinates, against the image of e_i^c (c = s1).
 
     One row, its outputs named by the coordinates: u_i, t_i, t_{i+1}, the
@@ -675,18 +675,11 @@ def check_borel_display(model: CrystalModel, i: int, trials: int = 100, seed: in
     for k in range(i + 1, n + 1):
         forms[_u(i + 1, k).name] = c * (_u(i + 1, k) + (1 / c - 1) * _u(i, k) / ui)
         forms[_u(i, k).name] = _u(i, k) / c
-    rows = [({"i": i}, word_side(model, ((i, S1),), {v: var(v) for v in forms}), ((), forms))]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed, extra=("s1",)), trials)
+    image = word_side(model, ((i, S1),), {v: var(v) for v in forms})
+    return model.plan([({"i": i}, image, ((), forms))], ("s1",))
 
 
-def check_borel_table(
-    model: CrystalModel,
-    table: EpsilonSystem,
-    starred: bool,
-    pair: CrystalModel | None,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckOutcome:
+def borel_table_plan(model: CrystalModel, table: EpsilonSystem, starred: bool, pair: CrystalModel | None) -> Plan:
     """Every interval [s, t] of ``table`` against the matrix it describes.
 
     eps_[s,t] must equal the unipotent entry u_{s,t} and eps*_[s,t] the
@@ -712,11 +705,10 @@ def check_borel_table(
         value = element.minor if starred else element.eps_entry
         return [value(a + 1, b + 1) for a, b in intervals]
 
-    space = pair or model
-    return check_identity_rows(space.variables, [({}, ((), program), via_matrix)], space.domain_spec(seed), trials)
+    return (pair or model).plan([({}, ((), program), via_matrix)])
 
 
-def check_borel_mult_eps(model: CrystalModel, pair: CrystalModel, trials: int = 100, seed: int = 0) -> CheckOutcome:
+def borel_mult_eps_plan(model: CrystalModel, pair: CrystalModel) -> Plan:
     """eps_i(x y) = eps_i(x) + eps_i(y)/gamma_i(x) for exact matrix products.
 
     One row over i: the eps_i of ``pair``, the crystal ``product(model,
@@ -729,8 +721,7 @@ def check_borel_mult_eps(model: CrystalModel, pair: CrystalModel, trials: int = 
         element = borel_multiply(borel_from_point(x, n), borel_from_point(y, n))
         return [element.eps_entry(i, i) for i in pair.cartan.labels]
 
-    rows = [({}, ((), {i: pair.eps[i] for i in pair.cartan.labels}), via_matrix)]
-    return check_identity_rows(pair.variables, rows, pair.domain_spec(seed), trials)
+    return pair.plan([({}, ((), {i: pair.eps[i] for i in pair.cartan.labels}), via_matrix)])
 
 
 # --- model registry for the CLI ------------------------------------------------------

@@ -24,18 +24,18 @@ product of the 2(n+1) input denominators: its size grows linearly in n.
 every program compiled from its trees: :func:`apply_r` runs one of them,
 exactly or in (max, +) (the combinatorial R), :func:`window_sums` another
 (the pole report), and :func:`r_step` the trees renamed onto product
-coordinates, the step that the checks of R's defining properties share
-in identity rows run by :func:`gcrystal.crystal.check_identity_rows`:
-the level swap, commutation with every one-parameter action on the
-product crystal, preservation of the eps/gamma functions, the cyclic
-shift and interval-wise invariance of product epsilon systems.  The
-braid relation on triple products (three R steps a side) and the
-diagonal rename the trees their own way.  The row builders
-take the factor models and the indices they cover, so the ud suite reads
-the same rows in (max, +) on the torus model at level 1.  The fixed
-point is checked at one point, and the uniqueness probe solves the
-invariance equations at the homogeneous point by hand and confirms the
-solution is forced.
+coordinates, the step that the identity rows of R's defining properties
+share: the level swap, commutation with every one-parameter action on
+the product crystal, preservation of the eps/gamma functions, the
+cyclic shift and interval-wise invariance of product epsilon systems,
+read on the product crystal's domain.  The braid relation on triple
+products (three R steps a side) and the diagonal rename the trees their
+own way and come as plans with their own domains.  The row builders take
+the factor models and the indices they cover, so the ud suite reads the
+same rows in (max, +) on the torus model at level 1.  The fixed point is
+checked at one point, and the uniqueness probe solves the invariance
+equations at the homogeneous point by hand and confirms the solution is
+forced.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .crystal import (
     S1,
     CheckOutcome,
     CrystalModel,
-    check_identity_rows,
+    Plan,
     product,
     word_step,
 )
@@ -142,11 +142,6 @@ def _r_trees(n: int, left: str, right: str) -> tuple[RatExpr, ...]:
     return tuple(rename_variables(e, onto) for e in r.l_out + r.m_out)
 
 
-def _product_model(n: int, ll: Fraction, lr: Fraction) -> CrystalModel:
-    """The product crystal of the torus models at levels ``ll`` and ``lr``; R acts on its coordinates."""
-    return product(affine_a_model(n, ll), affine_a_model(n, lr))
-
-
 def r_step(n: int) -> Program:
     """R as a step of identity rows on the product coordinates, l' onto ``.x`` and m' onto ``.y``.
 
@@ -163,12 +158,6 @@ def level_swap_rows(n: int) -> list:
     """
     products = tuple(prod([var(f"l{k}{s}") for k in range(1, n + 2)]) for s in (LEFT_SUFFIX, RIGHT_SUFFIX))
     return [({}, ((r_step(n),), products), ((), products[::-1]))]
-
-
-def check_level_swap(n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """The coordinate products of the two output points trade places exactly."""
-    z = _product_model(n, ll, lr)
-    return check_identity_rows(z.variables, level_swap_rows(n), z.domain_spec(seed), trials)
 
 
 def _size(model: CrystalModel) -> int:
@@ -189,15 +178,6 @@ def commutation_rows(x_model: CrystalModel, y_model: CrystalModel, indices) -> l
     ]
 
 
-def check_commutation(
-    n: int, ll: Fraction, lr: Fraction, i: int, trials: int = 100, seed: int = 0
-) -> CheckOutcome:
-    """R intertwines e_i^c on the two product crystals."""
-    z = _product_model(n, ll, lr)
-    rows = commutation_rows(affine_a_model(n, ll), affine_a_model(n, lr), (i,))
-    return check_identity_rows(z.variables, rows, z.domain_spec(seed, extra=("s1",)), trials)
-
-
 def preserved_row(x_model: CrystalModel, y_model: CrystalModel, which: str, indices):
     """eps_i (``which="eps"``) or gamma_i (``which="gamma"``) of X x Y against that of Y x X after R.
 
@@ -207,16 +187,6 @@ def preserved_row(x_model: CrystalModel, y_model: CrystalModel, which: str, indi
     lhs = {i: before[i] for i in indices}
     rhs = {i: after[i] for i in indices}
     return {}, ((), lhs), ((r_step(_size(x_model)),), rhs)
-
-
-def check_preserved(
-    n: int, ll: Fraction, lr: Fraction, i: int, which: str, trials: int = 100, seed: int = 0
-) -> CheckOutcome:
-    """eps_i (``which="eps"``) or gamma_i (``which="gamma"``) of the product
-    before R equals the same function of the swapped product after R."""
-    z = _product_model(n, ll, lr)
-    _, lhs, rhs = preserved_row(affine_a_model(n, ll), affine_a_model(n, lr), which, (i,))
-    return check_identity_rows(z.variables, [({"i": i}, lhs, rhs)], z.domain_spec(seed), trials)
 
 
 def triple_names(n: int) -> tuple[tuple[str, ...], ...]:
@@ -236,33 +206,22 @@ def braid_rows(n: int) -> list:
     return [({}, ((r12, r23, r12), None), ((r23, r12, r23), None))]
 
 
-def check_braid(
-    n: int,
-    levels: tuple[Fraction, Fraction, Fraction],
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckOutcome:
+def braid_plan(n: int, levels: tuple[Fraction, Fraction, Fraction]) -> Plan:
     """Adjacent-pair applications in orders (12)(23)(12) and (23)(12)(23) agree.
 
     The levels only specify the sampling domain.
     """
     names = triple_names(n)
-    spec = SampleSpec(
-        variables=sum(names, ()),
-        positive=True,
-        constraints=tuple(zip(names, (Fraction(x) for x in levels))),
-        seed=seed,
-    )
-    return check_identity_rows(spec.variables, braid_rows(n), spec, trials)
+    variables = sum(names, ())
+    spec = SampleSpec(variables, positive=True, constraints=tuple(zip(names, map(Fraction, levels))))
+    return Plan(variables, braid_rows(n), spec)
 
 
-def check_cyclic_shift(n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0) -> CheckOutcome:
-    """Shifting every index by one commutes with the map."""
-    z = _product_model(n, ll, lr)
+def cyclic_shift_rows(n: int) -> list:
+    """Shifting every index by one, then R, against R, then the shift, over the product coordinates."""
     shift = tuple(var(f"l{wrap(k + 1, n)}{s}") for s in (LEFT_SUFFIX, RIGHT_SUFFIX) for k in range(1, n + 2))
     r = r_step(n)
-    rows = [({}, ((shift, r), None), ((r, shift), None))]
-    return check_identity_rows(z.variables, rows, z.domain_spec(seed), trials)
+    return [({}, ((shift, r), None), ((r, shift), None))]
 
 
 def homogeneous_point(n: int, value: Fraction) -> Assignment:
@@ -278,12 +237,11 @@ def check_fixed_point(n: int, a: Fraction, b: Fraction) -> CheckOutcome:
     return CheckOutcome(True, 1)
 
 
-def check_diagonal_identity(n: int, level: Fraction, trials: int = 20, seed: int = 0) -> CheckOutcome:
+def diagonal_plan(n: int, level: Fraction) -> Plan:
     """With equal levels, the map fixes every diagonal pair (l, l): R with m read as l, against (l, l)."""
     model = affine_a_model(n, level)
     coords = tuple(var(v) for v in model.variables)
-    rows = [({}, ((), _r_trees(n, "", "")), ((), coords + coords))]
-    return check_identity_rows(model.variables, rows, model.domain_spec(seed), trials)
+    return model.plan([({}, ((), _r_trees(n, "", "")), ((), coords + coords))])
 
 
 # --- invariance of product epsilon systems ------------------------------------------
@@ -309,14 +267,6 @@ def invariance_row(n: int, ll: Fraction, lr: Fraction, starred: bool):
         return {J: entry(*J) for J in system.intervals()}
 
     return {"starred": starred}, ((), table(sys_lm)), ((r_step(n),), table(sys_ml))
-
-
-def check_epsilon_invariance(
-    n: int, ll: Fraction, lr: Fraction, trials: int = 100, seed: int = 0, starred: bool = False
-) -> CheckOutcome:
-    """Every interval's product eps (or eps*) is constant along the map: one :func:`invariance_row`."""
-    z = _product_model(n, ll, lr)
-    return check_identity_rows(z.variables, [invariance_row(n, ll, lr, starred)], z.domain_spec(seed), trials)
 
 
 # --- uniqueness probe ---------------------------------------------------------------

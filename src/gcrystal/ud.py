@@ -8,12 +8,12 @@ a negative constant is refused with the path of the offending node.
 
 This module says what the tropical checks are and runs none itself.
 Every ud check but one is the rational layer's identity rows read in
-(max, +): :data:`ROWS` maps each check id to the row builder of its
-rational twin on :func:`unit_torus` or its square, and :func:`check_rows`
-hands them with an integer :class:`gcrystal.arith.Box` to
-:func:`crystal.check_identity_rows`, which reads rows on a box in
-(max, +).  So a shadow cannot drift from the identity it reads.
-``ud-dichotomy`` is not an identity: :func:`check_dichotomy` hands
+(max, +): :data:`ROWS` maps each check id to a function of the size n
+and the box bound, which gives the plan (:class:`gcrystal.crystal.Plan`)
+of its rational twin's rows on :func:`unit_torus` or its square, over an
+integer :class:`gcrystal.arith.Box`; :func:`crystal.check_identity_rows`
+reads rows on a box in (max, +).  So a shadow cannot drift from the
+identity it reads.  ``ud-dichotomy`` is not an identity: :func:`check_dichotomy` hands
 :func:`expr.pointwise_check` a box and a body that runs a batch by sampled
 index, the product split and then :func:`shadow_columns` (the torus action)
 through :func:`expr.run_maxplus_columns`.  Only single points, in
@@ -37,8 +37,8 @@ from .crystal import (
     S1,
     SCALAR,
     CrystalModel,
+    Plan,
     action_program,
-    check_identity_rows,
     eps_scaling_row,
     gamma_scaling_row,
     group_law_row,
@@ -177,9 +177,10 @@ def apply_combinatorial_r(n: int, l: TropPoint, m: TropPoint) -> tuple[TropPoint
 #
 # Each row check reads its rational twin's rows on the torus model at level 1
 # (names l1..l{n+1}), its square (l1.x.., l1.y..) or a triple (l1.a.., l1.b..,
-# l1.c..).  A builder gives (coordinates, sampled scalars, rows); the box is
-# [-box, box] in every coordinate, then every scalar.  Outputs that share a
-# step sit in one row, so the step runs once per point.
+# l1.c..).  A builder gives (coordinates, sampled scalars, rows) at size n, and
+# :func:`_on_box` makes its plan: the box is [-box, box] in every coordinate,
+# then every scalar.  Outputs that share a step sit in one row, so the step
+# runs once per point.
 
 
 def _coords(n: int, suffix: str = "") -> tuple[str, ...]:
@@ -234,7 +235,17 @@ def _commutation_rows(n: int):
     return _pair_coords(n), ("s1",), commutation_rows(model, model, model.cartan.labels)
 
 
-ROWS = {
+def _on_box(build):
+    """The plan of ``build``'s rows at size n, on the box [-box, box]: a function of (n, box)."""
+
+    def plan(n: int, box: int) -> Plan:
+        names, scalars, rows = build(n)
+        return Plan(names, rows, Box(dict.fromkeys(names + scalars, (-box, box))))
+
+    return plan
+
+
+_BUILDERS = {
     "ud-gamma-shadow": _gamma_rows,
     "ud-eps-shadow": _eps_rows,
     "ud-operator-sum": _operator_rows,
@@ -246,12 +257,7 @@ ROWS = {
     "ud-r-braid": lambda n: (sum(triple_names(n), ()), (), braid_rows(n)),
     "ud-product-eps-shadow": lambda n: (_pair_coords(n), (), [invariance_row(n, Fraction(1), Fraction(1), False)]),
 }
-
-
-def check_rows(check: str, n: int, box: int, samples: int, seed: int) -> CheckOutcome:
-    """The rows of the ud check ``check`` at size ``n``, read in (max, +) on the box [-box, box]."""
-    names, scalars, rows = ROWS[check](n)
-    return check_identity_rows(names, rows, Box(dict.fromkeys(names + scalars, (-box, box)), seed), samples)
+ROWS = {check: _on_box(build) for check, build in _BUILDERS.items()}
 
 
 def check_dichotomy(n: int, box: int, samples: int, seed: int) -> CheckOutcome:

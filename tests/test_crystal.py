@@ -13,17 +13,18 @@ from gcrystal.crystal import (
     cartan_affine_a,
     cartan_affine_d5,
     cartan_finite_a,
-    check_action_identity,
-    check_composition_relation,
     check_domain_preserved,
-    check_eps_scaling,
-    check_gamma_scaling,
-    check_group_law,
+    composition_row,
     composition_words,
+    eps_scaling_plan,
+    gamma_scaling_plan,
+    group_law_row,
+    identity_row,
     model_manifest,
     pack_pair,
     product,
     product_split_exprs,
+    run_plan,
     split_pair,
 )
 from gcrystal.expr import const, evaluate, identical_on_domain, mul, parse, var
@@ -80,7 +81,7 @@ def test_action_formula_scales_adjacent_coordinates():
 def test_action_at_one_is_identity():
     for model in (affine_a_model(2, rat(4)), affine_d5_model(rat(4)), borel_model(2)):
         for i in model.cartan.labels:
-            assert check_action_identity(model, i, 25).ok
+            assert run_plan(model.plan([identity_row(model, i)]), 25).ok
 
 
 def test_index_zero_wraps():
@@ -95,7 +96,7 @@ def test_index_zero_wraps():
 def test_one_parameter_group_law():
     for model in (affine_a_model(1, rat(4)), affine_a_model(3, rat(9)), borel_model(2)):
         for i in model.cartan.labels:
-            assert check_group_law(model, i, TRIALS).ok
+            assert run_plan(model.plan([group_law_row(model, i)], ("s1", "s2")), TRIALS).ok
 
 
 def test_action_parameter_must_be_nonzero():
@@ -107,7 +108,7 @@ def test_action_parameter_must_be_nonzero():
 def test_pointwise_checks_require_positive_trials():
     model = affine_a_model(1, rat(4))
     with pytest.raises(ValueError):
-        check_action_identity(model, 0, trials=0)
+        run_plan(model.plan([identity_row(model, 0)]), trials=0)
 
 
 def test_domain_preserved():
@@ -162,7 +163,7 @@ def test_gamma_scaling_torus(n):
     model = affine_a_model(n, rat(4))
     for i in model.cartan.labels:
         for j in model.cartan.labels:
-            assert check_gamma_scaling(model, i, j, TRIALS).ok
+            assert run_plan(gamma_scaling_plan(model, i, j), TRIALS).ok
 
 
 def test_gamma_scaling_self_is_square():
@@ -178,19 +179,19 @@ def test_gamma_scaling_self_is_square():
 def test_gamma_scaling_d5_orthogonal_pair():
     model = affine_d5_model(rat(4))
     assert model.cartan.a(4, 5) == 0
-    assert check_gamma_scaling(model, 4, 5, TRIALS).ok
+    assert run_plan(gamma_scaling_plan(model, 4, 5), TRIALS).ok
 
 
 def test_eps_scaling_all_models():
     for model in (affine_a_model(2, rat(4)), affine_d5_model(rat(4)), borel_model(2)):
         for i in model.cartan.labels:
-            assert check_eps_scaling(model, i, i, TRIALS).ok
+            assert run_plan(eps_scaling_plan(model, i, i), TRIALS).ok
 
 
 def test_eps_invariance_for_orthogonal_d5_pair():
     model = affine_d5_model(rat(4))
     assert model.cartan.a(0, 4) == 0
-    assert check_eps_scaling(model, 0, 4, TRIALS).ok
+    assert run_plan(eps_scaling_plan(model, 0, 4), TRIALS).ok
     x = sample_point(model.domain_spec(3))
     assert evaluate(model.eps[0], apply_e(model, 4, rat(9, 2), x)) == evaluate(
         model.eps[0], x
@@ -200,7 +201,7 @@ def test_eps_invariance_for_orthogonal_d5_pair():
 def test_eps_scaling_refuses_adjacent_pair():
     model = affine_a_model(2, rat(4))
     with pytest.raises(ValueError):
-        check_eps_scaling(model, 1, 2, TRIALS)
+        run_plan(eps_scaling_plan(model, 1, 2), TRIALS)
 
 
 # --- composition relations ---------------------------------------------------------------
@@ -218,7 +219,7 @@ def test_composition_words_commuting_and_braid():
 def test_unsupported_pattern_raises():
     model = affine_a_model(1, rat(4))  # (a_01, a_10) = (-2, -2)
     with pytest.raises(UnsupportedCartanPattern):
-        check_composition_relation(model, 0, 1, 5)
+        run_plan(model.plan([composition_row(model, 0, 1)], ("s1", "s2")), 5)
     with pytest.raises(UnsupportedCartanPattern):
         composition_words(1, 2, -2, -1)  # only (0, 0) and (-1, -1) have a relation
 
@@ -234,7 +235,7 @@ def test_applicable_pairs():
 def test_verma_relations_torus(n):
     model = affine_a_model(n, rat(4))
     for i, j in applicable_pairs(model.cartan):
-        assert check_composition_relation(model, i, j, 30).ok
+        assert run_plan(model.plan([composition_row(model, i, j)], ("s1", "s2")), 30).ok
 
 
 def test_verma_relations_with_unit_parameters():
@@ -276,10 +277,10 @@ def test_composed_word_matches_acting_step_by_step(name):
 def test_verma_relations_d5_and_borel():
     d5 = affine_d5_model(rat(4))
     for i, j in ((0, 2), (2, 3), (3, 5), (0, 1), (1, 4)):
-        assert check_composition_relation(d5, i, j, 20).ok
+        assert run_plan(d5.plan([composition_row(d5, i, j)], ("s1", "s2")), 20).ok
     b = borel_model(3)
     for i, j in applicable_pairs(b.cartan):
-        assert check_composition_relation(b, i, j, 20).ok
+        assert run_plan(b.plan([composition_row(b, i, j)], ("s1", "s2")), 20).ok
 
 
 # --- products ---------------------------------------------------------------------------
@@ -326,9 +327,9 @@ def test_product_parameter_split_multiplies_to_c():
 def test_product_inherits_axioms():
     z = product(affine_a_model(2, rat(4)), affine_a_model(2, rat(9)))
     for i in z.cartan.labels:
-        assert check_eps_scaling(z, i, i, 30).ok
+        assert run_plan(eps_scaling_plan(z, i, i), 30).ok
         for j in z.cartan.labels:
-            assert check_gamma_scaling(z, i, j, 30).ok
+            assert run_plan(gamma_scaling_plan(z, i, j), 30).ok
 
 
 def test_split_pair_inverts_pack_pair():

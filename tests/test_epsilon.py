@@ -396,21 +396,25 @@ def _borel_sl3_axiom(trials):
 
 
 def _borel_sl3_group_law(trials):
-    from gcrystal.crystal import check_group_law
+    from gcrystal.crystal import group_law_row, run_plan
 
-    return check_group_law(borel_model(2), 1, trials, 3)
+    model = borel_model(2)
+    return run_plan(model.plan([group_law_row(model, 1)], ("s1", "s2")), trials, 3)
 
 
 def _rmap_commutation(trials):
-    from gcrystal.rmap import check_commutation
+    from gcrystal.crystal import run_plan
+    from gcrystal.rmap import commutation_rows
 
-    return check_commutation(2, rat(4), rat(9), 1, trials, 3)
+    x, y = affine_a_model(2, rat(4)), affine_a_model(2, rat(9))
+    return run_plan(product(x, y).plan(commutation_rows(x, y, (1,)), ("s1",)), trials, 3)
 
 
 def _rmap_braid(trials):
-    from gcrystal.rmap import check_braid
+    from gcrystal.crystal import run_plan
+    from gcrystal.rmap import braid_plan
 
-    return check_braid(2, (rat(4), rat(9), rat(25)), trials, 3)
+    return run_plan(braid_plan(2, (rat(4), rat(9), rat(25))), trials, 3)
 
 
 @pytest.mark.parametrize(

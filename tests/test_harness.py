@@ -110,7 +110,7 @@ def test_failing_check_is_collected_not_raised(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("synthetic breakage")
 
-    monkeypatch.setattr(h, "check_composition_relation", broken)
+    monkeypatch.setattr(h, "run_plan", broken)
     results = run_suite("verma", {"n": 2, **FAST})
     fails = [r for r in results if r.verdict == "fail"]
     assert fails and all("synthetic breakage" in r.note for r in fails)

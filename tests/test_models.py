@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gcrystal.arith import draw_pairs, fraction_point, point_at, rat, sample_point
-from gcrystal.crystal import apply_e, check_eps_scaling, check_gamma_scaling, product
+from gcrystal.crystal import apply_e, eps_scaling_plan, gamma_scaling_plan, product, run_plan
 from gcrystal.epsilon import product_epsilon
 from gcrystal.expr import evaluate, pretty, vanishes_on_domain
 from gcrystal.models import (
@@ -75,8 +75,8 @@ def test_d5_gamma_pair_consistency():
     point = sample_point(model.domain_spec(13))
     g4g5 = evaluate(model.gamma[4], point) * evaluate(model.gamma[5], point)
     assert g4g5 == point["l4"] ** 2 / point["lb4"] ** 2
-    assert check_gamma_scaling(model, 4, 5, 100).ok
-    assert check_gamma_scaling(model, 5, 4, 100).ok
+    assert run_plan(gamma_scaling_plan(model, 4, 5), 100).ok
+    assert run_plan(gamma_scaling_plan(model, 5, 4), 100).ok
 
 
 def test_d5_level_constraint_is_product_of_all_nine():
@@ -270,9 +270,9 @@ def test_borel_action_mixed_row_and_column_entries():
 def test_borel_axioms():
     model = borel_model(4)
     for i in model.cartan.labels:
-        assert check_eps_scaling(model, i, i, 50).ok
+        assert run_plan(eps_scaling_plan(model, i, i), 50).ok
         for j in model.cartan.labels:
-            assert check_gamma_scaling(model, i, j, 50).ok
+            assert run_plan(gamma_scaling_plan(model, i, j), 50).ok
 
 
 # --- multiplication and the product oracle ---------------------------------------------

@@ -13,6 +13,7 @@ sampled stream; the rows of the partial torus and R bends are pinned.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -25,7 +26,7 @@ from gcrystal.arith import sample_points
 from gcrystal.crystal import SCALAR
 from gcrystal.epsilon import EpsilonSystem
 from gcrystal.expr import const, div, mul, substitute, var
-from gcrystal.harness import REGISTRY, run_suite
+from gcrystal.harness import REGISTRY, report_json, run_suite
 from ud_points import maxplus_side
 
 TRUE_SHADOW = ud.shadow_columns
@@ -393,6 +394,39 @@ PINNED = {
 }
 
 
+# sha256 of the canonical report of each planted run, first 16 hex digits:
+# pins every row, trial count, witness and note the plant leaves
+DIGESTS = {
+    "partial-operator": "1ccda7975de3a75d",
+    "operator-index-n": "4eb4878547d5dc45",
+    "operator": "db0cbfde10bd42c0",
+    "partial-r": "9106ab8bc2cee251",
+    "split": "0a5cdadedb72dd0f",
+    "split-index-0": "2476a5399d713075",
+    "residual": "b3ecc3ce1486de22",
+    "borel-action": "0f1f585608cb916b",
+    "matrix-action": "b1762f8ca150b847",
+    "multiply": "e9ed09ab7b242f50",
+    "entry": "8c2e3ff692aac0ea",
+    "minor": "11e897bc87a81236",
+    "scaled-r": "56e400cb7cd6f203",
+    "scaled-r-uncompensated": "e0be9063c91b5e94",
+    "scaled-r-invariance": "84d8046b4da43690",
+    "coupled-verma": "2a3f5ae0dad2027b",
+    "halved-action": "23be150c00f6c82c",
+    "rotated-eps": "7017d91b902361cf",
+    "local-eps": "c980faaeaa045983",
+    "coupled-epsilon": "88508b9d81688369",
+    "halved-factors": "bbf456d6eceb3174",
+    "product-tables": "e079896b9d2727c7",
+    "product-split": "e1d4cc989bc8f4f3",
+    "product-epsilon": "ba7d8a2a3d37fba5",
+    "scaled-r-uniqueness": "860f68c9ec2f2fbc",
+    "unsolvable-equations": "d7260735aafc1c5b",
+    "levels-only-equations": "9785c7fb9e767635",
+}
+
+
 def test_defects_cover_every_check_of_the_planted_suites():
     covered = set().union(*(checks for _, _, checks in DEFECTS.values()))
     assert covered == set(REGISTRY) - {"uniq-orbit-density"}  # assumed, never checked
@@ -412,6 +446,8 @@ def test_planted_defect_fails_with_witness(defect, monkeypatch):
             assert all(r.counterexample and "error" not in r.counterexample for r in rows), check
     if defect in PINNED:
         assert [(r.check, r.subject, r.verdict, r.trials) for r in results] == PINNED[defect]
+    report = report_json(suite, params, None, results)
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == DIGESTS[defect]
 
 
 def test_a_bend_at_the_last_index_fails_as_early_as_one_at_every_index(monkeypatch):
@@ -528,9 +564,10 @@ def test_failing_ud_row_keeps_its_witness_keys(defect, monkeypatch):
     failed = [r for r in run_suite(suite, params) if r.verdict == "fail"]
     assert {r.check for r in failed} == checks
     for r in failed:
-        names, scalars, rows = ud.ROWS[r.check](int(r.subject.removeprefix("n=")))
+        job = ud.ROWS[r.check](int(r.subject.removeprefix("n=")), box)
+        names, rows = job.names, job.rows
         seed = harness._job_seed(harness.DEFAULT_SEEDS[suite], r.check, r.subject)
-        point = list(ud.sample_box(dict.fromkeys(names + scalars, (-box, box)), r.trials, seed))[-1]
+        point = list(ud.sample_box(job.domain.bounds, r.trials, seed))[-1]
         witness = r.counterexample
         assert witness["point"] == point
         assert all(type(v) is int for v in [*point.values(), witness["lhs"], witness["rhs"]])

@@ -18,21 +18,22 @@ from gcrystal.expr import (
     tree_program,
     var,
 )
+from gcrystal.crystal import product, run_plan
+from gcrystal.models import affine_a_model
 from gcrystal.rmap import (
     apply_r,
+    braid_plan,
     braid_rows,
     build_r_map,
-    check_braid,
-    check_commutation,
-    check_cyclic_shift,
-    check_diagonal_identity,
-    check_epsilon_invariance,
     check_fixed_point,
-    check_level_swap,
-    check_preserved,
     commutation_rows,
+    cyclic_shift_rows,
+    diagonal_plan,
     homogeneous_point,
+    invariance_row,
+    level_swap_rows,
     p_expr,
+    preserved_row,
     r_program,
     r_step,
     uniqueness_probe,
@@ -40,6 +41,12 @@ from gcrystal.rmap import (
 )
 
 TRIALS = 100
+
+
+def _torus_pair(n, ll, lr):
+    """The torus models at levels ``ll`` and ``lr`` and their product, whose coordinates R acts on."""
+    x, y = affine_a_model(n, ll), affine_a_model(n, lr)
+    return x, y, product(x, y)
 
 
 def test_p_expr_smallest_case():
@@ -191,7 +198,7 @@ def test_apply_r_frozen_example():
 
 def test_level_swap():
     for n, ll, lr in ((1, rat(4), rat(6)), (2, rat(4), rat(9)), (3, rat(5, 2), rat(7))):
-        assert check_level_swap(n, ll, lr, TRIALS).ok
+        assert run_plan(_torus_pair(n, ll, lr)[2].plan(level_swap_rows(n)), TRIALS).ok
 
 
 def test_homogeneous_fixed_point_swaps():
@@ -201,28 +208,30 @@ def test_homogeneous_fixed_point_swaps():
 
 
 def test_diagonal_identity():
-    assert check_diagonal_identity(2, rat(8), 20).ok
-    assert check_diagonal_identity(1, rat(4), 20).ok
+    assert run_plan(diagonal_plan(2, rat(8)), 20).ok
+    assert run_plan(diagonal_plan(1, rat(4)), 20).ok
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_commutation_all_indices(n):
+    x, y, z = _torus_pair(n, rat(4), rat(9))
     for i in range(n + 1):
-        assert check_commutation(n, rat(4), rat(9), i, 40).ok
+        assert run_plan(z.plan(commutation_rows(x, y, (i,)), ("s1",)), 40).ok
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_eps_and_gamma_preserved(n):
+    x, y, z = _torus_pair(n, rat(4), rat(9))
     for i in range(n + 1):
-        assert check_preserved(n, rat(4), rat(9), i, "eps", 40).ok
-        assert check_preserved(n, rat(4), rat(9), i, "gamma", 40).ok
+        assert run_plan(z.plan([preserved_row(x, y, "eps", (i,))]), 40).ok
+        assert run_plan(z.plan([preserved_row(x, y, "gamma", (i,))]), 40).ok
 
 
 def test_braid_consistency():
-    assert check_braid(1, (rat(4), rat(6), rat(9)), 50).ok
-    assert check_braid(2, (rat(4), rat(9), rat(25)), 25).ok
+    assert run_plan(braid_plan(1, (rat(4), rat(6), rat(9))), 50).ok
+    assert run_plan(braid_plan(2, (rat(4), rat(9), rat(25))), 25).ok
     # degenerate pair of equal levels still braids
-    assert check_braid(1, (rat(4), rat(6), rat(6)), 25).ok
+    assert run_plan(braid_plan(1, (rat(4), rat(6), rat(6))), 25).ok
 
 
 def test_braid_on_homogeneous_triple():
@@ -246,7 +255,7 @@ def test_braid_on_homogeneous_triple():
 
 def test_cyclic_shift_symmetry():
     for n in (1, 2, 3):
-        assert check_cyclic_shift(n, rat(4), rat(9), 25).ok
+        assert run_plan(_torus_pair(n, rat(4), rat(9))[2].plan(cyclic_shift_rows(n)), 25).ok
 
 
 def test_double_application_returns_to_start():
@@ -392,15 +401,16 @@ def test_braid_word_runs_as_three_reduced_steps(monkeypatch):
 
     monkeypatch.setattr(crystal, "run_reduced_columns", counting)
     trials = 7
-    assert check_braid(2, (rat(4), rat(9), rat(25)), trials).ok
+    assert run_plan(braid_plan(2, (rat(4), rat(9), rat(25))), trials).ok
     assert calls == [(9, trials)] * 6
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_epsilon_invariance_both_families(n):
     ll, lr = rat(4), rat(9)
-    assert check_epsilon_invariance(n, ll, lr, 40, starred=False).ok
-    assert check_epsilon_invariance(n, ll, lr, 40, starred=True).ok
+    z = _torus_pair(n, ll, lr)[2]
+    assert run_plan(z.plan([invariance_row(n, ll, lr, False)]), 40).ok
+    assert run_plan(z.plan([invariance_row(n, ll, lr, True)]), 40).ok
 
 
 def test_starred_pair_invariant_value():

@@ -395,9 +395,9 @@ def test_rows_cover_the_ud_checks():
 def test_rows_match_the_shadow_route(check, n):
     # every ud row's (max, +) sides against the same quantities computed the
     # way the hand-written point loops computed them
-    names, scalars, rows = ROWS[check](n)
-    plan = row_plan(names, rows)
-    for point in sample_box(_box(names + scalars), 200, seed=n):
+    job = ROWS[check](n, 50)
+    names, plan = job.names, row_plan(job.names, job.rows)
+    for point in sample_box(job.domain.bounds, 200, seed=n):
         for label, lhs, rhs, outputs in plan:
             route = _shadow_route(check, n, point, label, outputs)
             assert (maxplus_side(names, lhs, point), maxplus_side(names, rhs, point)) == route, (label, point)
