@@ -604,21 +604,17 @@ def _suite_borel_oracle(col: _Collector, p: Params) -> None:
         col.run("borel-mult-eps", subject, borel_mult_eps_plan(model, pair))
 
 
-def _torus_pair(n: int, p: Params):
-    """The torus models at levels L and M and their product, whose coordinates R acts on."""
-    x, y = affine_a_model(n, p.L), affine_a_model(n, p.M)
-    return x, y, product(x, y)
-
-
 def _suite_rmap(col: _Collector, p: Params) -> None:
     for n in p.sizes:
         subject = f"n={n}"
-        x, y, z = _torus_pair(n, p)
+        # the torus models at levels L and M: R acts on X x Y and lands in Y x X
+        x, y = affine_a_model(n, p.L), affine_a_model(n, p.M)
+        z, z_ml = product(x, y), product(y, x)
         col.run("rmap-level-swap", subject, z.plan(rmap.level_swap_rows(n)))
         for i in range(n + 1):
-            col.run("rmap-commutation", f"{subject} i={i}", z.plan(rmap.commutation_rows(x, y, (i,)), ("s1",)))
+            col.run("rmap-commutation", f"{subject} i={i}", z.plan(rmap.commutation_rows(z, z_ml, (i,)), ("s1",)))
             for check, which in (("rmap-eps-preserved", "eps"), ("rmap-gamma-preserved", "gamma")):
-                _, lhs, rhs = rmap.preserved_row(x, y, which, (i,))
+                _, lhs, rhs = rmap.preserved_row(z, z_ml, which, (i,))
                 col.run(check, f"{subject} i={i}", z.plan([({"i": i}, lhs, rhs)]))
         col.run("rmap-braid", subject, rmap.braid_plan(n, (p.L, p.M, p.N)))
         col.run("rmap-braid", f"{subject} degenerate", rmap.braid_plan(n, (p.L, p.M, p.M)))
@@ -629,7 +625,7 @@ def _suite_rmap(col: _Collector, p: Params) -> None:
 
 def _suite_invariance(col: _Collector, p: Params) -> None:
     for n in p.sizes:
-        z = _torus_pair(n, p)[2]
+        z = product(affine_a_model(n, p.L), affine_a_model(n, p.M))
         for check, starred in (("inv-eps", False), ("inv-eps-star", True)):
             col.run(check, f"n={n}", z.plan([rmap.invariance_row(n, p.L, p.M, starred)]))
 

@@ -7,18 +7,23 @@ a pair (l', m') with products M and L (the levels swap).  Components:
 
 where P_i(l, m) sums, over k = 1..n+1, the product of the leading window
 m_{i+1} ... m_{i+k} with the trailing window l_{i+k} ... l_{i+n+1} (all
-indices cyclic with representatives 1..n+1).  The tree of P_i does not
-multiply each window out afresh: the leading windows are the running
-prefix products of m from m_{i+1}, the trailing windows the running
-suffix products of l down to l_{i+n+1}, and term k multiplies the k-th of
-each.  So P_i takes about 4(n+1) nodes and the whole map O(n^2), where
-writing out every monomial would take O(n^3).  It is still, as a
-function, a sum of monomials built from sums and products alone, hence
-subtraction-free and tropicalizable.  The map has a pole wherever some
-P_i vanishes.  Run exactly, a window sum adds its n+1 terms over the lcm
-of their denominators (:func:`gcrystal.expr.run_pairs`); each term reads
-every coordinate at most once, so the denominator of P_i divides the
-product of the 2(n+1) input denominators: its size grows linearly in n.
+indices cyclic with representatives 1..n+1).  In the loop-group picture
+(Lam and Pylyavskyy, "Total positivity in loop groups I") P_i is the
+(1, 2) entry of the cyclic product T_{i+1} ... T_{n+1} T_1 ... T_i of
+the upper-triangular transfer matrices T_j = [[m_j, m_j l_j], [0, l_j]]:
+a product of such matrices has in its corner the sum, over the factor k
+that contributes m_k l_k, of the m's before it times the l's after it.
+So the trees of all n+1 window sums share the running prefix products
+T_1 ... T_j and suffix products T_j ... T_{n+1} (:func:`p_exprs`), and
+the whole map compiles to 15n + 1 instructions, where writing out every
+monomial would take O(n^3).  Every intermediate is built from sums and
+products alone, so the map is subtraction-free and tropicalizable, and
+its (max, +) reading is the combinatorial R.  The map has a pole
+wherever some P_i vanishes.  Run exactly, a sum adds over the lcm of
+its summands' denominators (:func:`gcrystal.expr.run_pairs`), and every
+product multiplies trees over disjoint sets of coordinates, so the
+denominator of P_i divides the product of the 2(n+1) input
+denominators: its size grows linearly in n.
 
 :func:`build_r_map` builds R once per size, and the map it returns keeps
 every program compiled from its trees: :func:`apply_r` runs one of them,
@@ -31,8 +36,9 @@ cyclic shift and interval-wise invariance of product epsilon systems,
 read on the product crystal's domain.  The braid relation on triple
 products (three R steps a side) and the diagonal rename the trees their
 own way and come as plans with their own domains.  The row builders take
-the factor models and the indices they cover, so the ud suite reads the
-same rows in (max, +) on the torus model at level 1.  The fixed point is
+the products X x Y and Y x X, built once by the caller, and the indices
+they cover, so the ud suite reads the same rows in (max, +) on the
+square of the torus model at level 1.  The fixed point is
 checked at one point, and the uniqueness probe solves the invariance
 equations at the homogeneous point by hand and confirms the solution is
 forced.
@@ -53,32 +59,62 @@ from .crystal import (
     CheckOutcome,
     CrystalModel,
     Plan,
-    product,
     word_step,
 )
 from .epsilon import EpsilonSystem, product_epsilon
-from .expr import Program, RatExpr, div, mul, prod, program_for, rename_variables, run, var
+from .expr import Program, RatExpr, add, div, mul, prod, program_for, rename_variables, run, var
 from .models import affine_a_local_system, affine_a_model, wrap
 
 
-def p_expr(n: int, i: int) -> RatExpr:
-    """P_i over the variables l1..l{n+1}, m1..m{n+1}.
+def _transfer(l: RatExpr, m: RatExpr) -> tuple[RatExpr, RatExpr, RatExpr]:
+    """T_j = [[m_j, m_j l_j], [0, l_j]] as the upper-triangular triple (A, B, D)."""
+    return m, mul(m, l), l
 
-    Term k is the prefix product m_{i+1}..m_{i+k} times the suffix product
-    l_{i+k}..l_{i+n+1}; both come from running products, so P_i costs
-    about 4(n+1) nodes instead of (n+1)(n+2).
+
+def _prefix_step(t, l: RatExpr, m: RatExpr):
+    """The triple of (T_1 ... T_{j-1}) T_j from that of T_1 ... T_{j-1}.
+
+    A' = A m_j, B' = (A' + B) l_j, D' = D l_j.
     """
-    prefixes = [var(f"m{wrap(i + 1, n)}")]
-    for j in range(2, n + 2):
-        prefixes.append(mul(prefixes[-1], var(f"m{wrap(i + j, n)}")))
-    suffixes = [var(f"l{wrap(i + n + 1, n)}")]
-    for j in range(n, 0, -1):
-        suffixes.append(mul(var(f"l{wrap(i + j, n)}"), suffixes[-1]))
-    suffixes.reverse()  # suffixes[k - 1] = l_{i+k} ... l_{i+n+1}
-    out = mul(prefixes[0], suffixes[0])
-    for k in range(1, n + 1):
-        out = out + mul(prefixes[k], suffixes[k])
-    return out
+    a, b, d = t
+    a = mul(a, m)
+    return a, mul(add(a, b), l), mul(d, l)
+
+
+def _suffix_step(t, l: RatExpr, m: RatExpr):
+    """The triple of T_j (T_{j+1} ... T_{n+1}) from that of T_{j+1} ... T_{n+1}.
+
+    D' = l_j D, A' = m_j A, B' = m_j (B + D').
+    """
+    a, b, d = t
+    d = mul(l, d)
+    return mul(m, a), mul(m, add(b, d)), d
+
+
+def p_exprs(n: int) -> tuple[RatExpr, ...]:
+    """P_0 .. P_n over the variables l1..l{n+1}, m1..m{n+1}, from shared transfer-matrix products.
+
+    P_i is the (1, 2) entry of the cyclic product T_{i+1} ... T_{n+1} T_1
+    ... T_i: P_0 that of the whole suffix Suf(1), and P_i, i >= 1, that of
+    Suf(i+1) Pre(i), which is A_s B_p + B_s D_p.  The prefixes Pre(j) = T_1
+    ... T_j and suffixes Suf(j) = T_j ... T_{n+1} are built once as running
+    products, so all n+1 trees together take 11n - 3 instructions.
+    """
+    l = [var(f"l{k}") for k in range(1, n + 2)]
+    m = [var(f"m{k}") for k in range(1, n + 2)]
+    pre = [_transfer(l[0], m[0])]  # pre[j - 1] = Pre(j)
+    for j in range(1, n):
+        pre.append(_prefix_step(pre[-1], l[j], m[j]))
+    suf = [_transfer(l[n], m[n])]
+    for j in range(n - 1, -1, -1):
+        suf.append(_suffix_step(suf[-1], l[j], m[j]))
+    suf.reverse()  # suf[j - 1] = Suf(j)
+    out = [suf[0][1]]
+    for i in range(1, n + 1):
+        a, b, _ = suf[i]
+        _, pre_b, pre_d = pre[i - 1]
+        out.append(add(mul(a, pre_b), mul(b, pre_d)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -94,7 +130,7 @@ class RMapInstance:
 @functools.lru_cache(maxsize=None)
 def build_r_map(n: int) -> RMapInstance:
     """The R map of size ``n``, built once: the components do not involve the levels."""
-    p = tuple(p_expr(n, i) for i in range(n + 1))
+    p = p_exprs(n)
     l_out = []
     m_out = []
     for i in range(1, n + 2):
@@ -160,33 +196,35 @@ def level_swap_rows(n: int) -> list:
     return [({}, ((r_step(n),), products), ((), products[::-1]))]
 
 
-def _size(model: CrystalModel) -> int:
-    """The n of a torus model, which has the n + 1 coordinates l1..l{n+1}."""
-    return len(model.variables) - 1
+def _size(z: CrystalModel) -> int:
+    """The n of a product of two torus models, which has the 2(n + 1) coordinates l1.x..l{n+1}.y."""
+    return len(z.variables) // 2 - 1
 
 
-def commutation_rows(x_model: CrystalModel, y_model: CrystalModel, indices) -> list:
+def commutation_rows(z_lm: CrystalModel, z_ml: CrystalModel, indices) -> list:
     """(e_i^s1 on X x Y, then R) against (R, then e_i^s1 on Y x X) for every i of ``indices``, over X x Y.
 
-    One row per i; the rows share one R step.
+    ``z_lm`` and ``z_ml`` are the products X x Y and Y x X, built once by
+    the caller so that their word steps are compiled once.  One row per
+    i; the rows share one R step.
     """
-    r = r_step(_size(x_model))
-    z_lm, z_ml = product(x_model, y_model), product(y_model, x_model)
+    r = r_step(_size(z_lm))
     return [
         ({"i": i}, ((word_step(z_lm, ((i, S1),)), r), None), ((r, word_step(z_ml, ((i, S1),))), None))
         for i in indices
     ]
 
 
-def preserved_row(x_model: CrystalModel, y_model: CrystalModel, which: str, indices):
+def preserved_row(z_lm: CrystalModel, z_ml: CrystalModel, which: str, indices):
     """eps_i (``which="eps"``) or gamma_i (``which="gamma"``) of X x Y against that of Y x X after R.
 
-    One row for every i of ``indices``, behind one R step; outputs are named by i.
+    ``z_lm`` and ``z_ml`` are the products X x Y and Y x X.  One row for
+    every i of ``indices``, behind one R step; outputs are named by i.
     """
-    before, after = (getattr(product(a, b), which) for a, b in ((x_model, y_model), (y_model, x_model)))
+    before, after = getattr(z_lm, which), getattr(z_ml, which)
     lhs = {i: before[i] for i in indices}
     rhs = {i: after[i] for i in indices}
-    return {}, ((), lhs), ((r_step(_size(x_model)),), rhs)
+    return {}, ((), lhs), ((r_step(_size(z_lm)),), rhs)
 
 
 def triple_names(n: int) -> tuple[tuple[str, ...], ...]:

@@ -44,6 +44,7 @@ from .crystal import (
     group_law_row,
     has_eps_clause,
     pointwise_check,
+    product,
     product_split_exprs,
     product_split_rows,
     word_side,
@@ -225,14 +226,16 @@ def _split_rows(n: int):
 def _preserved_rows(which: str):
     def build(n: int):
         model = unit_torus(n)
-        return _pair_coords(n), (), [preserved_row(model, model, which, model.cartan.labels)]
+        z = product(model, model)  # R maps the torus square to itself
+        return _pair_coords(n), (), [preserved_row(z, z, which, model.cartan.labels)]
 
     return build
 
 
 def _commutation_rows(n: int):
     model = unit_torus(n)
-    return _pair_coords(n), ("s1",), commutation_rows(model, model, model.cartan.labels)
+    z = product(model, model)
+    return _pair_coords(n), ("s1",), commutation_rows(z, z, model.cartan.labels)
 
 
 def _on_box(build):

@@ -407,7 +407,8 @@ def _rmap_commutation(trials):
     from gcrystal.rmap import commutation_rows
 
     x, y = affine_a_model(2, rat(4)), affine_a_model(2, rat(9))
-    return run_plan(product(x, y).plan(commutation_rows(x, y, (1,)), ("s1",)), trials, 3)
+    z = product(x, y)
+    return run_plan(z.plan(commutation_rows(z, product(y, x), (1,)), ("s1",)), trials, 3)
 
 
 def _rmap_braid(trials):

@@ -13,6 +13,7 @@ sampled stream; the rows of the partial torus and R bends are pinned.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import pytest
@@ -90,6 +91,20 @@ def bent_unit_r(mp):
         return dataclasses.replace(true, l_out=(raised(true.l_out[0], var("l1")),) + true.l_out[1:])
 
     mp.setattr(rmap, "build_r_map", build_r_map)
+
+
+def bent_suffix(mp):
+    """The window sums with the suffix recursion reading B + D where B + D' belongs: B' = m_j (B + D).
+
+    The R map is built afresh per size from the bent recursion.
+    """
+
+    def suffix_step(t, l, m):
+        a, b, d = t
+        return mul(m, a), mul(m, b + d), mul(l, d)
+
+    mp.setattr(rmap, "_suffix_step", suffix_step)
+    mp.setattr(rmap, "build_r_map", functools.lru_cache(maxsize=None)(TRUE_R.__wrapped__))
 
 
 def bent_split_exprs(only=None):
@@ -285,6 +300,11 @@ DEFECTS = {
     "scaled-r": (scaled_r(True), RMAP, RMAP_CHECKS - {"rmap-gamma-preserved"}),
     "scaled-r-uncompensated": (scaled_r(False), RMAP, {"rmap-gamma-preserved"}),
     "scaled-r-invariance": (scaled_r(True), INVARIANCE, {"inv-eps", "inv-eps-star"}),
+    # the bent window sums are not homogeneous: only the telescoping level
+    # swap and the pair products (so gamma) survive
+    "bent-suffix": (bent_suffix, RMAP, RMAP_CHECKS - {"rmap-level-swap", "rmap-gamma-preserved"}),
+    "bent-suffix-invariance": (bent_suffix, INVARIANCE, {"inv-eps", "inv-eps-star"}),
+    "bent-suffix-ud": (bent_suffix, UD, {"ud-r-eps", "ud-r-commutation", "ud-r-braid", "ud-product-eps-shadow"}),
     "coupled-verma": (bent_torus(coupled), VERMA, {"verma-commuting", "verma-braid"}),
     "halved-action": (
         bent_torus(halved),
@@ -412,6 +432,9 @@ DIGESTS = {
     "scaled-r": "56e400cb7cd6f203",
     "scaled-r-uncompensated": "e0be9063c91b5e94",
     "scaled-r-invariance": "84d8046b4da43690",
+    "bent-suffix": "4e8bce15faf6354f",
+    "bent-suffix-invariance": "36a34e4f7782a015",
+    "bent-suffix-ud": "a621214301966283",
     "coupled-verma": "2a3f5ae0dad2027b",
     "halved-action": "23be150c00f6c82c",
     "rotated-eps": "7017d91b902361cf",

@@ -32,7 +32,7 @@ from gcrystal.rmap import (
     homogeneous_point,
     invariance_row,
     level_swap_rows,
-    p_expr,
+    p_exprs,
     preserved_row,
     r_program,
     r_step,
@@ -43,26 +43,27 @@ from gcrystal.rmap import (
 TRIALS = 100
 
 
-def _torus_pair(n, ll, lr):
-    """The torus models at levels ``ll`` and ``lr`` and their product, whose coordinates R acts on."""
+def _torus_products(n, ll, lr):
+    """The products X x Y and Y x X of the torus models at levels ``ll`` and ``lr``: R acts on the first."""
     x, y = affine_a_model(n, ll), affine_a_model(n, lr)
-    return x, y, product(x, y)
+    return product(x, y), product(y, x)
 
 
 def test_p_expr_smallest_case():
     # n = 1: P_0 = l1 l2 m1 + l2 m1 m2, P_1 = l1 l2 m2 + l1 m1 m2
     env = {"l1": rat(1), "l2": rat(4), "m1": rat(2), "m2": rat(3)}
-    assert evaluate(p_expr(1, 0), env) == 1 * 4 * 2 + 4 * 2 * 3
-    assert evaluate(p_expr(1, 1), env) == 1 * 4 * 3 + 1 * 2 * 3
+    p0, p1 = p_exprs(1)
+    assert evaluate(p0, env) == 1 * 4 * 2 + 4 * 2 * 3
+    assert evaluate(p1, env) == 1 * 4 * 3 + 1 * 2 * 3
 
 
 def test_p_expr_is_subtraction_free():
     for n in (1, 2, 3):
-        for i in range(n + 1):
-            assert certify_subtraction_free(p_expr(n, i)).free
+        for p in p_exprs(n):
+            assert certify_subtraction_free(p).free
 
 
-# --- window sums: the shared-chain builder against the monomial-by-monomial oracle ---
+# --- window sums: the transfer-matrix builder against the monomial-by-monomial oracle ---
 
 
 def _windows(n, i):
@@ -109,8 +110,8 @@ def naive_window_maxima(n, l, m):
 def test_p_expr_matches_naive_window_sums(n):
     rng = random.Random(f"p_expr:{n}")
     names = [f"{c}{k}" for c in "lm" for k in range(1, n + 2)]
-    for i in range(n + 1):
-        fast, naive = p_expr(n, i), naive_p_expr(n, i)
+    for i, fast in enumerate(p_exprs(n)):
+        naive = naive_p_expr(n, i)
         for _ in range(20):
             point = {
                 v: Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 50)) for v in names
@@ -120,9 +121,28 @@ def test_p_expr_matches_naive_window_sums(n):
             assert run_maxplus(tree_program(fast), ipoint) == run_maxplus(tree_program(naive), ipoint)
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
-def test_r_program_grows_quadratically(n):
-    assert len(r_program(build_r_map(n)).code) <= 4 * (n + 1) ** 2 + 8 * (n + 1)
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_window_sums_at_large_n_match_the_naive_formulas(n):
+    # the shared prefix and suffix products against every monomial on its
+    # own, exactly and in (max, +), at a few points of each kind
+    rng = random.Random(f"window-sums:{n}")
+    r = build_r_map(n)
+    program = program_for(r, "p", r.p)
+    for _ in range(3):
+        l, m = (
+            [Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99)) for _ in range(n + 1)]
+            for _ in range(2)
+        )
+        lp, mp = ({f"l{k}": v for k, v in enumerate(values, start=1)} for values in (l, m))
+        assert window_sums(r, lp, mp) == naive_window_sums(n, l, m)
+        li, mi = ([rng.randint(-99, 99) for _ in range(n + 1)] for _ in range(2))
+        env = {f"{c}{k}": v for c, values in (("l", li), ("m", mi)) for k, v in enumerate(values, start=1)}
+        assert run_maxplus(program, env) == naive_window_maxima(n, li, mi)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 100])
+def test_r_program_grows_linearly(n):
+    assert len(r_program(build_r_map(n)).code) <= 15 * n + 1
 
 
 def test_window_sums_at_a_pole():
@@ -198,7 +218,7 @@ def test_apply_r_frozen_example():
 
 def test_level_swap():
     for n, ll, lr in ((1, rat(4), rat(6)), (2, rat(4), rat(9)), (3, rat(5, 2), rat(7))):
-        assert run_plan(_torus_pair(n, ll, lr)[2].plan(level_swap_rows(n)), TRIALS).ok
+        assert run_plan(_torus_products(n, ll, lr)[0].plan(level_swap_rows(n)), TRIALS).ok
 
 
 def test_homogeneous_fixed_point_swaps():
@@ -214,17 +234,17 @@ def test_diagonal_identity():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_commutation_all_indices(n):
-    x, y, z = _torus_pair(n, rat(4), rat(9))
+    z, z_ml = _torus_products(n, rat(4), rat(9))
     for i in range(n + 1):
-        assert run_plan(z.plan(commutation_rows(x, y, (i,)), ("s1",)), 40).ok
+        assert run_plan(z.plan(commutation_rows(z, z_ml, (i,)), ("s1",)), 40).ok
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_eps_and_gamma_preserved(n):
-    x, y, z = _torus_pair(n, rat(4), rat(9))
+    z, z_ml = _torus_products(n, rat(4), rat(9))
     for i in range(n + 1):
-        assert run_plan(z.plan([preserved_row(x, y, "eps", (i,))]), 40).ok
-        assert run_plan(z.plan([preserved_row(x, y, "gamma", (i,))]), 40).ok
+        assert run_plan(z.plan([preserved_row(z, z_ml, "eps", (i,))]), 40).ok
+        assert run_plan(z.plan([preserved_row(z, z_ml, "gamma", (i,))]), 40).ok
 
 
 def test_braid_consistency():
@@ -255,7 +275,7 @@ def test_braid_on_homogeneous_triple():
 
 def test_cyclic_shift_symmetry():
     for n in (1, 2, 3):
-        assert run_plan(_torus_pair(n, rat(4), rat(9))[2].plan(cyclic_shift_rows(n)), 25).ok
+        assert run_plan(_torus_products(n, rat(4), rat(9))[0].plan(cyclic_shift_rows(n)), 25).ok
 
 
 def test_double_application_returns_to_start():
@@ -311,7 +331,7 @@ def test_row_steps_match_apply_e_and_apply_r(n):
         return pack_pair(*apply_r(inst, *split_pair(x, coords, coords)))
 
     for i in range(n + 1):
-        [(_, (lhs, _), (rhs, _))] = commutation_rows(affine_a_model(n, ll), affine_a_model(n, lr), (i,))
+        [(_, (lhs, _), (rhs, _))] = commutation_rows(z_lm, z_ml, (i,))
         for point in sample_points(z_lm.domain_spec(n + i, extra=("s1",)), 5):
             x, c = {v: point[v] for v in z_lm.variables}, point["s1"]
             e = apply_e(z_lm, i, c, x)
@@ -408,7 +428,7 @@ def test_braid_word_runs_as_three_reduced_steps(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_epsilon_invariance_both_families(n):
     ll, lr = rat(4), rat(9)
-    z = _torus_pair(n, ll, lr)[2]
+    z = _torus_products(n, ll, lr)[0]
     assert run_plan(z.plan([invariance_row(n, ll, lr, False)]), 40).ok
     assert run_plan(z.plan([invariance_row(n, ll, lr, True)]), 40).ok
 
